@@ -7,14 +7,10 @@
 //! overheads (three pointers and a heap header each, VecDeque's minimum
 //! capacity, BTreeMap node fan-out) dominate the actual protocol state.
 //!
-//! This crate provides the three layouts the memory-compact core is built
-//! from, all dependency-free and all invariant-checked by unit and
+//! This crate provides the two layouts the memory-compact core is built
+//! from, both dependency-free and both invariant-checked by unit and
 //! property tests:
 //!
-//! - [`Slab`]: a slot arena with generation-checked [`Handle`]s. Removal
-//!   bumps the slot's generation, so a stale handle can never alias a
-//!   recycled slot — the moral equivalent of a use-after-free check, paid
-//!   for with one `u32` compare.
 //! - [`SmallVec`]: a pooled small-vector that stores up to `N` elements
 //!   inline and spills to a heap `Vec` only past that. Popping back under
 //!   the threshold returns to inline storage but *keeps* the spill
@@ -25,9 +21,7 @@
 //!   aggregate is large.
 
 mod deques;
-mod slab;
 mod smallvec;
 
 pub use deques::LinkedDeques;
-pub use slab::{Handle, Slab};
 pub use smallvec::SmallVec;

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpq_baselines::CentralNode;
 use dpq_core::workload::{generate, WorkloadSpec};
+use dpq_sim::Run;
 use dpq_sim::SyncScheduler;
 use kselect::{driver, KSelectConfig};
 use skeap::{cluster as skeap_cluster, SkeapNode};
@@ -50,7 +51,15 @@ fn bench_select(c: &mut Criterion) {
     g.bench_function("kselect", |b| {
         b.iter(|| {
             let cands = driver::random_candidates(n, m, 1 << 30, 24);
-            driver::run_sync(n, cands, m / 2, KSelectConfig::default(), 24, 2_000_000).result
+            driver::run(
+                n,
+                cands,
+                m / 2,
+                KSelectConfig::default(),
+                24,
+                Run::sync(2_000_000),
+            )
+            .result
         });
     });
     g.bench_function("sequential_oracle", |b| {

@@ -3,6 +3,7 @@
 //! and δ window).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpq_sim::Run;
 use kselect::{driver, KSelectConfig};
 
 fn bench_sizes(c: &mut Criterion) {
@@ -13,7 +14,15 @@ fn bench_sizes(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let cands = driver::random_candidates(n, m, 1 << 30, 7);
-                driver::run_sync(n, cands, m / 2, KSelectConfig::default(), 7, 2_000_000).result
+                driver::run(
+                    n,
+                    cands,
+                    m / 2,
+                    KSelectConfig::default(),
+                    7,
+                    Run::sync(2_000_000),
+                )
+                .result
             });
         });
     }
@@ -40,7 +49,7 @@ fn bench_ablation(c: &mut Criterion) {
             |b, cfg| {
                 b.iter(|| {
                     let cands = driver::random_candidates(n, m, 1 << 30, 9);
-                    driver::run_sync(n, cands, m / 2, *cfg, 9, 4_000_000)
+                    driver::run(n, cands, m / 2, *cfg, 9, Run::sync(4_000_000))
                         .stats
                         .p2_iterations
                 });
@@ -59,7 +68,7 @@ fn bench_ablation(c: &mut Criterion) {
             |b, cfg| {
                 b.iter(|| {
                     let cands = driver::random_candidates(n, m, 1 << 30, 11);
-                    driver::run_sync(n, cands, m / 2, *cfg, 11, 4_000_000)
+                    driver::run(n, cands, m / 2, *cfg, 11, Run::sync(4_000_000))
                         .stats
                         .p2_iterations
                 });

@@ -14,10 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpq_bench::perf_probe::{probe_plan, relays, PROBE_INFLIGHT, PROBE_NODES};
 use dpq_core::NodeId;
-use dpq_sim::{
-    AsyncConfig, AsyncScheduler, FaultPlan, Hub, NullTelemetry, NullTracer, RandomAdversary,
-    SyncScheduler, Telemetry,
-};
+use dpq_sim::{AsyncScheduler, FaultPlan, Hub, NullTelemetry, SyncScheduler, Telemetry};
 
 /// Steps per async iteration — large enough to amortize the refill check.
 const ASYNC_CHUNK: u64 = 10_000;
@@ -25,14 +22,9 @@ const ASYNC_CHUNK: u64 = 10_000;
 const SYNC_CHUNK: u64 = 200;
 
 fn async_case<M: Telemetry>(b: &mut criterion::Bencher, plan: &FaultPlan, telemetry: M) {
-    let mut s = AsyncScheduler::with_policy_faults_tracer_telemetry(
-        relays(PROBE_NODES, PROBE_INFLIGHT),
-        AsyncConfig::default(),
-        plan.clone(),
-        RandomAdversary::new(1),
-        NullTracer,
-        telemetry,
-    );
+    let mut s = AsyncScheduler::new(relays(PROBE_NODES, PROBE_INFLIGHT), 1)
+        .with_faults(plan.clone())
+        .with_telemetry(telemetry);
     while (s.in_flight() as u64) < PROBE_INFLIGHT {
         s.step_once();
     }
@@ -69,12 +61,9 @@ fn bench_async(c: &mut Criterion) {
 
 fn sync_case<M: Telemetry>(b: &mut criterion::Bencher, plan: &FaultPlan, telemetry: M) {
     let per_node = 8u64;
-    let mut s = SyncScheduler::with_faults_tracer_telemetry(
-        relays(PROBE_NODES, PROBE_NODES * per_node),
-        plan.clone(),
-        NullTracer,
-        telemetry,
-    );
+    let mut s = SyncScheduler::new(relays(PROBE_NODES, PROBE_NODES * per_node))
+        .with_faults(plan.clone())
+        .with_telemetry(telemetry);
     s.step_round();
     b.iter(|| {
         for _ in 0..SYNC_CHUNK {

@@ -11,9 +11,9 @@ fn bench_seap(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let spec = WorkloadSpec::balanced(n, 4, 1 << 24, 7);
-                let run = cluster::run_sync(&spec, 3_000_000);
+                let run = cluster::run(&spec, dpq_sim::Run::sync(3_000_000));
                 assert!(run.completed);
-                run.rounds
+                run.time
             });
         });
     }

@@ -12,9 +12,9 @@ fn bench_skeap(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let spec = WorkloadSpec::balanced(n, 4, 2, 7);
-                let run = cluster::run_sync(&spec, 2, 1_000_000);
+                let run = cluster::run(&spec, 2, dpq_sim::Run::sync(1_000_000));
                 assert!(run.completed);
-                run.rounds
+                run.time
             });
         });
     }

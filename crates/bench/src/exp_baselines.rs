@@ -5,7 +5,7 @@ use dpq_baselines::{CentralNode, NaiveSelectNode};
 use dpq_core::workload::{generate, WorkloadSpec};
 use dpq_core::{DetRng, ElemId, Key, Priority};
 use dpq_overlay::{tree, NodeView, Topology};
-use dpq_sim::SyncScheduler;
+use dpq_sim::{Run, SyncScheduler};
 use kselect::{driver, KSelectConfig};
 use skeap::cluster as skeap_cluster;
 use skeap::SkeapNode;
@@ -105,8 +105,15 @@ pub fn b2_naive_kselect(_opts: &crate::ExpOpts) -> Table {
         // KSelect on an equally sized instance.
         let cands = driver::random_candidates(n, m, 1 << 30, 24);
         let expect = driver::sequential_select(&cands, k);
-        let kr = driver::run_sync(n, cands, k, KSelectConfig::default(), 24, 3_000_000);
-        assert_eq!(kr.result, expect);
+        let kr = driver::run(
+            n,
+            cands,
+            k,
+            KSelectConfig::default(),
+            24,
+            Run::sync(3_000_000),
+        );
+        assert_eq!(kr.result, Some(expect));
 
         (
             ns.metrics.max_msg_bits,

@@ -12,7 +12,7 @@ use crate::table::{f, Table};
 use dpq_core::workload::WorkloadSpec;
 use dpq_core::NodeId;
 use dpq_semantics::{replay, ReplayMode};
-use dpq_sim::{fault_matrix, FaultCell, FaultPlan, LatencySummary};
+use dpq_sim::{fault_matrix, FaultCell, FaultPlan, Hub, LatencySummary, NullTracer, Outcome, Run};
 use skeap::cluster;
 
 /// Retransmission timeout in rounds (several 2-round ack RTTs).
@@ -20,13 +20,13 @@ const RTO: u64 = 8;
 const OPS: usize = 3;
 const SEEDS: u64 = 3;
 
-fn run_cell(n: usize, seed: u64, plan: FaultPlan) -> (cluster::FaultyRun, dpq_sim::Hub) {
+fn run_cell(n: usize, seed: u64, plan: FaultPlan) -> Outcome<NullTracer, Hub> {
     let spec = WorkloadSpec::balanced(n, OPS, 3, seed);
-    let (r, hub) =
-        cluster::run_sync_faulty_telemetry(&spec, 3, 4_000_000, plan, RTO, dpq_sim::Hub::new());
+    let run = Run::sync(4_000_000).faulty(plan, RTO).telemetry(Hub::new());
+    let r = cluster::run(&spec, 3, run);
     assert!(r.completed, "faulty run stalled (n={n}, seed={seed})");
     replay(&r.history, ReplayMode::Fifo).expect("witness replay under faults");
-    (r, hub)
+    r
 }
 
 /// E16 — recovery latency by fault cell, plus the crash-recovery shape.
@@ -59,9 +59,7 @@ pub fn e16_fault_recovery(opts: &crate::ExpOpts) -> Table {
     // Sweep 1: clean (transport-wrapped, fault-free) baselines per n.
     let clean_ns: Vec<usize> = if custom { vec![n] } else { shape_ns.to_vec() };
     let clean_cells = crate::runner::sweep(clean_ns.len() * S, |c| {
-        run_cell(clean_ns[c / S], 1600 + (c % S) as u64, FaultPlan::none())
-            .0
-            .time as f64
+        run_cell(clean_ns[c / S], 1600 + (c % S) as u64, FaultPlan::none()).time as f64
     });
     let clean = |cn: usize| -> f64 {
         let i = clean_ns
@@ -104,18 +102,17 @@ pub fn e16_fault_recovery(opts: &crate::ExpOpts) -> Table {
     });
     // Shard-local hubs fold into one experiment-wide hub in cell index
     // order, so the metrics stream is byte-identical for any --jobs.
-    let mut exp_hub = dpq_sim::Hub::new();
-    for (_, hub) in &swept {
-        exp_hub.merge(hub);
+    let mut exp_hub = Hub::new();
+    for r in &swept {
+        exp_hub.merge(&r.telemetry);
     }
-    let runs: Vec<_> = swept.iter().map(|(r, _)| r).collect();
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for (pi, (name, pn, _)) in plans.iter().enumerate() {
         let mut rounds = Vec::new();
         let mut lats = dpq_sim::LogHistogram::new();
         let (mut dropped, mut retx) = (0u64, 0u64);
-        for r in &runs[pi * S..(pi + 1) * S] {
+        for r in &swept[pi * S..(pi + 1) * S] {
             rounds.push(r.time as f64);
             lats.merge(&r.latency_hist);
             dropped += r.faults.dropped();

@@ -43,7 +43,7 @@ fn idle_cell(n: u64, threshold: f64, drop: f64, rounds: u64, seed: u64) -> (u64,
         .map(|i| GossipNode::new(NodeId(i), &all, gossip_cfg(threshold, 16)))
         .collect();
     let plan = FaultPlan::uniform(seed, drop, 0.0);
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
+    let mut sched = SyncScheduler::new(nodes).with_faults(plan);
     let _ = sched.run_until_pred(rounds, |_| false);
     let (mut susp, mut conf) = (0u64, 0u64);
     for g in sched.nodes() {

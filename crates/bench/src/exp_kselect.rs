@@ -2,13 +2,21 @@
 
 use crate::stats::{log_fit, mean};
 use crate::table::{f, Table};
+use dpq_sim::Run;
 use kselect::{driver, KSelectConfig};
 
 fn run(n: usize, m: u64, k: u64, seed: u64) -> driver::KSelectRun {
     let cands = driver::random_candidates(n, m, 1 << 30, seed);
     let expect = driver::sequential_select(&cands, k);
-    let run = driver::run_sync(n, cands, k, KSelectConfig::default(), seed, 3_000_000);
-    assert_eq!(run.result, expect, "KSelect answered incorrectly");
+    let run = driver::run(
+        n,
+        cands,
+        k,
+        KSelectConfig::default(),
+        seed,
+        Run::sync(3_000_000),
+    );
+    assert_eq!(run.result, Some(expect), "KSelect answered incorrectly");
     run
 }
 
@@ -45,25 +53,24 @@ pub fn e5_costs(opts: &crate::ExpOpts) -> Table {
         let seed = 600 + s;
         let cands = driver::random_candidates(n, m, 1 << 30, seed);
         let expect = driver::sequential_select(&cands, m / 2);
+        let nodes = driver::build(n, cands, m / 2, KSelectConfig::default(), seed);
+        let run = Run::sync(3_000_000);
         let (run, trace) = if traced {
-            let (run, tracer) = driver::run_sync_traced(
-                n,
-                cands,
-                m / 2,
-                KSelectConfig::default(),
-                seed,
-                3_000_000,
-                crate::control_tracer(),
-            );
+            let core = run
+                .tracer(crate::control_tracer())
+                .drive(nodes, &[], driver::decided);
             let label = format!("e5 n={n} seed={seed}");
-            (run, Some((label, tracer.into_events())))
+            (
+                driver::summarize(&core),
+                Some((label, core.tracer.into_events())),
+            )
         } else {
             (
-                driver::run_sync(n, cands, m / 2, KSelectConfig::default(), seed, 3_000_000),
+                driver::summarize(&run.drive(nodes, &[], driver::decided)),
                 None,
             )
         };
-        assert_eq!(run.result, expect, "KSelect answered incorrectly");
+        assert_eq!(run.result, Some(expect), "KSelect answered incorrectly");
         (run, trace)
     });
     for (ni, &n) in NS.iter().enumerate() {

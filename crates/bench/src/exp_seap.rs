@@ -4,7 +4,7 @@
 use crate::stats::{log_fit, mean};
 use crate::table::{f, Table};
 use dpq_core::workload::{generate, WorkloadSpec};
-use dpq_sim::SyncScheduler;
+use dpq_sim::{Run, SyncScheduler};
 use seap::checker::check_seap_history;
 use seap::{cluster, SeapNode};
 
@@ -22,8 +22,9 @@ pub fn e9_semantics(_opts: &crate::ExpOpts) -> Table {
         let (n, ops) = CFGS[c / SEEDS];
         let s = (c % SEEDS) as u64;
         let spec = WorkloadSpec::balanced(n, ops, 1 << 24, 400 + s);
-        let h = cluster::run_async(&spec, 8_000 + s, 80_000_000).expect("async run completed");
-        check_seap_history(&h).is_ok() as u32
+        let run = cluster::run(&spec, Run::asynchronous(8_000 + s, 80_000_000));
+        assert!(run.completed, "async run completed");
+        check_seap_history(&run.history).is_ok() as u32
     });
     for (ci, (n, ops)) in CFGS.into_iter().enumerate() {
         let seeds = SEEDS as u64;
@@ -70,37 +71,33 @@ pub fn e10_costs(opts: &crate::ExpOpts) -> Table {
         let n = NS[c / SEEDS];
         let s = (c % SEEDS) as u64;
         let spec = WorkloadSpec::balanced(n, 4, 1 << 24, 510 + s);
-        let (run, trace, hub) = if traced {
-            let (run, tracer, hub) = cluster::run_sync_instrumented(
-                &spec,
-                3_000_000,
-                crate::control_tracer(),
-                dpq_sim::Hub::new(),
-            );
+        let run = Run::sync(3_000_000).telemetry(dpq_sim::Hub::new());
+        let (run, trace) = if traced {
+            let (run, tracer) =
+                cluster::run(&spec, run.tracer(crate::control_tracer())).split_tracer();
             let label = format!("e10 n={n} seed={}", 510 + s);
-            (run, Some((label, tracer.into_events())), hub)
+            (run, Some((label, tracer.into_events())))
         } else {
-            let (run, hub) = cluster::run_sync_telemetry(&spec, 3_000_000, dpq_sim::Hub::new());
-            (run, None, hub)
+            (cluster::run(&spec, run), None)
         };
         assert!(run.completed);
         check_seap_history(&run.history).expect("semantics hold");
-        (run, trace, hub)
+        (run, trace)
     });
     let mut exp_hub = dpq_sim::Hub::new();
-    for (_, _, hub) in &cells {
-        exp_hub.merge(hub);
+    for (run, _) in &cells {
+        exp_hub.merge(&run.telemetry);
     }
     for (ni, &n) in NS.iter().enumerate() {
         let group = &cells[ni * SEEDS..(ni + 1) * SEEDS];
         if let Some(ct) = chrome.as_mut() {
-            for (_, trace, _) in group {
+            for (_, trace) in group {
                 let (label, events) = trace.as_ref().expect("traced cell kept its events");
                 ct.add_run(label, events);
             }
         }
-        let runs: Vec<_> = group.iter().map(|(r, _, _)| r).collect();
-        let rounds = mean(&runs.iter().map(|r| r.rounds as f64).collect::<Vec<_>>());
+        let runs: Vec<_> = group.iter().map(|(r, _)| r).collect();
+        let rounds = mean(&runs.iter().map(|r| r.time as f64).collect::<Vec<_>>());
         let cong = mean(
             &runs
                 .iter()

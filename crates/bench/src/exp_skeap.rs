@@ -5,7 +5,7 @@ use crate::table::{f, Table};
 use dpq_core::workload::{generate, WorkloadSpec};
 use dpq_core::OpKind;
 use dpq_semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
-use dpq_sim::SyncScheduler;
+use dpq_sim::{Run, SyncScheduler};
 use skeap::cluster;
 use skeap::SkeapNode;
 
@@ -32,7 +32,9 @@ pub fn e1_semantics(_opts: &crate::ExpOpts) -> Table {
         let (n, ops) = CFGS[c / SEEDS];
         let s = (c % SEEDS) as u64;
         let spec = WorkloadSpec::balanced(n, ops, 3, 300 + s);
-        let h = cluster::run_async(&spec, 3, 7_000 + s, 40_000_000).expect("async run completed");
+        let run = cluster::run(&spec, 3, Run::asynchronous(7_000 + s, 40_000_000));
+        assert!(run.completed, "async run completed");
+        let h = run.history;
         (
             replay(&h, ReplayMode::Fifo).is_ok() as u32,
             check_local_consistency(&h).is_ok() as u32,
@@ -92,36 +94,31 @@ pub fn e2_rounds(opts: &crate::ExpOpts) -> Table {
         let n = NS[c / SEEDS];
         let s = (c % SEEDS) as u64;
         let spec = WorkloadSpec::balanced(n, 4, 2, 500 + s);
+        let run = Run::sync(2_000_000).telemetry(dpq_sim::Hub::new());
         if traced {
-            let (run, tracer, hub) = cluster::run_sync_instrumented(
-                &spec,
-                2,
-                2_000_000,
-                crate::control_tracer(),
-                dpq_sim::Hub::new(),
-            );
+            let (run, tracer) =
+                cluster::run(&spec, 2, run.tracer(crate::control_tracer())).split_tracer();
             let label = format!("e2 n={n} seed={}", 500 + s);
-            (run, Some((label, tracer.into_events())), hub)
+            (run, Some((label, tracer.into_events())))
         } else {
-            let (run, hub) = cluster::run_sync_telemetry(&spec, 2, 2_000_000, dpq_sim::Hub::new());
-            (run, None, hub)
+            (cluster::run(&spec, 2, run), None)
         }
     });
     let mut exp_hub = dpq_sim::Hub::new();
-    for (_, _, hub) in &cells {
-        exp_hub.merge(hub);
+    for (run, _) in &cells {
+        exp_hub.merge(&run.telemetry);
     }
     for (ni, &n) in NS.iter().enumerate() {
         let mut rounds = Vec::new();
         // Seeds pool their latency distributions by exact histogram merge —
         // O(buckets) per seed instead of re-sorting every raw sample.
         let mut lats = dpq_sim::LogHistogram::new();
-        for (run, trace, _) in &cells[ni * SEEDS..(ni + 1) * SEEDS] {
+        for (run, trace) in &cells[ni * SEEDS..(ni + 1) * SEEDS] {
             assert!(run.completed);
             if let (Some(ct), Some((label, events))) = (chrome.as_mut(), trace.as_ref()) {
                 ct.add_run(label, events);
             }
-            rounds.push(run.rounds as f64);
+            rounds.push(run.time as f64);
             lats.merge(&run.latency_hist);
         }
         let m = mean(&rounds);

@@ -23,7 +23,7 @@
 use dpq_baselines::{KLsm, MultiQueue, RelaxedPq};
 use dpq_core::{DetRng, ElemId, Element, History, OpKind, OpReturn, Priority};
 use dpq_semantics::{rank_error, RankErrorSummary, RankOrder};
-use dpq_sim::{LatencySummary, LogHistogram, SyncScheduler};
+use dpq_sim::{LatencySummary, LogHistogram, QueueNode, SyncScheduler};
 use dpq_workload::{drive_sync, ArrivalSpec, MixKind, OpenLoopSpec, Schedule, WorkOp};
 
 use crate::table::{f, Table};
@@ -94,62 +94,35 @@ fn grid_spec(arrivals: ArrivalSpec, mix: MixKind, seed: u64) -> OpenLoopSpec {
     }
 }
 
-/// Run a strict protocol open-loop and score it.
-fn strict_cell(proto: Proto, spec: &OpenLoopSpec, schedule: &Schedule) -> CellOut {
-    match proto {
-        Proto::Skeap => {
-            let nodes = skeap::cluster::build(spec.n, spec.n_prios as usize, spec.seed);
-            let mut sched = SyncScheduler::new(nodes);
-            sched.set_ticks_per_round(spec.ticks_per_round);
-            let out = drive_sync(
-                &mut sched,
-                schedule,
-                DRAIN_ROUNDS,
-                |node, inj| match inj.op {
-                    WorkOp::Insert { prio } => node.issue_insert(prio, inj.client),
-                    WorkOp::DeleteMin => node.issue_delete(),
-                },
-                |ns| ns.iter().all(skeap::SkeapNode::all_complete),
-            );
-            let hist = skeap::cluster::history(sched.nodes());
-            let rank = rank_error(&hist, RankOrder::Fifo).expect("skeap history well-formed");
-            CellOut {
-                offered: out.injected,
-                lat: sched.metrics.snapshot().latency,
-                elapsed_ticks: out.rounds * spec.ticks_per_round,
-                rank,
-                drained: out.drained,
-            }
-        }
-        Proto::Seap => {
-            let nodes = seap::cluster::build(spec.n, spec.seed);
-            let mut sched = SyncScheduler::new(nodes);
-            sched.set_ticks_per_round(spec.ticks_per_round);
-            let out = drive_sync(
-                &mut sched,
-                schedule,
-                DRAIN_ROUNDS,
-                |node, inj| match inj.op {
-                    WorkOp::Insert { prio } => node.issue_insert(prio, inj.client),
-                    WorkOp::DeleteMin => node.issue_delete(),
-                },
-                |ns| ns.iter().all(seap::SeapNode::all_complete),
-            );
-            let hist = seap::cluster::history(sched.nodes());
-            // Seap's raw witness offsets inside a delete phase are
-            // position-interval assignments; the serial order it claims is
-            // the refined one (Lemma 5.2) — rank against that.
-            let refined = seap::refine_witnesses(&hist).expect("seap history well-formed");
-            let rank = rank_error(&refined, RankOrder::KeyOrder).expect("seap history well-formed");
-            CellOut {
-                offered: out.injected,
-                lat: sched.metrics.snapshot().latency,
-                elapsed_ticks: out.rounds * spec.ticks_per_round,
-                rank,
-                drained: out.drained,
-            }
-        }
-        _ => unreachable!("relaxed protos go through relaxed_cell"),
+/// Run a strict protocol open-loop and score it with `rank`, the
+/// protocol's own serial order handed to the rank oracle.
+fn strict_cell<Q: QueueNode>(
+    nodes: Vec<Q>,
+    spec: &OpenLoopSpec,
+    schedule: &Schedule,
+    rank: impl FnOnce(&History) -> RankErrorSummary,
+) -> CellOut
+where
+    Q::Msg: Clone,
+{
+    let mut sched = SyncScheduler::new(nodes);
+    sched.set_ticks_per_round(spec.ticks_per_round);
+    let out = drive_sync(
+        &mut sched,
+        schedule,
+        DRAIN_ROUNDS,
+        |node, inj| match inj.op {
+            WorkOp::Insert { prio } => node.issue_insert(prio, inj.client),
+            WorkOp::DeleteMin => node.issue(OpKind::DeleteMin),
+        },
+        |ns| ns.iter().all(Q::all_complete),
+    );
+    CellOut {
+        offered: out.injected,
+        lat: sched.metrics.snapshot().latency,
+        elapsed_ticks: out.rounds * spec.ticks_per_round,
+        rank: rank(&dpq_sim::history(sched.nodes())),
+        drained: out.drained,
     }
 }
 
@@ -211,7 +184,24 @@ fn relaxed_cell(q: &mut dyn RelaxedPq, spec: &OpenLoopSpec, schedule: &Schedule)
 fn run_cell(proto: Proto, spec: &OpenLoopSpec) -> CellOut {
     let schedule = Schedule::generate(spec);
     match proto {
-        Proto::Skeap | Proto::Seap => strict_cell(proto, spec, &schedule),
+        Proto::Skeap => strict_cell(
+            skeap::cluster::build(spec.n, spec.n_prios as usize, spec.seed),
+            spec,
+            &schedule,
+            |h| rank_error(h, RankOrder::Fifo).expect("skeap history well-formed"),
+        ),
+        // Seap's raw witness offsets inside a delete phase are
+        // position-interval assignments; the serial order it claims is the
+        // refined one (Lemma 5.2) — rank against that.
+        Proto::Seap => strict_cell(
+            seap::cluster::build(spec.n, spec.seed),
+            spec,
+            &schedule,
+            |h| {
+                let refined = seap::refine_witnesses(h).expect("seap history well-formed");
+                rank_error(&refined, RankOrder::KeyOrder).expect("seap history well-formed")
+            },
+        ),
         Proto::Klsm => {
             // k = 8: each lane may buffer up to 8 unmerged elements.
             let mut q = KLsm::new(spec.n, 8);

@@ -11,8 +11,7 @@
 
 use dpq_core::{BitSize, NodeId};
 use dpq_sim::{
-    AsyncConfig, AsyncScheduler, Ctx, FaultPlan, Hub, NullTelemetry, NullTracer, Protocol,
-    RandomAdversary, SyncScheduler, Telemetry,
+    AsyncScheduler, Ctx, FaultPlan, Hub, NullTelemetry, Protocol, SyncScheduler, Telemetry,
 };
 use std::time::Instant;
 
@@ -98,14 +97,9 @@ pub fn async_steps_per_sec_telemetry(plan: FaultPlan, min_secs: f64) -> f64 {
 }
 
 fn async_steps_per_sec_with<M: Telemetry>(plan: FaultPlan, min_secs: f64, telemetry: M) -> f64 {
-    let mut s = AsyncScheduler::with_policy_faults_tracer_telemetry(
-        relays(PROBE_NODES, PROBE_INFLIGHT),
-        AsyncConfig::default(),
-        plan,
-        RandomAdversary::new(1),
-        NullTracer,
-        telemetry,
-    );
+    let mut s = AsyncScheduler::new(relays(PROBE_NODES, PROBE_INFLIGHT), 1)
+        .with_faults(plan)
+        .with_telemetry(telemetry);
     // Prime: one sweep activation emits the initial population.
     while (s.in_flight() as u64) < PROBE_INFLIGHT {
         s.step_once();
@@ -142,12 +136,9 @@ pub fn sync_rounds_per_sec_telemetry(plan: FaultPlan, min_secs: f64) -> f64 {
 
 fn sync_rounds_per_sec_with<M: Telemetry>(plan: FaultPlan, min_secs: f64, telemetry: M) -> f64 {
     let per_node = 8u64;
-    let mut s = SyncScheduler::with_faults_tracer_telemetry(
-        relays(PROBE_NODES, PROBE_NODES * per_node),
-        plan,
-        NullTracer,
-        telemetry,
-    );
+    let mut s = SyncScheduler::new(relays(PROBE_NODES, PROBE_NODES * per_node))
+        .with_faults(plan)
+        .with_telemetry(telemetry);
     s.step_round(); // emit the initial population
     let chunk = 2_000u64;
     let t0 = Instant::now();

@@ -19,10 +19,7 @@
 use dpq_bench::memprobe::{alloc_count, CountingAlloc};
 use dpq_bench::perf_probe::{probe_plan, relays, PROBE_NODES};
 use dpq_core::NodeId;
-use dpq_sim::{
-    AsyncConfig, AsyncScheduler, FaultPlan, NullTelemetry, NullTracer, RandomAdversary,
-    SyncScheduler,
-};
+use dpq_sim::{AsyncScheduler, FaultPlan, SyncScheduler};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -32,7 +29,8 @@ const SYNC_PER_NODE: u64 = 8;
 
 /// Allocations observed over `measure` rounds after `warmup` rounds.
 fn sync_steady_allocs(plan: FaultPlan, warmup: u64, measure: u64) -> u64 {
-    let mut s = SyncScheduler::with_faults(relays(PROBE_NODES, PROBE_NODES * SYNC_PER_NODE), plan);
+    let mut s =
+        SyncScheduler::new(relays(PROBE_NODES, PROBE_NODES * SYNC_PER_NODE)).with_faults(plan);
     let target = PROBE_NODES * SYNC_PER_NODE;
     for _ in 0..warmup {
         s.step_round();
@@ -55,14 +53,7 @@ fn sync_steady_allocs(plan: FaultPlan, warmup: u64, measure: u64) -> u64 {
 /// Allocations observed over `measure` adversary steps after `warmup`.
 fn async_steady_allocs(plan: FaultPlan, warmup: u64, measure: u64) -> u64 {
     let target = 1_000u64;
-    let mut s = AsyncScheduler::with_policy_faults_tracer_telemetry(
-        relays(PROBE_NODES, target),
-        AsyncConfig::default(),
-        plan,
-        RandomAdversary::new(1),
-        NullTracer,
-        NullTelemetry,
-    );
+    let mut s = AsyncScheduler::new(relays(PROBE_NODES, target), 1).with_faults(plan);
     for _ in 0..warmup {
         s.step_once();
         let pop = s.in_flight() as u64;

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn phase_marks_survive_the_wrapper() {
         use dpq_sim::{TraceEvent, VecTracer};
-        let mut sched = dpq_sim::SyncScheduler::with_tracer(pair(), VecTracer::new());
+        let mut sched = dpq_sim::SyncScheduler::new(pair()).with_tracer(VecTracer::new());
         for _ in 0..3 {
             sched.step_round();
         }

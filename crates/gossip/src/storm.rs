@@ -521,7 +521,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
             )
         })
         .collect();
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
+    let mut sched = SyncScheduler::new(nodes).with_faults(plan);
 
     // Topology over the founders; members[k] = scheduler id of topo node k.
     let mut driver = Driver {

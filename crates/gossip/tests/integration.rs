@@ -3,13 +3,13 @@
 //! Skeap stack that keeps every semantic theorem while the gossip sidecar
 //! suspects, confirms, and revives peers beneath it.
 
-use std::collections::BTreeSet;
-
 use dpq_core::workload::WorkloadSpec;
-use dpq_core::{ElemId, Element, History, NodeId, OpKind, OpReturn};
+use dpq_core::{Element, History, NodeId};
 use dpq_gossip::{DetectorConfig, GossipConfig, GossipNode, WithGossip};
-use dpq_semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
-use dpq_sim::{AsyncConfig, AsyncScheduler, FaultPlan, Reliable, RunOutcome, SyncScheduler};
+use dpq_semantics::{
+    check_conservation, check_heap_properties, check_local_consistency, replay, ReplayMode,
+};
+use dpq_sim::{AsyncScheduler, FaultPlan, Reliable, RunOutcome, SyncScheduler};
 
 /// Detector tuning for simulator cadence: one heartbeat bump per round, so
 /// short windows and a low threshold detect within tens of rounds. Matches
@@ -76,8 +76,7 @@ fn discovery_spreads_from_a_star_seed() {
 #[test]
 fn discovery_survives_drops_on_the_async_scheduler() {
     let plan = FaultPlan::uniform(0xD15C0, 0.20, 0.05);
-    let mut sched =
-        AsyncScheduler::with_faults(star(32, quick(16.0)), 0xA5EED, AsyncConfig::default(), plan);
+    let mut sched = AsyncScheduler::new(star(32, quick(16.0)), 0xA5EED).with_faults(plan);
     let ok = sched.run_until_pred(4_000_000, everyone_knows_everyone);
     assert!(ok, "gossip did not converge under 20% drop");
     let discovered: u64 = sched.nodes().iter().map(|g| g.stats.discoveries).sum();
@@ -104,7 +103,7 @@ fn survivors_confirm_and_evict_a_crashed_peer() {
         .collect();
     let crash_at = 96;
     let plan = FaultPlan::uniform(0xDEAD5, 0.05, 0.0).with_crash(victim, crash_at, None);
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
+    let mut sched = SyncScheduler::new(nodes).with_faults(plan);
     let out = sched.run_until_pred(4_000, |ns| {
         ns.iter().all(|g| g.me() == victim || g.is_evicted(victim))
     });
@@ -151,7 +150,7 @@ fn an_evicted_node_rejoins_with_a_higher_incarnation() {
         .collect();
     // Down for 300 rounds — long past confirmation and eviction.
     let plan = FaultPlan::uniform(0x12EBB, 0.02, 0.0).with_crash(victim, 64, Some(364));
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
+    let mut sched = SyncScheduler::new(nodes).with_faults(plan);
     let out = sched.run_until_pred(300, |ns| {
         ns.iter().all(|g| g.me() == victim || g.is_evicted(victim))
     });
@@ -182,27 +181,6 @@ fn an_evicted_node_rejoins_with_a_higher_incarnation() {
 // The composite: Skeap + Reliable + gossip sidecar under the fault matrix
 // ---------------------------------------------------------------------------
 
-/// Element conservation as tests/faults.rs states it.
-fn assert_conserved(h: &History, residual: &[Element]) {
-    h.matching()
-        .unwrap_or_else(|e| panic!("matching failed: {e:?}"));
-    let mut expect: BTreeSet<ElemId> = h
-        .records()
-        .filter_map(|r| match r.kind {
-            OpKind::Insert(e) => Some(e.id),
-            OpKind::DeleteMin => None,
-        })
-        .collect();
-    for r in h.records() {
-        if let Some(OpReturn::Removed(e)) = r.ret {
-            expect.remove(&e.id);
-        }
-    }
-    let got: BTreeSet<ElemId> = residual.iter().map(|e| e.id).collect();
-    assert_eq!(residual.len(), got.len(), "an element is stored twice");
-    assert_eq!(got, expect, "elements lost or fabricated");
-}
-
 /// A full Skeap stack with the sidecar bolted on, under drops, dups, delay,
 /// and a crash-recover: the workload completes, the history replays its
 /// witness order exactly, and meanwhile the detector actually fired on the
@@ -227,7 +205,7 @@ fn skeap_with_gossip_sidecar_keeps_every_semantic_theorem_under_faults() {
     let plan = FaultPlan::uniform(0x5EED9, 0.10, 0.10)
         .with_delay(0.2, 6)
         .with_crash(NodeId(4), 30, Some(120));
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
+    let mut sched = SyncScheduler::new(nodes).with_faults(plan);
     let scripts = dpq_core::workload::generate(&spec);
     for (node, script) in sched.nodes_mut().iter_mut().zip(&scripts) {
         for op in script {
@@ -255,7 +233,7 @@ fn skeap_with_gossip_sidecar_keeps_every_semantic_theorem_under_faults() {
     replay(&history, ReplayMode::Fifo).unwrap_or_else(|e| panic!("witness replay: {e:?}"));
     check_local_consistency(&history).unwrap_or_else(|e| panic!("local consistency: {e:?}"));
     check_heap_properties(&history).unwrap_or_else(|e| panic!("heap properties: {e:?}"));
-    assert_conserved(&history, &residual);
+    check_conservation(&history, &residual).unwrap_or_else(|e| panic!("{e}"));
 
     // The sidecar was not idling: node 4's 90-round silence crossed the
     // suspicion threshold on at least one survivor.

@@ -4,10 +4,7 @@ use crate::ctl::{KSelectConfig, KStats};
 use crate::node::KSelectNode;
 use dpq_core::{DetRng, ElemId, Key, NodeId, Priority};
 use dpq_overlay::{tree, NodeView, Topology};
-use dpq_sim::{
-    AsyncScheduler, FaultPlan, FaultStats, MetricsSnapshot, NullTracer, Reliable, SyncScheduler,
-    Tracer,
-};
+use dpq_sim::{Core, FaultStats, MetricsSnapshot, Run};
 
 /// Generate `m` candidate keys with priorities drawn uniformly from
 /// `0..prio_space` and spread them uniformly at random over `n` nodes — the
@@ -36,8 +33,10 @@ pub fn sequential_select(per_node: &[Vec<Key>], k: u64) -> Key {
 /// Outcome of one KSelect run.
 #[derive(Debug, Clone, Copy)]
 pub struct KSelectRun {
-    /// The selected rank-k key.
-    pub result: Key,
+    /// The selected rank-k key; `None` when the budget ran out first.
+    pub result: Option<Key>,
+    /// Did every node learn the result within the budget?
+    pub completed: bool,
     /// Rounds (sync) or steps (async) until every node knew the result.
     pub rounds: u64,
     /// Message/congestion metrics of the run.
@@ -47,6 +46,12 @@ pub struct KSelectRun {
     /// Average number of copy trees a node participated in per sorting
     /// epoch (Lemma 4.5 predicts Θ(1) for Phase-2 epochs).
     pub avg_tree_memberships: f64,
+    /// What the fault layer did to the run (all zero without a plan).
+    pub faults: FaultStats,
+    /// Retransmissions the transport performed to beat the drops.
+    pub retransmits: u64,
+    /// Duplicate deliveries the transport suppressed.
+    pub dup_suppressed: u64,
 }
 
 /// Build the cluster and queue the selection at the anchor.
@@ -69,8 +74,15 @@ pub fn build(
     nodes
 }
 
-fn summarize(nodes: &[KSelectNode], rounds: u64, metrics: MetricsSnapshot) -> KSelectRun {
-    let result = nodes[0].result.expect("announced everywhere");
+/// Has this node learned the selection's result? The completion predicate
+/// for [`Run::drive`].
+pub fn decided(node: &KSelectNode) -> bool {
+    node.result.is_some()
+}
+
+/// Read a finished [`Run::drive`] over a [`build`] cluster.
+pub fn summarize<T, M>(core: &Core<KSelectNode, T, M>) -> KSelectRun {
+    let nodes = &core.nodes;
     // Lemma 4.5 speaks about the *sampled* sorting rounds: exclude the final
     // (Phase 3) epoch, where every remaining candidate roots a copy tree by
     // design. When only the Phase-3 epoch exists (tiny instances), fall back
@@ -80,8 +92,7 @@ fn summarize(nodes: &[KSelectNode], rounds: u64, metrics: MetricsSnapshot) -> KS
         .flat_map(|n| n.tree_memberships.keys().copied())
         .max()
         .unwrap_or(1);
-    let p2_epochs = if max_epoch > 1 { max_epoch - 1 } else { 1 };
-    let epochs = p2_epochs;
+    let epochs = if max_epoch > 1 { max_epoch - 1 } else { 1 };
     let total_memberships: usize = nodes
         .iter()
         .map(|n| {
@@ -97,121 +108,27 @@ fn summarize(nodes: &[KSelectNode], rounds: u64, metrics: MetricsSnapshot) -> KS
         .find_map(|n| n.ctl.as_ref().map(|c| c.stats))
         .unwrap_or_default();
     KSelectRun {
-        result,
-        rounds,
-        metrics,
+        result: nodes[0].result.filter(|_| core.completed),
+        completed: core.completed,
+        rounds: core.time,
+        metrics: core.metrics,
         stats,
         avg_tree_memberships: total_memberships as f64 / (nodes.len() as f64 * epochs as f64),
+        faults: core.faults,
+        retransmits: core.retransmits,
+        dup_suppressed: core.dup_suppressed,
     }
 }
 
-/// Run a full selection synchronously.
-pub fn run_sync(
+/// Run a full selection as `run` says. Callers that attach sinks call
+/// [`Run::drive`] themselves and [`summarize`] the core.
+pub fn run(
     n: usize,
     per_node: Vec<Vec<Key>>,
     k: u64,
     cfg: KSelectConfig,
     seed: u64,
-    max_rounds: u64,
+    run: Run,
 ) -> KSelectRun {
-    run_sync_traced(n, per_node, k, cfg, seed, max_rounds, NullTracer).0
-}
-
-/// [`run_sync`] with an event sink attached to the scheduler; returns the
-/// sink alongside the run so callers can export the stream (phase marks
-/// delimit the algorithm's phase boundaries).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_traced<T: Tracer>(
-    n: usize,
-    per_node: Vec<Vec<Key>>,
-    k: u64,
-    cfg: KSelectConfig,
-    seed: u64,
-    max_rounds: u64,
-    tracer: T,
-) -> (KSelectRun, T) {
-    let nodes = build(n, per_node, k, cfg, seed);
-    let mut sched = SyncScheduler::with_tracer(nodes, tracer);
-    let out = sched.run_until_pred(max_rounds, |ns| {
-        ns.iter().all(|n: &KSelectNode| n.result.is_some())
-    });
-    assert!(
-        out.is_quiescent(),
-        "selection did not finish in {max_rounds} rounds"
-    );
-    let run = summarize(sched.nodes(), out.rounds(), sched.metrics.snapshot());
-    (run, sched.into_tracer())
-}
-
-/// Run a full selection under the asynchronous adversary. Returns `None` on
-/// a stalled run (step budget exhausted).
-pub fn run_async(
-    n: usize,
-    per_node: Vec<Vec<Key>>,
-    k: u64,
-    cfg: KSelectConfig,
-    seed: u64,
-    sched_seed: u64,
-    max_steps: u64,
-) -> Option<KSelectRun> {
-    let nodes = build(n, per_node, k, cfg, seed);
-    let mut sched = AsyncScheduler::new(nodes, sched_seed);
-    let ok = sched.run_until_pred(max_steps, |ns| {
-        ns.iter().all(|n: &KSelectNode| n.result.is_some())
-    });
-    ok.then(|| summarize(sched.nodes(), sched.steps(), sched.metrics.snapshot()))
-}
-
-/// Outcome of one KSelect run over a faulty network.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultySelect {
-    /// The full run outcome (result, rounds, metrics, controller stats).
-    pub run: KSelectRun,
-    /// What the fault layer did to the run.
-    pub faults: FaultStats,
-    /// Retransmissions the transport performed to beat the drops.
-    pub retransmits: u64,
-    /// Duplicate deliveries the transport suppressed.
-    pub dup_suppressed: u64,
-}
-
-/// Run a selection synchronously over a faulty network: every node is
-/// wrapped in a [`Reliable`] transport with retransmission `timeout` (in
-/// rounds) and the scheduler injects faults per `plan`. Returns `None` if
-/// the run stalled within `max_rounds`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_faulty(
-    n: usize,
-    per_node: Vec<Vec<Key>>,
-    k: u64,
-    cfg: KSelectConfig,
-    seed: u64,
-    max_rounds: u64,
-    plan: FaultPlan,
-    timeout: u64,
-) -> Option<FaultySelect> {
-    let nodes = Reliable::wrap_all(build(n, per_node, k, cfg, seed), timeout);
-    let mut sched = SyncScheduler::with_faults(nodes, plan);
-    let out = sched.run_until_pred(max_rounds, |ns| {
-        ns.iter().all(|n| n.inner().result.is_some())
-    });
-    if !out.is_quiescent() {
-        return None;
-    }
-    let (retransmits, dup_suppressed) = sched.nodes().iter().fold((0, 0), |(r, d), n| {
-        (r + n.stats.retransmits, d + n.stats.dup_suppressed)
-    });
-    let faults = sched.faults().stats;
-    let metrics = sched.metrics.snapshot();
-    let inner: Vec<KSelectNode> = sched
-        .into_nodes()
-        .into_iter()
-        .map(Reliable::into_inner)
-        .collect();
-    Some(FaultySelect {
-        run: summarize(&inner, out.rounds(), metrics),
-        faults,
-        retransmits,
-        dup_suppressed,
-    })
+    summarize(&run.drive(build(n, per_node, k, cfg, seed), &[], decided))
 }

@@ -17,8 +17,8 @@
 //!
 //! let cands = driver::random_candidates(16, 400, 1 << 20, 7);
 //! let expect = driver::sequential_select(&cands, 123);
-//! let run = driver::run_sync(16, cands, 123, KSelectConfig::default(), 7, 100_000);
-//! assert_eq!(run.result, expect);
+//! let run = driver::run(16, cands, 123, KSelectConfig::default(), 7, dpq_sim::Run::sync(100_000));
+//! assert_eq!(run.result, Some(expect));
 //! ```
 
 #![warn(missing_docs)]

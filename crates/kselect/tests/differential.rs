@@ -1,17 +1,21 @@
 //! Differential validation of KSelect against sequential selection
 //! (Theorem 4.2's correctness, across sizes, ranks, seeds and schedulers).
 
+use dpq_sim::Run;
 use kselect::{driver, KSelectConfig};
 
 fn check(n: usize, m: u64, k: u64, seed: u64) {
     let cands = driver::random_candidates(n, m, 1 << 24, seed);
     let expect = driver::sequential_select(&cands, k);
-    let run = driver::run_sync(n, cands, k, KSelectConfig::default(), seed, 500_000);
-    assert_eq!(
-        run.result, expect,
-        "n={n} m={m} k={k} seed={seed}: got {} want {}",
-        run.result, expect
+    let run = driver::run(
+        n,
+        cands,
+        k,
+        KSelectConfig::default(),
+        seed,
+        Run::sync(500_000),
     );
+    assert_eq!(run.result, Some(expect), "n={n} m={m} k={k} seed={seed}");
 }
 
 #[test]
@@ -66,8 +70,15 @@ fn duplicate_priorities_resolve_by_tiebreak() {
     let cands = driver::random_candidates(n, 300, 1, 31);
     for k in [1u64, 150, 300] {
         let expect = driver::sequential_select(&cands, k);
-        let run = driver::run_sync(n, cands.clone(), k, KSelectConfig::default(), 31, 500_000);
-        assert_eq!(run.result, expect, "k={k}");
+        let run = driver::run(
+            n,
+            cands.clone(),
+            k,
+            KSelectConfig::default(),
+            31,
+            Run::sync(500_000),
+        );
+        assert_eq!(run.result, Some(expect), "k={k}");
     }
 }
 
@@ -87,17 +98,16 @@ fn async_adversary_selects_correctly() {
         let k = 123;
         let cands = driver::random_candidates(n, m, 1 << 20, 50 + seed);
         let expect = driver::sequential_select(&cands, k);
-        let run = driver::run_async(
+        let run = driver::run(
             n,
             cands,
             k,
             KSelectConfig::default(),
             50 + seed,
-            999 + seed,
-            50_000_000,
-        )
-        .unwrap_or_else(|| panic!("seed {seed} stalled"));
-        assert_eq!(run.result, expect, "seed {seed}");
+            Run::asynchronous(999 + seed, 50_000_000),
+        );
+        assert!(run.completed, "seed {seed} stalled");
+        assert_eq!(run.result, Some(expect), "seed {seed}");
     }
 }
 
@@ -107,7 +117,14 @@ fn rounds_grow_logarithmically() {
     // less than 64× the rounds.
     let rounds = |n: usize, m: u64| {
         let cands = driver::random_candidates(n, m, 1 << 24, 61);
-        let run = driver::run_sync(n, cands, m / 2, KSelectConfig::default(), 61, 1_000_000);
+        let run = driver::run(
+            n,
+            cands,
+            m / 2,
+            KSelectConfig::default(),
+            61,
+            Run::sync(1_000_000),
+        );
         run.rounds as f64
     };
     let r16 = rounds(16, 512);
@@ -123,7 +140,14 @@ fn message_bits_stay_logarithmic() {
     // Theorem 4.2: O(log n)-bit messages, independent of m.
     let max_bits = |n: usize, m: u64| {
         let cands = driver::random_candidates(n, m, 1 << 40, 71);
-        let run = driver::run_sync(n, cands, m / 2, KSelectConfig::default(), 71, 1_000_000);
+        let run = driver::run(
+            n,
+            cands,
+            m / 2,
+            KSelectConfig::default(),
+            71,
+            Run::sync(1_000_000),
+        );
         run.metrics.max_msg_bits
     };
     let small = max_bits(32, 256);
@@ -141,7 +165,14 @@ fn phase_stats_match_the_lemmas() {
     let n = 64usize;
     let m = 16_384u64; // n² · 4
     let cands = driver::random_candidates(n, m, 1 << 30, 81);
-    let run = driver::run_sync(n, cands, m / 2, KSelectConfig::default(), 81, 1_000_000);
+    let run = driver::run(
+        n,
+        cands,
+        m / 2,
+        KSelectConfig::default(),
+        81,
+        Run::sync(1_000_000),
+    );
     // Lemma 4.4: N after Phase 1 ∈ O(n^{3/2} log n).
     let bound = (n as f64).powf(1.5) * (n as f64).ln() * 4.0;
     assert!(

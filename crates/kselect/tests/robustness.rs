@@ -2,13 +2,14 @@
 //! the tunables trade performance, never the answer. Also exercises the
 //! safety paths (guard trips, forced Phase 3, resampling).
 
+use dpq_sim::Run;
 use kselect::{driver, KSelectConfig};
 
 fn check_with(cfg: KSelectConfig, n: usize, m: u64, k: u64, seed: u64) {
     let cands = driver::random_candidates(n, m, 1 << 24, seed);
     let expect = driver::sequential_select(&cands, k);
-    let run = driver::run_sync(n, cands, k, cfg, seed, 5_000_000);
-    assert_eq!(run.result, expect, "cfg {cfg:?} broke correctness");
+    let run = driver::run(n, cands, k, cfg, seed, Run::sync(5_000_000));
+    assert_eq!(run.result, Some(expect), "cfg {cfg:?} broke correctness");
 }
 
 #[test]
@@ -79,8 +80,15 @@ fn skewed_distribution_of_candidates() {
     let mut cands = vec![Vec::new(); n];
     cands[7] = driver::random_candidates(1, m, 1 << 20, 50).remove(0);
     let expect = driver::sequential_select(&cands, 123);
-    let run = driver::run_sync(n, cands, 123, KSelectConfig::default(), 50, 5_000_000);
-    assert_eq!(run.result, expect);
+    let run = driver::run(
+        n,
+        cands,
+        123,
+        KSelectConfig::default(),
+        50,
+        Run::sync(5_000_000),
+    );
+    assert_eq!(run.result, Some(expect));
 }
 
 #[test]
@@ -103,7 +111,14 @@ fn adversarial_sorted_placement() {
         .collect();
     for k in [1u64, 200, 400] {
         let expect = driver::sequential_select(&cands, k);
-        let run = driver::run_sync(n, cands.clone(), k, KSelectConfig::default(), 60, 5_000_000);
-        assert_eq!(run.result, expect, "k={k}");
+        let run = driver::run(
+            n,
+            cands.clone(),
+            k,
+            KSelectConfig::default(),
+            60,
+            Run::sync(5_000_000),
+        );
+        assert_eq!(run.result, Some(expect), "k={k}");
     }
 }

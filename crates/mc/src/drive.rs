@@ -127,7 +127,11 @@ where
         cfg.max_delay.is_none(),
         "model checking requires an unbounded-delay config (no forced deliveries)"
     );
-    let mut sched = AsyncScheduler::with_policy_faults(nodes, cfg, plan, policy);
+    // The seed is dead: the scripted policy replaces the random adversary.
+    let mut sched = AsyncScheduler::new(nodes, 0)
+        .with_config(cfg)
+        .with_faults(plan)
+        .with_policy(policy);
     let end = loop {
         if done(sched.nodes()) {
             break RunEnd::Terminal;

@@ -11,13 +11,11 @@
 use crate::drive::{drive, RunReport};
 use crate::policy::{ScriptPolicy, Tail};
 use dpq_core::workload::{generate, WorkloadSpec};
-use dpq_core::{Element, History, Key, OpKind, OpReturn};
-use dpq_semantics::{check_local_consistency, replay, ReplayMode};
-use dpq_sim::{AsyncConfig, FaultPlan, Reliable};
+use dpq_core::{History, Key, StateHash};
+use dpq_semantics::{check_conservation, check_local_consistency, replay, ReplayMode};
+use dpq_sim::{AsyncConfig, FaultPlan, QueueNode, Reliable};
 use kselect::driver::{random_candidates, sequential_select};
 use kselect::{KSelectConfig, KSelectNode};
-use seap::SeapNode;
-use skeap::SkeapNode;
 
 /// The adversary configuration every scenario runs under: frequent sweeps
 /// keep defer-heavy schedules progressing (sweeps are deterministic, not
@@ -59,77 +57,18 @@ pub trait Scenario {
 
 // ---------------------------------------------------------------- oracles
 
-/// Element conservation: every element inserted by a completed Insert is
-/// either returned by exactly one DeleteMin or still resident in some DHT
-/// shard when the system quiesces — nothing is lost, nothing is minted.
-fn check_conservation(history: &History, mut residual: Vec<Element>) -> Option<String> {
-    let mut inserted: Vec<Element> = Vec::new();
-    let mut removed: Vec<Element> = Vec::new();
-    for r in history.records() {
-        match (r.kind, r.ret) {
-            (OpKind::Insert(e), Some(OpReturn::Inserted)) => inserted.push(e),
-            (_, Some(OpReturn::Removed(e))) => removed.push(e),
-            _ => {}
-        }
-    }
-    let key = |e: &Element| (e.prio, e.id, e.payload);
-    inserted.sort_unstable_by_key(key);
-    removed.sort_unstable_by_key(key);
-    residual.sort_unstable_by_key(key);
-    // inserted − removed must equal residual, as multisets.
-    let mut expected = inserted;
-    for e in &removed {
-        match expected.iter().position(|x| key(x) == key(e)) {
-            Some(i) => {
-                expected.remove(i);
-            }
-            None => {
-                return Some(format!(
-                    "conservation: removed element {:?} was never inserted",
-                    e.id
-                ))
-            }
-        }
-    }
-    if expected != residual {
-        return Some(format!(
-            "conservation: {} elements unaccounted for ({} expected resident, {} found)",
-            expected.len().abs_diff(residual.len()),
-            expected.len(),
-            residual.len()
-        ));
-    }
-    None
-}
-
-fn judge_skeap(nodes: &[&SkeapNode]) -> Option<String> {
-    let history = History::merge(nodes.iter().map(|n| n.history.clone()).collect());
-    let residual: Vec<Element> = nodes
-        .iter()
-        .flat_map(|n| n.shard.elements().map(|(_, e)| *e))
-        .collect();
-    if let Err(v) = check_local_consistency(&history) {
-        return Some(v.to_string());
-    }
-    if let Err(v) = replay(&history, ReplayMode::Fifo) {
-        return Some(v.to_string());
-    }
-    check_conservation(&history, residual)
-}
-
-fn judge_seap(nodes: &[&SeapNode]) -> Option<String> {
-    let history = History::merge(nodes.iter().map(|n| n.history.clone()).collect());
-    let residual: Vec<Element> = nodes
-        .iter()
-        .flat_map(|n| n.shard.elements().map(|(_, e)| *e))
-        .collect();
-    if let Err(v) = check_local_consistency(&history) {
-        return Some(v.to_string());
-    }
-    if let Err(v) = seap::checker::check_seap_history(&history) {
-        return Some(v.to_string());
-    }
-    check_conservation(&history, residual)
+/// A queue cluster's terminal verdict: per-node order, the protocol's own
+/// ordering oracle, then element conservation.
+fn judge_queue<Q: QueueNode>(
+    nodes: &[Q],
+    order: fn(&History) -> Result<(), String>,
+) -> Option<String> {
+    let history = dpq_sim::history(nodes);
+    check_local_consistency(&history)
+        .map_err(|v| v.to_string())
+        .and_then(|()| order(&history))
+        .and_then(|()| check_conservation(&history, &dpq_sim::residual(nodes)))
+        .err()
 }
 
 fn judge_kselect(nodes: &[&KSelectNode], expected: Key) -> Option<String> {
@@ -170,29 +109,97 @@ const DEFAULT_DROPS: Drops = Drops {
     timeout: 24,
 };
 
-struct SkeapScenario {
+/// A Skeap or Seap scenario: the two differ only in how the cluster is
+/// built and fed, and in which ordering oracle judges the history.
+struct QueueScenario<Q> {
     name: &'static str,
+    /// `"Skeap, 4 nodes x 2 ops, |P|=3"`.
+    head: String,
     spec: WorkloadSpec,
     drops: Option<Drops>,
+    /// Build the cluster and inject the spec's workload.
+    build: fn(&WorkloadSpec) -> Vec<Q>,
+    order: fn(&History) -> Result<(), String>,
 }
 
-impl Scenario for SkeapScenario {
+fn skeap(name: &'static str, spec: WorkloadSpec, drops: Option<Drops>) -> Box<dyn Scenario> {
+    Box::new(QueueScenario {
+        name,
+        head: format!(
+            "Skeap, {} nodes x {} ops, |P|={}",
+            spec.n, spec.ops_per_node, spec.n_prios
+        ),
+        spec,
+        drops,
+        build: |spec| {
+            let mut nodes = skeap::cluster::build(spec.n, spec.n_prios as usize, spec.seed);
+            skeap::cluster::inject_all(&mut nodes, &generate(spec));
+            nodes
+        },
+        order: |h| {
+            replay(h, ReplayMode::Fifo)
+                .map(drop)
+                .map_err(|v| v.to_string())
+        },
+    })
+}
+
+fn seap(name: &'static str, spec: WorkloadSpec, drops: Option<Drops>) -> Box<dyn Scenario> {
+    Box::new(QueueScenario {
+        name,
+        head: format!("Seap, {} nodes x {} ops", spec.n, spec.ops_per_node),
+        spec,
+        drops,
+        build: |spec| {
+            let mut nodes = seap::cluster::build(spec.n, spec.seed);
+            seap::cluster::inject_all(&mut nodes, &generate(spec));
+            nodes
+        },
+        order: |h| seap::checker::check_seap_history(h).map_err(|v| v.to_string()),
+    })
+}
+
+impl<Q> QueueScenario<Q> {
+    fn drive<R: QueueNode + StateHash>(
+        &self,
+        nodes: Vec<R>,
+        plan: FaultPlan,
+        script: &[usize],
+        tail: Tail,
+        stop_at_frontier: bool,
+        max_steps: u64,
+    ) -> RunReport
+    where
+        R::Msg: Clone,
+    {
+        drive(
+            nodes,
+            mc_config(),
+            plan,
+            ScriptPolicy::new(script.to_vec(), tail),
+            stop_at_frontier,
+            max_steps,
+            |ns: &[R]| ns.iter().all(R::all_complete),
+            |ns| judge_queue(ns, self.order),
+        )
+    }
+}
+
+impl<Q: QueueNode + StateHash> Scenario for QueueScenario<Q>
+where
+    Q::Msg: Clone,
+{
     fn name(&self) -> &'static str {
         self.name
     }
 
     fn describe(&self) -> String {
-        format!(
-            "Skeap, {} nodes x {} ops, |P|={}{}",
-            self.spec.n,
-            self.spec.ops_per_node,
-            self.spec.n_prios,
-            if self.drops.is_some() {
-                ", drop/dup faults"
-            } else {
-                ""
-            }
-        )
+        let faults = if self.drops.is_some() {
+            ", drop/dup faults"
+        } else {
+            ""
+        };
+        format!("{}{faults}", self.head)
     }
 
     fn run(
@@ -202,91 +209,23 @@ impl Scenario for SkeapScenario {
         stop_at_frontier: bool,
         max_steps: u64,
     ) -> RunReport {
-        let mut nodes =
-            skeap::cluster::build(self.spec.n, self.spec.n_prios as usize, self.spec.seed);
-        let scripts = generate(&self.spec);
-        skeap::cluster::inject_all(&mut nodes, &scripts);
-        let policy = ScriptPolicy::new(script.to_vec(), tail);
+        let nodes = (self.build)(&self.spec);
         match self.drops {
-            None => drive(
+            None => self.drive(
                 nodes,
-                mc_config(),
                 FaultPlan::none(),
-                policy,
+                script,
+                tail,
                 stop_at_frontier,
                 max_steps,
-                |ns: &[SkeapNode]| ns.iter().all(SkeapNode::all_complete),
-                |ns| judge_skeap(&ns.iter().collect::<Vec<_>>()),
             ),
-            Some(d) => drive(
+            Some(d) => self.drive(
                 Reliable::wrap_all(nodes, d.timeout),
-                mc_config(),
                 d.plan(),
-                policy,
+                script,
+                tail,
                 stop_at_frontier,
                 max_steps,
-                |ns: &[Reliable<SkeapNode>]| ns.iter().all(|n| n.inner().all_complete()),
-                |ns| judge_skeap(&ns.iter().map(Reliable::inner).collect::<Vec<_>>()),
-            ),
-        }
-    }
-}
-
-struct SeapScenario {
-    name: &'static str,
-    spec: WorkloadSpec,
-    drops: Option<Drops>,
-}
-
-impl Scenario for SeapScenario {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "Seap, {} nodes x {} ops{}",
-            self.spec.n,
-            self.spec.ops_per_node,
-            if self.drops.is_some() {
-                ", drop/dup faults"
-            } else {
-                ""
-            }
-        )
-    }
-
-    fn run(
-        &self,
-        script: &[usize],
-        tail: Tail,
-        stop_at_frontier: bool,
-        max_steps: u64,
-    ) -> RunReport {
-        let mut nodes = seap::cluster::build(self.spec.n, self.spec.seed);
-        let scripts = generate(&self.spec);
-        seap::cluster::inject_all(&mut nodes, &scripts);
-        let policy = ScriptPolicy::new(script.to_vec(), tail);
-        match self.drops {
-            None => drive(
-                nodes,
-                mc_config(),
-                FaultPlan::none(),
-                policy,
-                stop_at_frontier,
-                max_steps,
-                |ns: &[SeapNode]| ns.iter().all(SeapNode::all_complete),
-                |ns| judge_seap(&ns.iter().collect::<Vec<_>>()),
-            ),
-            Some(d) => drive(
-                Reliable::wrap_all(nodes, d.timeout),
-                mc_config(),
-                d.plan(),
-                policy,
-                stop_at_frontier,
-                max_steps,
-                |ns: &[Reliable<SeapNode>]| ns.iter().all(|n| n.inner().all_complete()),
-                |ns| judge_seap(&ns.iter().map(Reliable::inner).collect::<Vec<_>>()),
             ),
         }
     }
@@ -371,50 +310,50 @@ impl Scenario for KSelectScenario {
 /// Every registered scenario, in CLI order.
 pub fn all_scenarios() -> Vec<Box<dyn Scenario>> {
     vec![
-        Box::new(SkeapScenario {
-            name: "skeap_clean",
-            spec: WorkloadSpec {
+        skeap(
+            "skeap_clean",
+            WorkloadSpec {
                 n: 4,
                 ops_per_node: 2,
                 insert_ratio: 0.6,
                 n_prios: 3,
                 seed: 11,
             },
-            drops: None,
-        }),
-        Box::new(SkeapScenario {
-            name: "skeap_drops",
-            spec: WorkloadSpec {
+            None,
+        ),
+        skeap(
+            "skeap_drops",
+            WorkloadSpec {
                 n: 3,
                 ops_per_node: 2,
                 insert_ratio: 0.6,
                 n_prios: 3,
                 seed: 12,
             },
-            drops: Some(DEFAULT_DROPS),
-        }),
-        Box::new(SeapScenario {
-            name: "seap_clean",
-            spec: WorkloadSpec {
+            Some(DEFAULT_DROPS),
+        ),
+        seap(
+            "seap_clean",
+            WorkloadSpec {
                 n: 4,
                 ops_per_node: 2,
                 insert_ratio: 0.6,
                 n_prios: 4,
                 seed: 21,
             },
-            drops: None,
-        }),
-        Box::new(SeapScenario {
-            name: "seap_drops",
-            spec: WorkloadSpec {
+            None,
+        ),
+        seap(
+            "seap_drops",
+            WorkloadSpec {
                 n: 3,
                 ops_per_node: 2,
                 insert_ratio: 0.6,
                 n_prios: 4,
                 seed: 22,
             },
-            drops: Some(DEFAULT_DROPS),
-        }),
+            Some(DEFAULT_DROPS),
+        ),
         Box::new(KSelectScenario {
             name: "kselect_clean",
             n: 4,

@@ -10,8 +10,8 @@
 
 use crate::config::NodeConfig;
 use crate::frame::ProtoId;
-use dpq_core::{Element, Key, OpId, OpRecord};
-use dpq_sim::Protocol;
+use dpq_core::{Element, Key, OpId, OpKind, OpRecord};
+use dpq_sim::{Protocol, QueueNode};
 use kselect::{KSelectConfig, KSelectNode};
 use seap::SeapNode;
 use skeap::SkeapNode;
@@ -56,13 +56,22 @@ where
     fn all_complete(&self) -> bool;
 }
 
-fn sorted_residual(elems: impl Iterator<Item = Element>) -> Vec<Element> {
-    let mut v: Vec<Element> = elems.collect();
-    v.sort_by_key(|e| (e.prio, e.id));
-    v
+/// The two per-protocol facts of a queue daemon; everything else the
+/// runtime asks is answered through the [`QueueNode`] seam, once.
+pub trait QueueApp: QueueNode + Sized {
+    /// The protocol tag carried in every handshake.
+    const PROTO: ProtoId;
+
+    /// Build this process's node from the deployment parameters.
+    fn build(cfg: &NodeConfig) -> Result<Self, String>;
+
+    /// `Err` if `prio` is outside the protocol's priority universe.
+    fn admit(&self, _prio: u64) -> Result<(), String> {
+        Ok(())
+    }
 }
 
-impl NetApp for SkeapNode {
+impl QueueApp for SkeapNode {
     const PROTO: ProtoId = ProtoId::Skeap;
 
     fn build(cfg: &NodeConfig) -> Result<Self, String> {
@@ -72,74 +81,63 @@ impl NetApp for SkeapNode {
         Ok(skeap::cluster::build(cfg.n, cfg.n_prios, cfg.seed).swap_remove(cfg.me as usize))
     }
 
-    fn enqueue(&mut self, prio: u64, payload: u64) -> Result<OpId, String> {
+    fn admit(&self, prio: u64) -> Result<(), String> {
         if prio as usize >= self.cfg.n_prios {
             return Err(format!(
                 "priority {prio} outside the constant universe 0..{}",
                 self.cfg.n_prios
             ));
         }
-        Ok(self.issue_insert(prio, payload))
-    }
-
-    fn dequeue(&mut self) -> Result<OpId, String> {
-        Ok(self.issue_delete())
-    }
-
-    fn records(&self) -> Vec<OpRecord> {
-        self.history.ops.clone()
-    }
-
-    fn residual(&self) -> Vec<Element> {
-        sorted_residual(self.shard.elements().map(|(_, e)| *e))
-    }
-
-    fn issued(&self) -> u64 {
-        self.history.ops.len() as u64
-    }
-
-    fn completed(&self) -> u64 {
-        SkeapNode::completed(self) as u64
-    }
-
-    fn all_complete(&self) -> bool {
-        SkeapNode::all_complete(self)
+        Ok(())
     }
 }
 
-impl NetApp for SeapNode {
+impl QueueApp for SeapNode {
     const PROTO: ProtoId = ProtoId::Seap;
 
     fn build(cfg: &NodeConfig) -> Result<Self, String> {
         Ok(seap::cluster::build(cfg.n, cfg.seed).swap_remove(cfg.me as usize))
     }
+}
+
+impl<Q: QueueApp> NetApp for Q
+where
+    Q::Msg: Clone,
+{
+    const PROTO: ProtoId = <Q as QueueApp>::PROTO;
+
+    fn build(cfg: &NodeConfig) -> Result<Self, String> {
+        <Q as QueueApp>::build(cfg)
+    }
 
     fn enqueue(&mut self, prio: u64, payload: u64) -> Result<OpId, String> {
+        self.admit(prio)?;
         Ok(self.issue_insert(prio, payload))
     }
 
     fn dequeue(&mut self) -> Result<OpId, String> {
-        Ok(self.issue_delete())
+        Ok(self.issue(OpKind::DeleteMin))
     }
 
     fn records(&self) -> Vec<OpRecord> {
-        self.history.ops.clone()
+        self.node_history().ops.clone()
     }
 
     fn residual(&self) -> Vec<Element> {
-        sorted_residual(self.shard.elements().map(|(_, e)| *e))
+        dpq_sim::residual(std::slice::from_ref(self))
     }
 
     fn issued(&self) -> u64 {
-        self.history.ops.len() as u64
+        self.node_history().ops.len() as u64
     }
 
     fn completed(&self) -> u64 {
-        self.history.ops.iter().filter(|r| r.is_complete()).count() as u64
+        let ops = &self.node_history().ops;
+        ops.iter().filter(|r| r.is_complete()).count() as u64
     }
 
     fn all_complete(&self) -> bool {
-        SeapNode::all_complete(self)
+        QueueNode::all_complete(self)
     }
 }
 

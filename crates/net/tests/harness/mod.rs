@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dpq_core::{Element, History, NodeHistory, OpKind, OpReturn};
+use dpq_core::{Element, History, NodeHistory, OpKind};
 use dpq_net::ctl::{CtlClient, CtlReq, CtlResp, StatusInfo};
 use dpq_net::trace::parse_trace;
 use dpq_net::{cluster_fingerprint, gossip_fingerprint, Addr, ProtoId};
@@ -301,36 +301,9 @@ pub fn drive_workload(cluster: &Cluster, scripts: &[Vec<OpKind>]) {
     }
 }
 
-/// Element conservation, exactly as the model checker states it: every
-/// element a completed Insert added is either returned by exactly one
-/// DeleteMin or still resident in some DHT shard — nothing lost, nothing
-/// minted.
-pub fn check_conservation(history: &History, mut residual: Vec<Element>) {
-    let mut inserted: Vec<Element> = Vec::new();
-    let mut removed: Vec<Element> = Vec::new();
-    for r in history.records() {
-        match (r.kind, r.ret) {
-            (OpKind::Insert(e), Some(OpReturn::Inserted)) => inserted.push(e),
-            (_, Some(OpReturn::Removed(e))) => removed.push(e),
-            _ => {}
-        }
-    }
-    let key = |e: &Element| (e.prio, e.id, e.payload);
-    inserted.sort_unstable_by_key(key);
-    removed.sort_unstable_by_key(key);
-    residual.sort_unstable_by_key(key);
-    let mut expected = inserted;
-    for e in &removed {
-        let i = expected
-            .iter()
-            .position(|x| key(x) == key(e))
-            .unwrap_or_else(|| panic!("removed element {:?} was never inserted", e.id));
-        expected.remove(i);
-    }
-    assert_eq!(
-        expected, residual,
-        "conservation: inserted − removed ≠ resident"
-    );
+/// Element conservation, by the one oracle every tier calls.
+pub fn check_conservation(history: &History, residual: Vec<Element>) {
+    dpq_semantics::check_conservation(history, &residual).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The balanced workload the conformance tests run (a small E1-style mix).

@@ -12,8 +12,9 @@
 //!
 //! ```
 //! use dpq_core::workload::WorkloadSpec;
+//! use dpq_sim::Run;
 //!
-//! let run = seap::cluster::run_sync(&WorkloadSpec::balanced(8, 20, 1 << 20, 3), 100_000);
+//! let run = seap::cluster::run(&WorkloadSpec::balanced(8, 20, 1 << 20, 3), Run::sync(100_000));
 //! assert!(run.completed);
 //! seap::checker::check_seap_history(&run.history).unwrap();
 //! ```

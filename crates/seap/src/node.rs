@@ -30,7 +30,7 @@ use dpq_dht::client::Completion;
 use dpq_dht::{point_for, DhtClient, DhtReq, DhtShard};
 use dpq_overlay::routing::{advance, RouteMsg, RouteOutcome};
 use dpq_overlay::NodeView;
-use dpq_sim::{Ctx, Protocol};
+use dpq_sim::{Ctx, Protocol, QueueNode};
 use kselect::{KMsg, KSelectConfig, KSelectNode, WrapOut};
 
 /// Logical-key namespaces: random insert keys live below `POS_BASE`,
@@ -667,6 +667,24 @@ impl SeapNode {
         // clusters (phases chain synchronously when no DHT round-trip
         // intervenes).
         ctx.send(self.view.me(), SeapMsg::Begin { phase });
+    }
+}
+
+impl QueueNode for SeapNode {
+    fn issue(&mut self, kind: OpKind) -> OpId {
+        SeapNode::issue(self, kind)
+    }
+
+    fn issue_insert(&mut self, prio: u64, payload: u64) -> OpId {
+        SeapNode::issue_insert(self, prio, payload)
+    }
+
+    fn node_history(&self) -> &NodeHistory {
+        &self.history
+    }
+
+    fn resident(&self, out: &mut Vec<Element>) {
+        out.extend(self.shard.elements().map(|(_, e)| *e));
     }
 }
 

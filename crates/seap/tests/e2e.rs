@@ -3,7 +3,7 @@
 
 use dpq_core::workload::WorkloadSpec;
 use dpq_core::OpReturn;
-use dpq_sim::{AsyncConfig, AsyncScheduler, SyncScheduler};
+use dpq_sim::{AsyncConfig, AsyncScheduler, Run, SyncScheduler};
 use seap::checker::check_seap_history;
 use seap::cluster;
 use seap::SeapNode;
@@ -18,7 +18,7 @@ fn sync_runs_are_serializable_and_heap_consistent() {
         (33, 10, 1 << 10, 5),
     ] {
         let spec = WorkloadSpec::balanced(n, ops, prios, seed);
-        let run = cluster::run_sync(&spec, 500_000);
+        let run = cluster::run(&spec, Run::sync(500_000));
         assert!(run.completed, "n={n} seed={seed} did not complete");
         assert_eq!(run.history.completed(), n * ops);
         check_seap_history(&run.history).unwrap_or_else(|e| panic!("n={n} seed={seed}: {e}"));
@@ -29,8 +29,9 @@ fn sync_runs_are_serializable_and_heap_consistent() {
 fn async_runs_are_serializable() {
     for seed in 0..6u64 {
         let spec = WorkloadSpec::balanced(8, 12, 1 << 24, 100 + seed);
-        let history = cluster::run_async(&spec, 777 - seed, 60_000_000)
-            .unwrap_or_else(|| panic!("seed {seed} stalled"));
+        let run = cluster::run(&spec, Run::asynchronous(777 - seed, 60_000_000));
+        assert!(run.completed, "seed {seed} stalled");
+        let history = run.history;
         assert_eq!(history.completed(), 8 * 12);
         check_seap_history(&history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
@@ -41,15 +42,11 @@ fn async_starving_adversary_preserves_semantics() {
     let spec = WorkloadSpec::balanced(6, 10, 1 << 20, 55);
     let mut nodes = cluster::build(spec.n, spec.seed);
     cluster::inject_all(&mut nodes, &dpq_core::workload::generate(&spec));
-    let mut sched = AsyncScheduler::with_config(
-        nodes,
-        4321,
-        AsyncConfig {
-            deliver_bias: 0.2,
-            sweep_every: 48,
-            max_delay: None,
-        },
-    );
+    let mut sched = AsyncScheduler::new(nodes, 4321).with_config(AsyncConfig {
+        deliver_bias: 0.2,
+        sweep_every: 48,
+        max_delay: None,
+    });
     assert!(sched.run_until_pred(120_000_000, |ns| ns.iter().all(SeapNode::all_complete)));
     check_seap_history(&cluster::history(sched.nodes())).unwrap();
 }
@@ -63,7 +60,7 @@ fn delete_heavy_workload_answers_bottom() {
         n_prios: 1 << 16,
         seed: 66,
     };
-    let run = cluster::run_sync(&spec, 500_000);
+    let run = cluster::run(&spec, Run::sync(500_000));
     assert!(run.completed);
     let bottoms = run
         .history
@@ -146,9 +143,9 @@ fn rounds_grow_logarithmically() {
     // Theorem 5.1(3) shape check.
     let rounds = |n: usize| {
         let spec = WorkloadSpec::balanced(n, 4, 1 << 20, 11);
-        let run = cluster::run_sync(&spec, 2_000_000);
+        let run = cluster::run(&spec, Run::sync(2_000_000));
         assert!(run.completed, "n={n}");
-        run.rounds as f64
+        run.time as f64
     };
     let r16 = rounds(16);
     let r512 = rounds(512);
@@ -164,7 +161,7 @@ fn message_bits_stay_logarithmic_in_load() {
     // load — the decisive contrast with Skeap (Lemma 3.8).
     let max_bits = |ops: usize| {
         let spec = WorkloadSpec::balanced(16, ops, 1 << 20, 13);
-        let run = cluster::run_sync(&spec, 2_000_000);
+        let run = cluster::run(&spec, Run::sync(2_000_000));
         assert!(run.completed);
         run.metrics.max_msg_bits
     };

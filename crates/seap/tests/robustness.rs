@@ -58,7 +58,7 @@ fn two_node_cluster_alternating_heavily() {
         n_prios: 1 << 30,
         seed: 10,
     };
-    let run = cluster::run_sync(&spec, 2_000_000);
+    let run = cluster::run(&spec, dpq_sim::Run::sync(2_000_000));
     assert!(run.completed);
     check_seap_history(&run.history).unwrap();
 }

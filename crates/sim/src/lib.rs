@@ -26,6 +26,7 @@ pub mod metrics;
 pub mod policy;
 pub mod protocol;
 pub mod reliable;
+pub mod run;
 pub mod sched_async;
 pub mod sched_sync;
 
@@ -38,8 +39,9 @@ pub use metrics::{
     KindStat, LatencySummary, Metrics, MetricsDelta, MetricsSnapshot, RoundSample, RoundWindow,
 };
 pub use policy::{DeliveryPolicy, RandomAdversary, StepChoice};
-pub use protocol::{Ctx, CtxEvent, Protocol};
+pub use protocol::{history, residual, Ctx, CtxEvent, Protocol, QueueNode};
 pub use reliable::{Reliable, ReliableMsg, ReliableStats};
+pub use run::{Core, Outcome, Run};
 pub use sched_async::{AsyncConfig, AsyncScheduler};
 pub use sched_sync::{RunOutcome, SyncScheduler};
 

@@ -1,7 +1,7 @@
 //! The protocol trait and the context handed to protocol code.
 
 use crate::envelope::Envelope;
-use dpq_core::{BitSize, NodeId, OpId};
+use dpq_core::{BitSize, Element, History, NodeHistory, NodeId, OpId, OpKind};
 
 /// A telemetry note a protocol leaves in its [`Ctx`] for its runtime.
 ///
@@ -190,6 +190,47 @@ pub trait Protocol {
     fn done(&self) -> bool {
         true
     }
+}
+
+/// The queue seam: what a driver, an oracle or a runtime needs from a
+/// distributed priority-queue node beyond [`Protocol`], so none of them
+/// forks on *which* queue protocol it holds. Skeap and Seap implement it
+/// once each; [`Reliable`](crate::Reliable) forwards it, so wrapped and bare
+/// clusters read the same.
+pub trait QueueNode: Protocol {
+    /// Issue `kind` verbatim: an `Insert` keeps the caller's element id.
+    fn issue(&mut self, kind: OpKind) -> OpId;
+
+    /// Issue an `Insert` of a fresh element whose id the node mints.
+    fn issue_insert(&mut self, prio: u64, payload: u64) -> OpId;
+
+    /// This node's requests, in issue order, with their returns so far.
+    fn node_history(&self) -> &NodeHistory;
+
+    /// Append the elements resident in this node's DHT shard to `out`.
+    fn resident(&self, out: &mut Vec<Element>);
+
+    /// Have all requests issued at this node completed?
+    fn all_complete(&self) -> bool {
+        self.node_history().ops.iter().all(|r| r.is_complete())
+    }
+}
+
+/// The merged history of a cluster.
+pub fn history<Q: QueueNode>(nodes: &[Q]) -> History {
+    History::merge(nodes.iter().map(|n| n.node_history().clone()).collect())
+}
+
+/// Every element still stored in a DHT shard, in deterministic
+/// `(prio, id)` order — what conservation checks compare against the
+/// history's unremoved inserts.
+pub fn residual<Q: QueueNode>(nodes: &[Q]) -> Vec<Element> {
+    let mut v = Vec::new();
+    for n in nodes {
+        n.resident(&mut v);
+    }
+    v.sort_unstable_by_key(|e| (e.prio, e.id));
+    v
 }
 
 #[cfg(test)]

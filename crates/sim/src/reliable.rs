@@ -40,8 +40,8 @@
 //! monotonically, so the unacked buffer and the out-of-order run stay
 //! sorted by construction: appends, not insert-sorts, on the hot path.
 
-use crate::protocol::{Ctx, Protocol};
-use dpq_core::{vlq_bits, BitSize, MsgKind, NodeId};
+use crate::protocol::{Ctx, Protocol, QueueNode};
+use dpq_core::{vlq_bits, BitSize, Element, MsgKind, NodeHistory, NodeId, OpId, OpKind};
 use dpq_telemetry::{LogHistogram, Telemetry};
 
 /// Transport envelope of [`Reliable`]: a payload with a link-local sequence
@@ -399,6 +399,27 @@ where
     }
 }
 
+impl<Q: QueueNode> QueueNode for Reliable<Q>
+where
+    Q::Msg: Clone,
+{
+    fn issue(&mut self, kind: OpKind) -> OpId {
+        self.inner.issue(kind)
+    }
+
+    fn issue_insert(&mut self, prio: u64, payload: u64) -> OpId {
+        self.inner.issue_insert(prio, payload)
+    }
+
+    fn node_history(&self) -> &NodeHistory {
+        self.inner.node_history()
+    }
+
+    fn resident(&self, out: &mut Vec<Element>) {
+        self.inner.resident(out)
+    }
+}
+
 impl<P: Protocol + dpq_core::StateHash> dpq_core::StateHash for Reliable<P>
 where
     P::Msg: Clone + dpq_core::BitSize,
@@ -593,10 +614,8 @@ mod tests {
             got: 0,
         });
         let wrapped = Reliable::wrap_all(nodes, 8);
-        let mut s = crate::sched_sync::SyncScheduler::with_faults(
-            wrapped,
-            crate::faults::FaultPlan::uniform(0x9E1A, 0.05, 0.0),
-        );
+        let mut s = crate::sched_sync::SyncScheduler::new(wrapped)
+            .with_faults(crate::faults::FaultPlan::uniform(0x9E1A, 0.05, 0.0));
         // Warm up a quarter of the stream, then record the plateau the rest
         // of the run must stay under.
         let resident = |s: &crate::sched_sync::SyncScheduler<Reliable<Pump>>| -> usize {
@@ -708,7 +727,7 @@ mod tests {
             HEAL,
             vec![NodeId(0)],
         );
-        let mut s = crate::sched_sync::SyncScheduler::with_faults(wrapped, plan);
+        let mut s = crate::sched_sync::SyncScheduler::new(wrapped).with_faults(plan);
         let resident = |s: &crate::sched_sync::SyncScheduler<Reliable<Pump>>| -> usize {
             s.nodes().iter().map(Reliable::resident_entries).sum()
         };

@@ -108,71 +108,26 @@ impl<P: Protocol> AsyncScheduler<P>
 where
     P::Msg: Clone,
 {
-    /// Default adversary configuration with the given schedule seed.
+    /// The paper's randomized adversary with the given schedule seed:
+    /// default configuration, null fault plan, no sinks. The optional parts
+    /// are the `with_*` setters below, applied before the first step.
     pub fn new(nodes: Vec<P>, seed: u64) -> Self {
-        Self::with_config(nodes, seed, AsyncConfig::default())
-    }
-
-    /// Custom adversary configuration, untraced.
-    pub fn with_config(nodes: Vec<P>, seed: u64, cfg: AsyncConfig) -> Self {
-        Self::with_tracer(nodes, seed, cfg, NullTracer)
-    }
-
-    /// Untraced scheduler executing a fault plan.
-    pub fn with_faults(nodes: Vec<P>, seed: u64, cfg: AsyncConfig, plan: FaultPlan) -> Self {
-        Self::with_faults_tracer(nodes, seed, cfg, plan, NullTracer)
-    }
-}
-
-impl<P: Protocol, T: Tracer> AsyncScheduler<P, T>
-where
-    P::Msg: Clone,
-{
-    /// Custom adversary configuration with an event sink.
-    pub fn with_tracer(nodes: Vec<P>, seed: u64, cfg: AsyncConfig, tracer: T) -> Self {
-        Self::with_faults_tracer(nodes, seed, cfg, FaultPlan::none(), tracer)
-    }
-
-    /// Scheduler with both a fault plan and an event sink.
-    pub fn with_faults_tracer(
-        nodes: Vec<P>,
-        seed: u64,
-        cfg: AsyncConfig,
-        plan: FaultPlan,
-        tracer: T,
-    ) -> Self {
-        Self::with_policy_faults_tracer(nodes, cfg, plan, RandomAdversary::new(seed), tracer)
-    }
-}
-
-impl<P: Protocol, D: DeliveryPolicy> AsyncScheduler<P, NullTracer, D>
-where
-    P::Msg: Clone,
-{
-    /// Untraced scheduler driven by an explicit delivery policy.
-    pub fn with_policy(nodes: Vec<P>, cfg: AsyncConfig, policy: D) -> Self {
-        Self::with_policy_faults_tracer(nodes, cfg, FaultPlan::none(), policy, NullTracer)
-    }
-
-    /// Untraced scheduler with both a delivery policy and a fault plan.
-    pub fn with_policy_faults(nodes: Vec<P>, cfg: AsyncConfig, plan: FaultPlan, policy: D) -> Self {
-        Self::with_policy_faults_tracer(nodes, cfg, plan, policy, NullTracer)
-    }
-}
-
-impl<P: Protocol, T: Tracer, D: DeliveryPolicy> AsyncScheduler<P, T, D>
-where
-    P::Msg: Clone,
-{
-    /// The general constructor: policy, fault plan, and event sink.
-    pub fn with_policy_faults_tracer(
-        nodes: Vec<P>,
-        cfg: AsyncConfig,
-        plan: FaultPlan,
-        policy: D,
-        tracer: T,
-    ) -> Self {
-        Self::with_policy_faults_tracer_telemetry(nodes, cfg, plan, policy, tracer, NullTelemetry)
+        let n = nodes.len();
+        let cfg = AsyncConfig::default();
+        AsyncScheduler {
+            nodes,
+            in_flight: FlightSet::new(false, cfg.max_delay),
+            faults: FaultState::new(FaultPlan::none(), n),
+            metrics: Metrics::new(n),
+            tracer: NullTracer,
+            telemetry: NullTelemetry,
+            policy: RandomAdversary::new(seed),
+            cfg,
+            step: 0,
+            win_base_messages: 0,
+            win_handles: None,
+            bufs: CtxBufs::default(),
+        }
     }
 }
 
@@ -180,35 +135,64 @@ impl<P: Protocol, T: Tracer, D: DeliveryPolicy, M: Telemetry> AsyncScheduler<P, 
 where
     P::Msg: Clone,
 {
-    /// The fully general constructor: policy, fault plan, event sink, and
-    /// metrics sink.
-    pub fn with_policy_faults_tracer_telemetry(
-        nodes: Vec<P>,
-        cfg: AsyncConfig,
-        plan: FaultPlan,
-        policy: D,
-        tracer: T,
-        telemetry: M,
-    ) -> Self {
-        let n = nodes.len();
-        let faults = FaultState::new(plan, n);
-        // Maturity only needs indexing when ready times can differ from
-        // send steps (an active fault plan) or a delay bound must find
-        // overdue messages; otherwise the set is a plain vector.
-        let in_flight = FlightSet::new(faults.active(), cfg.max_delay);
+    /// Run under a custom adversary configuration.
+    pub fn with_config(mut self, cfg: AsyncConfig) -> Self {
+        self.cfg = cfg;
+        self.reindex_flight()
+    }
+
+    /// Execute `plan` (replaces the null plan).
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = FaultState::new(plan, self.nodes.len());
+        self.reindex_flight()
+    }
+
+    /// Maturity only needs indexing when ready times can differ from send
+    /// steps (an active fault plan) or a delay bound must find overdue
+    /// messages; otherwise the set is a plain vector. Both are fixed by
+    /// the setters, which run before anything is in flight.
+    fn reindex_flight(mut self) -> Self {
+        assert!(
+            self.in_flight.is_empty(),
+            "configure the scheduler before its first step"
+        );
+        self.in_flight = FlightSet::new(self.faults.active(), self.cfg.max_delay);
+        self
+    }
+
+    /// Let `policy` pick what each free step does.
+    pub fn with_policy<D2: DeliveryPolicy>(self, policy: D2) -> AsyncScheduler<P, T, D2, M> {
+        self.map_parts(|t, _, m| (t, policy, m))
+    }
+
+    /// Attach an event sink.
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> AsyncScheduler<P, T2, D, M> {
+        self.map_parts(|_, d, m| (tracer, d, m))
+    }
+
+    /// Attach a metrics sink.
+    pub fn with_telemetry<M2: Telemetry>(self, telemetry: M2) -> AsyncScheduler<P, T, D, M2> {
+        self.map_parts(|t, d, _| (t, d, telemetry))
+    }
+
+    fn map_parts<T2: Tracer, D2: DeliveryPolicy, M2: Telemetry>(
+        self,
+        f: impl FnOnce(T, D, M) -> (T2, D2, M2),
+    ) -> AsyncScheduler<P, T2, D2, M2> {
+        let (tracer, policy, telemetry) = f(self.tracer, self.policy, self.telemetry);
         AsyncScheduler {
-            nodes,
-            in_flight,
-            faults,
-            metrics: Metrics::new(n),
+            nodes: self.nodes,
+            in_flight: self.in_flight,
+            faults: self.faults,
+            metrics: self.metrics,
             tracer,
             telemetry,
             policy,
-            cfg,
-            step: 0,
-            win_base_messages: 0,
-            win_handles: None,
-            bufs: CtxBufs::default(),
+            cfg: self.cfg,
+            step: self.step,
+            win_base_messages: self.win_base_messages,
+            win_handles: self.win_handles,
+            bufs: self.bufs,
         }
     }
 
@@ -225,21 +209,6 @@ where
     /// The fault layer's state (plan, down map, injection counters).
     pub fn faults(&self) -> &FaultState {
         &self.faults
-    }
-
-    /// Consume the scheduler, yielding its event sink.
-    pub fn into_tracer(self) -> T {
-        self.tracer
-    }
-
-    /// Consume the scheduler, yielding its metrics sink.
-    pub fn into_telemetry(self) -> M {
-        self.telemetry
-    }
-
-    /// Consume the scheduler, yielding both sinks at once.
-    pub fn into_sinks(self) -> (T, M) {
-        (self.tracer, self.telemetry)
     }
 
     /// Consume the scheduler, yielding the protocol instances and both
@@ -662,23 +631,11 @@ mod tests {
 
     #[test]
     fn starving_adversary_still_terminates() {
-        let mut s = AsyncScheduler::with_config(
-            (0..4)
-                .map(|me| Echo {
-                    me,
-                    n: 4,
-                    k: 2,
-                    sent: false,
-                    pongs: 0,
-                })
-                .collect(),
-            9,
-            AsyncConfig {
-                deliver_bias: 0.05,
-                sweep_every: 16,
-                max_delay: None,
-            },
-        );
+        let mut s = echo(4, 2, 9).with_config(AsyncConfig {
+            deliver_bias: 0.05,
+            sweep_every: 16,
+            max_delay: None,
+        });
         assert!(s.run_until_quiescent(2_000_000));
     }
 
@@ -686,23 +643,11 @@ mod tests {
     fn bounded_delay_mode_forces_timely_delivery() {
         // With a delay bound, every message arrives within `bound` steps of
         // being sent even under an extreme starvation bias.
-        let mut s = AsyncScheduler::with_config(
-            (0..4)
-                .map(|me| Echo {
-                    me,
-                    n: 4,
-                    k: 3,
-                    sent: false,
-                    pongs: 0,
-                })
-                .collect(),
-            11,
-            AsyncConfig {
-                deliver_bias: 0.01, // would starve without the bound
-                sweep_every: 0,     // no sweeps either
-                max_delay: Some(8),
-            },
-        );
+        let mut s = echo(4, 3, 11).with_config(AsyncConfig {
+            deliver_bias: 0.01, // would starve without the bound
+            sweep_every: 0,     // no sweeps either
+            max_delay: Some(8),
+        });
         // Kick node 0 manually since sweeps are off.
         s.step_once();
         assert!(s.run_until_quiescent(500_000));
@@ -714,25 +659,10 @@ mod tests {
         // Same seed, one scheduler with an explicit null plan: the adversary
         // must make exactly the same choices.
         let run = |null_plan: bool| {
-            let nodes: Vec<Echo> = (0..6)
-                .map(|me| Echo {
-                    me,
-                    n: 6,
-                    k: 3,
-                    sent: false,
-                    pongs: 0,
-                })
-                .collect();
-            let mut s = if null_plan {
-                AsyncScheduler::with_faults(
-                    nodes,
-                    42,
-                    AsyncConfig::default(),
-                    crate::faults::FaultPlan::none(),
-                )
-            } else {
-                AsyncScheduler::new(nodes, 42)
-            };
+            let mut s = echo(6, 3, 42);
+            if null_plan {
+                s = s.with_faults(crate::faults::FaultPlan::uniform(7, 0.0, 0.0));
+            }
             s.run_until_quiescent(1_000_000);
             (s.steps(), s.metrics.snapshot())
         };
@@ -754,7 +684,7 @@ mod tests {
         let plan = crate::faults::FaultPlan::uniform(3, 0.2, 0.2)
             .with_delay(0.2, 32)
             .with_crash(NodeId(2), 200, Some(1200));
-        let mut s = AsyncScheduler::with_faults(nodes, 7, AsyncConfig::default(), plan);
+        let mut s = AsyncScheduler::new(nodes, 7).with_faults(plan);
         assert!(s.run_until_quiescent(4_000_000), "run stalled under faults");
         assert_eq!(s.nodes()[0].inner().pongs, 3 * 3);
         let stats = s.faults().stats;

@@ -108,43 +108,10 @@ impl<P: Protocol> SyncScheduler<P>
 where
     P::Msg: Clone,
 {
-    /// Wrap `n` protocol instances (index i = `NodeId(i)`), untraced.
+    /// Wrap `n` protocol instances (index i = `NodeId(i)`): null fault
+    /// plan, no sinks. The optional parts are the `with_*` setters below,
+    /// applied before the first step.
     pub fn new(nodes: Vec<P>) -> Self {
-        Self::with_tracer(nodes, NullTracer)
-    }
-
-    /// Untraced scheduler executing a fault plan.
-    pub fn with_faults(nodes: Vec<P>, plan: FaultPlan) -> Self {
-        Self::with_faults_tracer(nodes, plan, NullTracer)
-    }
-}
-
-impl<P: Protocol, T: Tracer> SyncScheduler<P, T>
-where
-    P::Msg: Clone,
-{
-    /// Wrap `n` protocol instances with an event sink.
-    pub fn with_tracer(nodes: Vec<P>, tracer: T) -> Self {
-        Self::with_faults_tracer(nodes, FaultPlan::none(), tracer)
-    }
-
-    /// Scheduler with both a fault plan and an event sink.
-    pub fn with_faults_tracer(nodes: Vec<P>, plan: FaultPlan, tracer: T) -> Self {
-        SyncScheduler::with_faults_tracer_telemetry(nodes, plan, tracer, NullTelemetry)
-    }
-}
-
-impl<P: Protocol, T: Tracer, M: Telemetry> SyncScheduler<P, T, M>
-where
-    P::Msg: Clone,
-{
-    /// Fully general constructor: fault plan, event sink, and metrics sink.
-    pub fn with_faults_tracer_telemetry(
-        nodes: Vec<P>,
-        plan: FaultPlan,
-        tracer: T,
-        telemetry: M,
-    ) -> Self {
         let n = nodes.len();
         SyncScheduler {
             nodes,
@@ -153,35 +120,64 @@ where
             order: Vec::new(),
             starts: Vec::new(),
             future: Vec::new(),
-            faults: FaultState::new(plan, n),
+            faults: FaultState::new(FaultPlan::none(), n),
             metrics: Metrics::new(n),
-            tracer,
-            telemetry,
+            tracer: NullTracer,
+            telemetry: NullTelemetry,
             round: 0,
             ticks_per_round: 1,
             bufs: CtxBufs::default(),
             future_scratch: Vec::new(),
         }
     }
+}
+
+impl<P: Protocol, T: Tracer, M: Telemetry> SyncScheduler<P, T, M>
+where
+    P::Msg: Clone,
+{
+    /// Execute `plan` (replaces the null plan; set before the first step).
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = FaultState::new(plan, self.nodes.len());
+        self
+    }
+
+    /// Attach an event sink.
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> SyncScheduler<P, T2, M> {
+        self.map_sinks(|_, m| (tracer, m))
+    }
+
+    /// Attach a metrics sink.
+    pub fn with_telemetry<M2: Telemetry>(self, telemetry: M2) -> SyncScheduler<P, T, M2> {
+        self.map_sinks(|t, _| (t, telemetry))
+    }
+
+    fn map_sinks<T2: Tracer, M2: Telemetry>(
+        self,
+        f: impl FnOnce(T, M) -> (T2, M2),
+    ) -> SyncScheduler<P, T2, M2> {
+        let (tracer, telemetry) = f(self.tracer, self.telemetry);
+        SyncScheduler {
+            nodes: self.nodes,
+            next: self.next,
+            fresh: self.fresh,
+            order: self.order,
+            starts: self.starts,
+            future: self.future,
+            faults: self.faults,
+            metrics: self.metrics,
+            tracer,
+            telemetry,
+            round: self.round,
+            ticks_per_round: self.ticks_per_round,
+            bufs: self.bufs,
+            future_scratch: self.future_scratch,
+        }
+    }
 
     /// The fault layer's state (plan, down map, injection counters).
     pub fn faults(&self) -> &FaultState {
         &self.faults
-    }
-
-    /// Consume the scheduler, yielding its event sink.
-    pub fn into_tracer(self) -> T {
-        self.tracer
-    }
-
-    /// Consume the scheduler, yielding its metrics sink.
-    pub fn into_telemetry(self) -> M {
-        self.telemetry
-    }
-
-    /// Consume the scheduler, yielding both sinks at once.
-    pub fn into_sinks(self) -> (T, M) {
-        (self.tracer, self.telemetry)
     }
 
     /// Consume the scheduler, yielding the protocol instances and both
@@ -687,7 +683,7 @@ mod tests {
             })
             .collect();
         let mut s =
-            SyncScheduler::with_faults(nodes, crate::faults::FaultPlan::uniform(5, 0.6, 0.0));
+            SyncScheduler::new(nodes).with_faults(crate::faults::FaultPlan::uniform(5, 0.6, 0.0));
         let out = s.run_until_quiescent(200);
         // The walk stalls: unreached nodes never report done, and the token
         // is gone, so the budget runs out.
@@ -707,8 +703,8 @@ mod tests {
             })
             .collect();
         let wrapped = crate::reliable::Reliable::wrap_all(nodes, 4);
-        let mut s =
-            SyncScheduler::with_faults(wrapped, crate::faults::FaultPlan::uniform(5, 0.3, 0.15));
+        let mut s = SyncScheduler::new(wrapped)
+            .with_faults(crate::faults::FaultPlan::uniform(5, 0.3, 0.15));
         let out = s.run_until_quiescent(10_000);
         assert!(out.is_quiescent(), "retransmission failed to heal the walk");
         assert!(s.nodes().iter().all(|n| n.inner().seen));
@@ -730,7 +726,7 @@ mod tests {
         let plan = crate::faults::FaultPlan::none()
             .with_partition(2, 30, vec![NodeId(3), NodeId(4)])
             .with_crash(NodeId(6), 5, Some(40));
-        let mut s = SyncScheduler::with_faults(wrapped, plan);
+        let mut s = SyncScheduler::new(wrapped).with_faults(plan);
         let out = s.run_until_quiescent(10_000);
         assert!(out.is_quiescent(), "walk never recovered");
         assert!(s.nodes().iter().all(|n| n.inner().seen));
@@ -749,10 +745,8 @@ mod tests {
                 seen: false,
             })
             .collect();
-        let mut s = SyncScheduler::with_faults(
-            nodes,
-            crate::faults::FaultPlan::uniform(9, 0.0, 0.0).with_delay(1.0, 5),
-        );
+        let mut s = SyncScheduler::new(nodes)
+            .with_faults(crate::faults::FaultPlan::uniform(9, 0.0, 0.0).with_delay(1.0, 5));
         let out = s.run_until_quiescent(200);
         assert!(out.is_quiescent());
         assert!(s.nodes().iter().all(|n| n.seen), "delayed ≠ lost");

@@ -179,15 +179,11 @@ fn starving_config_still_guarantees_fair_receipt() {
     let mut rng = DetRng::new(0);
     for _ in 0..5 {
         let seed = rng.next_u64_inline();
-        let mut sched = AsyncScheduler::with_config(
-            build(4, 8),
-            seed,
-            AsyncConfig {
-                deliver_bias: 0.05,
-                sweep_every: 16,
-                max_delay: None,
-            },
-        );
+        let mut sched = AsyncScheduler::new(build(4, 8), seed).with_config(AsyncConfig {
+            deliver_bias: 0.05,
+            sweep_every: 16,
+            max_delay: None,
+        });
         assert!(
             sched.run_until_quiescent(20_000_000),
             "stalled at seed {seed}"

@@ -106,10 +106,12 @@ fn delivery_hash(events: &[TraceEvent]) -> (u64, u64) {
 }
 
 fn run(cfg: AsyncConfig, plan: FaultPlan, seed: u64) -> (u64, u64) {
-    let mut s =
-        AsyncScheduler::with_faults_tracer(cluster(8, 24), seed, cfg, plan, VecTracer::new());
+    let mut s = AsyncScheduler::new(cluster(8, 24), seed)
+        .with_config(cfg)
+        .with_faults(plan)
+        .with_tracer(VecTracer::new());
     assert!(s.run_until_quiescent(4_000_000), "golden run stalled");
-    delivery_hash(&s.into_tracer().into_events())
+    delivery_hash(&s.tracer.into_events())
 }
 
 #[test]

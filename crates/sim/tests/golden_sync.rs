@@ -101,12 +101,14 @@ fn delivery_hash(events: &[TraceEvent]) -> (u64, u64) {
 }
 
 fn run(plan: FaultPlan) -> (u64, u64) {
-    let mut s = SyncScheduler::with_faults_tracer(cluster(8, 24), plan, VecTracer::new());
+    let mut s = SyncScheduler::new(cluster(8, 24))
+        .with_faults(plan)
+        .with_tracer(VecTracer::new());
     assert!(
         s.run_until_quiescent(100_000).is_quiescent(),
         "golden run stalled"
     );
-    delivery_hash(&s.into_tracer().into_events())
+    delivery_hash(&s.tracer.into_events())
 }
 
 #[test]

@@ -2,13 +2,12 @@
 
 use crate::node::{SkeapConfig, SkeapNode};
 use dpq_core::workload::WorkloadSpec;
-use dpq_core::{Element, History, NodeId, OpId, OpKind};
+use dpq_core::{NodeId, OpId, OpKind};
 use dpq_overlay::{NodeView, Topology};
-use dpq_sim::{
-    AsyncConfig, AsyncScheduler, FaultPlan, FaultStats, LatencySummary, LogHistogram,
-    MetricsSnapshot, NullTelemetry, NullTracer, Reliable, SyncScheduler, Telemetry, TraceEvent,
-    Tracer,
-};
+use dpq_sim::{Outcome, Run, Telemetry, Tracer};
+
+/// Collect the merged history of a cluster.
+pub use dpq_sim::history;
 
 /// Build the `n` protocol nodes of a Skeap instance.
 pub fn build(n: usize, n_prios: usize, seed: u64) -> Vec<SkeapNode> {
@@ -51,129 +50,16 @@ pub fn inject_rate(
     (ids, any_left)
 }
 
-/// Collect the merged history of a cluster.
-pub fn history(nodes: &[SkeapNode]) -> History {
-    History::merge(nodes.iter().map(|n| n.history.clone()).collect())
-}
-
-/// Outcome of a completed synchronous run.
-#[derive(Debug, Clone)]
-pub struct SyncRun {
-    /// Merged per-node histories.
-    pub history: History,
-    /// Run metrics.
-    pub metrics: MetricsSnapshot,
-    /// Rounds until every request completed (or the budget).
-    pub rounds: u64,
-    /// Did every request complete within the budget?
-    pub completed: bool,
-    /// Log-bucketed distribution of per-operation latencies (rounds from
-    /// injection to completion) — the samples behind `metrics.latency`, kept
-    /// as a mergeable histogram so experiments can pool distributions across
-    /// seeds in O(buckets).
-    pub latency_hist: LogHistogram,
-}
-
-impl SyncRun {
-    /// Order statistics over this run's operation latencies.
-    pub fn latency(&self) -> LatencySummary {
-        self.metrics.latency
-    }
-}
-
-/// Run a full workload synchronously: inject everything, run rounds until
-/// every request has completed.
-pub fn run_sync(spec: &WorkloadSpec, n_prios: usize, max_rounds: u64) -> SyncRun {
-    run_sync_traced(spec, n_prios, max_rounds, NullTracer).0
-}
-
-/// [`run_sync`] with an event sink attached to the scheduler; returns the
-/// sink alongside the run so callers can export the stream.
-pub fn run_sync_traced<T: Tracer>(
+/// Run a full workload: build the cluster, inject every script up front,
+/// drive it as `run` says until every request has completed.
+pub fn run<T: Tracer, M: Telemetry>(
     spec: &WorkloadSpec,
     n_prios: usize,
-    max_rounds: u64,
-    tracer: T,
-) -> (SyncRun, T) {
-    let (run, tracer, _) = run_sync_instrumented(spec, n_prios, max_rounds, tracer, NullTelemetry);
-    (run, tracer)
-}
-
-/// [`run_sync`] with a metrics sink attached to the scheduler (e.g. a
-/// [`dpq_sim::Hub`]); returns the sink alongside the run.
-pub fn run_sync_telemetry<M: Telemetry>(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    max_rounds: u64,
-    telemetry: M,
-) -> (SyncRun, M) {
-    let (run, _, telemetry) =
-        run_sync_instrumented(spec, n_prios, max_rounds, NullTracer, telemetry);
-    (run, telemetry)
-}
-
-/// The general synchronous driver: both an event sink and a metrics sink.
-pub fn run_sync_instrumented<T: Tracer, M: Telemetry>(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    max_rounds: u64,
-    tracer: T,
-    telemetry: M,
-) -> (SyncRun, T, M) {
-    let nodes = build(spec.n, n_prios, spec.seed);
-    let scripts = dpq_core::workload::generate(spec);
-    let mut sched =
-        SyncScheduler::with_faults_tracer_telemetry(nodes, FaultPlan::none(), tracer, telemetry);
-    for id in inject_all(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let out = sched.run_until_pred(max_rounds, |ns| ns.iter().all(SkeapNode::all_complete));
-    let run = SyncRun {
-        history: history(sched.nodes()),
-        metrics: sched.metrics.snapshot(),
-        rounds: out.rounds(),
-        completed: out.is_quiescent(),
-        latency_hist: sched.metrics.latency_histogram().clone(),
-    };
-    let (tracer, telemetry) = sched.into_sinks();
-    (run, tracer, telemetry)
-}
-
-/// Run a full workload under the asynchronous adversary.
-pub fn run_async(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    sched_seed: u64,
-    max_steps: u64,
-) -> Option<History> {
-    run_async_traced(spec, n_prios, sched_seed, max_steps, NullTracer).0
-}
-
-/// [`run_async`] with an event sink attached to the scheduler.
-pub fn run_async_traced<T: Tracer>(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    sched_seed: u64,
-    max_steps: u64,
-    tracer: T,
-) -> (Option<History>, T) {
-    let nodes = build(spec.n, n_prios, spec.seed);
-    let scripts = dpq_core::workload::generate(spec);
-    let mut sched = AsyncScheduler::with_tracer(nodes, sched_seed, AsyncConfig::default(), tracer);
-    for id in inject_all(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let ok = sched.run_until_pred(max_steps, |ns| ns.iter().all(SkeapNode::all_complete));
-    let h = ok.then(|| history(sched.nodes()));
-    (h, sched.into_tracer())
-}
-
-/// A run's trace events (convenience over [`run_sync_traced`] with a
-/// [`dpq_sim::VecTracer`]).
-pub fn trace_sync(spec: &WorkloadSpec, n_prios: usize, max_rounds: u64) -> Vec<TraceEvent> {
-    run_sync_traced(spec, n_prios, max_rounds, dpq_sim::VecTracer::new())
-        .1
-        .into_events()
+    run: Run<T, M>,
+) -> Outcome<T, M> {
+    let mut nodes = build(spec.n, n_prios, spec.seed);
+    let ids = inject_all(&mut nodes, &dpq_core::workload::generate(spec));
+    run.queue(nodes, &ids)
 }
 
 /// Convenience: the anchor's node id of a freshly built cluster (used by
@@ -181,210 +67,4 @@ pub fn trace_sync(spec: &WorkloadSpec, n_prios: usize, max_rounds: u64) -> Vec<T
 pub fn anchor_of(n: usize, seed: u64) -> NodeId {
     let topo = Topology::new(n, seed);
     dpq_overlay::tree::anchor_real(&topo)
-}
-
-/// Outcome of a workload run over a faulty network: the protocol speaks
-/// through [`Reliable`] retransmission links while the scheduler's fault
-/// layer drops, duplicates, delays, partitions and crash-pauses beneath it.
-#[derive(Debug, Clone)]
-pub struct FaultyRun {
-    /// Merged per-node histories (what the protocol believes happened).
-    pub history: History,
-    /// Run metrics. Only *delivered* traffic is counted; faulted copies are
-    /// destroyed before accounting.
-    pub metrics: MetricsSnapshot,
-    /// Rounds (sync) or steps (async) consumed.
-    pub time: u64,
-    /// Did every request complete within the budget?
-    pub completed: bool,
-    /// Log-bucketed distribution of per-op latency samples, mergeable
-    /// across seeds.
-    pub latency_hist: LogHistogram,
-    /// What the fault layer did to the run.
-    pub faults: FaultStats,
-    /// Retransmissions the transport performed to beat the drops.
-    pub retransmits: u64,
-    /// Duplicate deliveries the transport suppressed.
-    pub dup_suppressed: u64,
-    /// Every element still stored in a DHT shard when the run ended, in
-    /// deterministic `(prio, id)` order. Conservation checks compare this
-    /// against the history's unremoved inserts.
-    pub residual: Vec<Element>,
-}
-
-fn residual_of(nodes: &[Reliable<SkeapNode>]) -> Vec<Element> {
-    let mut v: Vec<Element> = nodes
-        .iter()
-        .flat_map(|n| n.inner().shard.elements().map(|(_, e)| *e))
-        .collect();
-    v.sort_unstable_by_key(|e| (e.prio, e.id));
-    v
-}
-
-fn transport_totals(nodes: &[Reliable<SkeapNode>]) -> (u64, u64) {
-    nodes.iter().fold((0, 0), |(r, d), n| {
-        (r + n.stats.retransmits, d + n.stats.dup_suppressed)
-    })
-}
-
-fn inject_wrapped(sched_nodes: &mut [Reliable<SkeapNode>], scripts: &[Vec<OpKind>]) -> Vec<OpId> {
-    let mut ids = Vec::new();
-    for (node, script) in sched_nodes.iter_mut().zip(scripts) {
-        for op in script {
-            ids.push(node.inner_mut().issue(*op));
-        }
-    }
-    ids
-}
-
-/// Run a full workload synchronously over a faulty network: every node is
-/// wrapped in a [`Reliable`] transport with retransmission `timeout` (in
-/// rounds) and the scheduler injects faults per `plan`.
-pub fn run_sync_faulty(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    max_rounds: u64,
-    plan: FaultPlan,
-    timeout: u64,
-) -> FaultyRun {
-    run_sync_faulty_telemetry(spec, n_prios, max_rounds, plan, timeout, NullTelemetry).0
-}
-
-/// [`run_sync_faulty`] with a metrics sink: the transport layer gets ack-RTT
-/// histograms, and its retransmit/duplicate counters are folded into the sink
-/// when the run ends.
-pub fn run_sync_faulty_telemetry<M: Telemetry>(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    max_rounds: u64,
-    plan: FaultPlan,
-    timeout: u64,
-    telemetry: M,
-) -> (FaultyRun, M) {
-    let mut nodes = Reliable::wrap_all(build(spec.n, n_prios, spec.seed), timeout);
-    if M::ENABLED {
-        for n in &mut nodes {
-            n.enable_rtt_histogram();
-        }
-    }
-    let scripts = dpq_core::workload::generate(spec);
-    let mut sched = SyncScheduler::with_faults_tracer_telemetry(nodes, plan, NullTracer, telemetry);
-    for id in inject_wrapped(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let out = sched.run_until_pred(max_rounds, |ns| ns.iter().all(|n| n.inner().all_complete()));
-    let (retransmits, dup_suppressed) = transport_totals(sched.nodes());
-    let run = FaultyRun {
-        history: History::merge(
-            sched
-                .nodes()
-                .iter()
-                .map(|n| n.inner().history.clone())
-                .collect(),
-        ),
-        metrics: sched.metrics.snapshot(),
-        time: out.rounds(),
-        completed: out.is_quiescent(),
-        latency_hist: sched.metrics.latency_histogram().clone(),
-        faults: sched.faults().stats,
-        retransmits,
-        dup_suppressed,
-        residual: residual_of(sched.nodes()),
-    };
-    // The schedulers mirror fault totals at window boundaries, which can
-    // trail the final counters by a partial window; push the end-of-run
-    // snapshot (the mirror is an idempotent set, not an add).
-    let final_faults = sched.faults().stats.totals();
-    let (nodes, _, mut telemetry) = sched.into_parts();
-    if M::ENABLED {
-        telemetry.fault_totals(final_faults);
-        for n in &nodes {
-            n.export_telemetry(&mut telemetry);
-        }
-    }
-    (run, telemetry)
-}
-
-/// Run a full workload under the asynchronous adversary over a faulty
-/// network (see [`run_sync_faulty`]; `timeout` is in adversary steps).
-pub fn run_async_faulty(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    sched_seed: u64,
-    max_steps: u64,
-    plan: FaultPlan,
-    timeout: u64,
-) -> FaultyRun {
-    run_async_faulty_telemetry(
-        spec,
-        n_prios,
-        sched_seed,
-        max_steps,
-        plan,
-        timeout,
-        NullTelemetry,
-    )
-    .0
-}
-
-/// [`run_async_faulty`] with a metrics sink (see
-/// [`run_sync_faulty_telemetry`]).
-pub fn run_async_faulty_telemetry<M: Telemetry>(
-    spec: &WorkloadSpec,
-    n_prios: usize,
-    sched_seed: u64,
-    max_steps: u64,
-    plan: FaultPlan,
-    timeout: u64,
-    telemetry: M,
-) -> (FaultyRun, M) {
-    let mut nodes = Reliable::wrap_all(build(spec.n, n_prios, spec.seed), timeout);
-    if M::ENABLED {
-        for n in &mut nodes {
-            n.enable_rtt_histogram();
-        }
-    }
-    let scripts = dpq_core::workload::generate(spec);
-    let mut sched = AsyncScheduler::with_policy_faults_tracer_telemetry(
-        nodes,
-        AsyncConfig::default(),
-        plan,
-        dpq_sim::RandomAdversary::new(sched_seed),
-        NullTracer,
-        telemetry,
-    );
-    for id in inject_wrapped(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let ok = sched.run_until_pred(max_steps, |ns| ns.iter().all(|n| n.inner().all_complete()));
-    let (retransmits, dup_suppressed) = transport_totals(sched.nodes());
-    let run = FaultyRun {
-        history: History::merge(
-            sched
-                .nodes()
-                .iter()
-                .map(|n| n.inner().history.clone())
-                .collect(),
-        ),
-        metrics: sched.metrics.snapshot(),
-        time: sched.steps(),
-        completed: ok,
-        latency_hist: sched.metrics.latency_histogram().clone(),
-        faults: sched.faults().stats,
-        retransmits,
-        dup_suppressed,
-        residual: residual_of(sched.nodes()),
-    };
-    // The schedulers mirror fault totals at window boundaries, which can
-    // trail the final counters by a partial window; push the end-of-run
-    // snapshot (the mirror is an idempotent set, not an add).
-    let final_faults = sched.faults().stats.totals();
-    let (nodes, _, mut telemetry) = sched.into_parts();
-    if M::ENABLED {
-        telemetry.fault_totals(final_faults);
-        for n in &nodes {
-            n.export_telemetry(&mut telemetry);
-        }
-    }
-    (run, telemetry)
 }

@@ -10,8 +10,9 @@
 //!
 //! ```
 //! use dpq_core::workload::WorkloadSpec;
+//! use dpq_sim::Run;
 //!
-//! let run = skeap::cluster::run_sync(&WorkloadSpec::balanced(8, 20, 3, 7), 3, 10_000);
+//! let run = skeap::cluster::run(&WorkloadSpec::balanced(8, 20, 3, 7), 3, Run::sync(10_000));
 //! assert!(run.completed);
 //! assert_eq!(run.history.completed(), 8 * 20);
 //! ```

@@ -26,7 +26,7 @@ use dpq_dht::client::Completion;
 use dpq_dht::{point_for, DhtClient, DhtShard};
 use dpq_overlay::routing::{advance, RouteMsg, RouteOutcome};
 use dpq_overlay::NodeView;
-use dpq_sim::{Ctx, Protocol};
+use dpq_sim::{Ctx, Protocol, QueueNode};
 
 /// Pack a (priority, position) pair into the DHT's logical key space —
 /// the concrete form of the paper's `h(p, pos)` (§3.2.4).
@@ -168,11 +168,6 @@ impl SkeapNode {
     /// Have all requests issued at this node completed?
     pub fn all_complete(&self) -> bool {
         self.history.ops.iter().all(|r| r.is_complete())
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> usize {
-        self.history.ops.iter().filter(|r| r.is_complete()).count()
     }
 
     /// The batch cycle this node is currently in.
@@ -334,6 +329,24 @@ impl SkeapNode {
             assert_eq!(cycle, self.cycle, "stale early batch");
             self.collector.insert(from, batch);
         }
+    }
+}
+
+impl QueueNode for SkeapNode {
+    fn issue(&mut self, kind: OpKind) -> OpId {
+        SkeapNode::issue(self, kind)
+    }
+
+    fn issue_insert(&mut self, prio: u64, payload: u64) -> OpId {
+        SkeapNode::issue_insert(self, prio, payload)
+    }
+
+    fn node_history(&self) -> &NodeHistory {
+        &self.history
+    }
+
+    fn resident(&self, out: &mut Vec<dpq_core::Element>) {
+        out.extend(self.shard.elements().map(|(_, e)| *e));
     }
 }
 

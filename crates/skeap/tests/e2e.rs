@@ -4,7 +4,7 @@
 use dpq_core::workload::{generate, WorkloadSpec};
 use dpq_core::OpKind;
 use dpq_semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
-use dpq_sim::{AsyncConfig, AsyncScheduler, SyncScheduler};
+use dpq_sim::{AsyncConfig, AsyncScheduler, Run, SyncScheduler};
 use skeap::cluster;
 use skeap::SkeapNode;
 
@@ -24,7 +24,7 @@ fn sync_runs_are_sequentially_consistent() {
         (33, 12, 2, 5),
     ] {
         let spec = WorkloadSpec::balanced(n, ops, prios, seed);
-        let run = cluster::run_sync(&spec, prios as usize, 200_000);
+        let run = cluster::run(&spec, prios as usize, Run::sync(200_000));
         assert!(run.completed, "n={n} seed={seed} did not complete");
         assert_eq!(run.history.completed(), n * ops);
         assert_consistent(&run.history);
@@ -35,8 +35,9 @@ fn sync_runs_are_sequentially_consistent() {
 fn async_runs_are_sequentially_consistent() {
     for seed in 0..8u64 {
         let spec = WorkloadSpec::balanced(9, 15, 3, 100 + seed);
-        let history = cluster::run_async(&spec, 3, 999 - seed, 30_000_000)
-            .unwrap_or_else(|| panic!("seed {seed} stalled"));
+        let run = cluster::run(&spec, 3, Run::asynchronous(999 - seed, 30_000_000));
+        assert!(run.completed, "seed {seed} stalled");
+        let history = run.history;
         assert_eq!(history.completed(), 9 * 15);
         assert_consistent(&history);
     }
@@ -47,15 +48,11 @@ fn async_starving_adversary_preserves_semantics() {
     let spec = WorkloadSpec::balanced(6, 12, 2, 77);
     let mut nodes = cluster::build(spec.n, 2, spec.seed);
     cluster::inject_all(&mut nodes, &generate(&spec));
-    let mut sched = AsyncScheduler::with_config(
-        nodes,
-        1234,
-        AsyncConfig {
-            deliver_bias: 0.15,
-            sweep_every: 32,
-            max_delay: None,
-        },
-    );
+    let mut sched = AsyncScheduler::new(nodes, 1234).with_config(AsyncConfig {
+        deliver_bias: 0.15,
+        sweep_every: 32,
+        max_delay: None,
+    });
     assert!(sched.run_until_pred(60_000_000, |ns| ns.iter().all(SkeapNode::all_complete)));
     assert_consistent(&cluster::history(sched.nodes()));
 }
@@ -67,15 +64,11 @@ fn bounded_delay_adversary_preserves_semantics() {
     let spec = WorkloadSpec::balanced(8, 12, 3, 31);
     let mut nodes = cluster::build(spec.n, 3, spec.seed);
     cluster::inject_all(&mut nodes, &generate(&spec));
-    let mut sched = AsyncScheduler::with_config(
-        nodes,
-        777,
-        AsyncConfig {
-            deliver_bias: 0.4,
-            sweep_every: 32,
-            max_delay: Some(50),
-        },
-    );
+    let mut sched = AsyncScheduler::new(nodes, 777).with_config(AsyncConfig {
+        deliver_bias: 0.4,
+        sweep_every: 32,
+        max_delay: Some(50),
+    });
     assert!(sched.run_until_pred(40_000_000, |ns| ns.iter().all(SkeapNode::all_complete)));
     assert_consistent(&cluster::history(sched.nodes()));
 }
@@ -89,7 +82,7 @@ fn delete_heavy_workload_returns_bottoms_consistently() {
         n_prios: 3,
         seed: 42,
     };
-    let run = cluster::run_sync(&spec, 3, 200_000);
+    let run = cluster::run(&spec, 3, Run::sync(200_000));
     assert!(run.completed);
     let bottoms = run
         .history
@@ -180,9 +173,9 @@ fn rounds_per_batch_grow_logarithmically() {
     // stay within c·log₂(n) as n grows by 64×.
     let rounds = |n: usize| {
         let spec = WorkloadSpec::balanced(n, 4, 2, 11);
-        let run = cluster::run_sync(&spec, 2, 400_000);
+        let run = cluster::run(&spec, 2, Run::sync(400_000));
         assert!(run.completed, "n={n}");
-        run.rounds as f64
+        run.time as f64
     };
     let r16 = rounds(16);
     let r1024 = rounds(1024);

@@ -10,6 +10,7 @@
 //!   run, i.e. tracing is read-only.
 
 use dpq_core::workload::WorkloadSpec;
+use dpq_sim::{Hub, Run, VecTracer};
 use dpq_trace::write_jsonl;
 use proptest::prelude::*;
 use skeap::cluster;
@@ -35,8 +36,9 @@ proptest! {
     /// Same seeds, same bytes — synchronous scheduler.
     #[test]
     fn sync_event_streams_replay_byte_identical(spec in arb_spec()) {
-        let a = cluster::trace_sync(&spec, N_PRIOS, MAX_ROUNDS);
-        let b = cluster::trace_sync(&spec, N_PRIOS, MAX_ROUNDS);
+        let run = || Run::sync(MAX_ROUNDS).tracer(VecTracer::new());
+        let a = cluster::run(&spec, N_PRIOS, run()).tracer.into_events();
+        let b = cluster::run(&spec, N_PRIOS, run()).tracer.into_events();
         prop_assert!(!a.is_empty(), "a completed run must emit events");
         prop_assert_eq!(jsonl(&a), jsonl(&b));
     }
@@ -47,12 +49,11 @@ proptest! {
         spec in arb_spec(),
         sched_seed in 0u64..1 << 20,
     ) {
-        let (ha, ta) = cluster::run_async_traced(
-            &spec, N_PRIOS, sched_seed, MAX_STEPS, dpq_sim::VecTracer::new());
-        let (hb, tb) = cluster::run_async_traced(
-            &spec, N_PRIOS, sched_seed, MAX_STEPS, dpq_sim::VecTracer::new());
-        prop_assert!(ha.is_some() && hb.is_some(), "async runs must drain");
-        prop_assert_eq!(jsonl(&ta.into_events()), jsonl(&tb.into_events()));
+        let run = || Run::asynchronous(sched_seed, MAX_STEPS).tracer(VecTracer::new());
+        let a = cluster::run(&spec, N_PRIOS, run());
+        let b = cluster::run(&spec, N_PRIOS, run());
+        prop_assert!(a.completed && b.completed, "async runs must drain");
+        prop_assert_eq!(jsonl(&a.tracer.into_events()), jsonl(&b.tracer.into_events()));
     }
 
     /// The no-op tracer is compile-away-equivalent to a real sink: metrics,
@@ -60,18 +61,17 @@ proptest! {
     /// workload.
     #[test]
     fn null_tracer_leaves_metrics_unchanged(spec in arb_spec()) {
-        let untraced = cluster::run_sync(&spec, N_PRIOS, MAX_ROUNDS);
-        let (traced, tracer) = cluster::run_sync_traced(
-            &spec, N_PRIOS, MAX_ROUNDS, dpq_sim::VecTracer::new());
+        let untraced = cluster::run(&spec, N_PRIOS, Run::sync(MAX_ROUNDS));
+        let traced = cluster::run(&spec, N_PRIOS, Run::sync(MAX_ROUNDS).tracer(VecTracer::new()));
         prop_assert!(untraced.completed && traced.completed);
         prop_assert_eq!(untraced.metrics, traced.metrics);
-        prop_assert_eq!(untraced.rounds, traced.rounds);
+        prop_assert_eq!(untraced.time, traced.time);
         prop_assert_eq!(&untraced.latency_hist, &traced.latency_hist);
         prop_assert_eq!(
             format!("{:?}", untraced.history.nodes),
             format!("{:?}", traced.history.nodes)
         );
-        prop_assert!(!tracer.events.is_empty());
+        prop_assert!(!traced.tracer.events.is_empty());
     }
 
     /// The metrics hub is as read-only as the null tracer: a telemetry-enabled
@@ -85,10 +85,10 @@ proptest! {
         sched_seed in 0u64..1 << 20,
     ) {
         let plan = dpq_sim::FaultPlan::uniform(0xD1CE, 0.05, 0.05);
-        let bare = cluster::run_async_faulty(
-            &spec, N_PRIOS, sched_seed, MAX_STEPS, plan.clone(), 64);
-        let (inst, hub) = cluster::run_async_faulty_telemetry(
-            &spec, N_PRIOS, sched_seed, MAX_STEPS, plan, 64, dpq_sim::Hub::new());
+        let run = Run::asynchronous(sched_seed, MAX_STEPS).faulty(plan, 64);
+        let bare = cluster::run(&spec, N_PRIOS, run.clone());
+        let inst = cluster::run(&spec, N_PRIOS, run.telemetry(Hub::new()));
+        let hub = &inst.telemetry;
         prop_assert!(bare.completed && inst.completed, "faulty runs must drain");
         prop_assert_eq!(bare.metrics, inst.metrics);
         prop_assert_eq!(bare.time, inst.time);

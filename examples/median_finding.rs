@@ -10,6 +10,7 @@
 //! ```
 
 use dpq::kselect::{driver, KSelectConfig};
+use dpq::sim::Run;
 
 fn main() {
     let n = 64;
@@ -22,18 +23,22 @@ fn main() {
         ("p99   ", m * 99 / 100),
     ] {
         let expect = driver::sequential_select(&cands, k);
-        let run = driver::run_sync(
+        let run = driver::run(
             n,
             cands.clone(),
             k,
             KSelectConfig::default(),
             2024,
-            1_000_000,
+            Run::sync(1_000_000),
         );
-        assert_eq!(run.result, expect, "{label} disagreed with the oracle");
+        assert_eq!(
+            run.result,
+            Some(expect),
+            "{label} disagreed with the oracle"
+        );
         println!(
             "{label}  rank {k:>5}  → priority {:>10}   ({} rounds, ≤{} bits/msg, congestion {})",
-            run.result.prio.0, run.rounds, run.metrics.max_msg_bits, run.metrics.congestion
+            expect.prio.0, run.rounds, run.metrics.max_msg_bits, run.metrics.congestion
         );
     }
     println!(

@@ -15,6 +15,16 @@ cd "$(dirname "$0")/.."
 TIER=${1:-}
 
 cargo fmt --all -- --check
+
+# North-star ratchet: the crates/*/src + src line count may not drift
+# upward. A PR that legitimately adds code raises the committed ceiling in
+# the same diff, so growth is a reviewed decision.
+LOC=$(bash scripts/loc.sh)
+CEILING=$(cat scripts/loc-ceiling.txt)
+if [ "$LOC" -gt "$CEILING" ]; then
+  echo "error: $LOC source lines exceed the ceiling of $CEILING (scripts/loc-ceiling.txt)" >&2
+  exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q

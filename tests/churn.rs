@@ -18,7 +18,7 @@ use dpq::core::hashing::domains;
 use dpq::core::{BitSize, DetRng, ElemId, Element, MsgKind, NodeId, Priority};
 use dpq::dht::{point_for, DhtReq, DhtResp, DhtShard};
 use dpq::overlay::{membership, tree, Topology};
-use dpq::sim::{AsyncConfig, AsyncScheduler, Ctx, FaultPlan, Protocol, Reliable};
+use dpq::sim::{AsyncScheduler, Ctx, FaultPlan, Protocol, Reliable};
 
 /// Churn-layer traffic: element and parked-waiter handovers, plus the
 /// client-visible Put/GetOk pair so a Get parked across a handover can
@@ -180,12 +180,8 @@ impl ChurnNet {
     fn deliver(&mut self) {
         self.event += 1;
         let plan = FaultPlan::uniform(0xC0DE + self.event, 0.2, 0.1);
-        let mut sched = AsyncScheduler::with_faults(
-            std::mem::take(&mut self.nodes),
-            77 + self.event,
-            AsyncConfig::default(),
-            plan,
-        );
+        let mut sched =
+            AsyncScheduler::new(std::mem::take(&mut self.nodes), 77 + self.event).with_faults(plan);
         assert!(
             sched.run_until_quiescent(4_000_000),
             "delivery stalled at churn event {}",

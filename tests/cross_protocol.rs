@@ -4,7 +4,7 @@
 use dpq::baselines::CentralNode;
 use dpq::core::workload::{generate, WorkloadSpec};
 use dpq::core::{History, OpReturn};
-use dpq::sim::SyncScheduler;
+use dpq::sim::{Run, SyncScheduler};
 use std::collections::BTreeMap;
 
 /// The multiset of (priority, payload) pairs removed by the deletes of a
@@ -124,11 +124,11 @@ fn all_implementations_drain_identically() {
 fn mixed_workloads_agree_on_aggregates() {
     for seed in [11u64, 22, 33] {
         let spec = WorkloadSpec::balanced(9, 14, 5, seed);
-        let skeap_run = skeap::cluster::run_sync(&spec, 5, 400_000);
+        let skeap_run = skeap::cluster::run(&spec, 5, Run::sync(400_000));
         assert!(skeap_run.completed);
         dpq::semantics::replay(&skeap_run.history, dpq::semantics::ReplayMode::Fifo).unwrap();
 
-        let seap_run = seap::cluster::run_sync(&spec, 800_000);
+        let seap_run = seap::cluster::run(&spec, Run::sync(800_000));
         assert!(seap_run.completed);
         seap::checker::check_seap_history(&seap_run.history).unwrap();
 

@@ -5,14 +5,13 @@
 //! fault plans, and the fault layer itself must be invisible when disabled
 //! and byte-for-byte reproducible when enabled.
 
-use std::collections::BTreeSet;
-
 use dpq::core::workload::WorkloadSpec;
-use dpq::core::{ElemId, Element, History, OpKind, OpRecord, OpReturn};
-use dpq::semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
+use dpq::core::{Element, History, OpRecord};
+use dpq::semantics::{
+    check_conservation, check_heap_properties, check_local_consistency, replay, ReplayMode,
+};
 use dpq::sim::{
-    fault_matrix, AsyncConfig, AsyncScheduler, FaultPlan, LatencySummary, MetricsSnapshot,
-    SyncScheduler, TraceEvent, VecTracer,
+    fault_matrix, FaultPlan, LatencySummary, Outcome, Run, SyncScheduler, TraceEvent, VecTracer,
 };
 use dpq_trace::export::write_jsonl;
 use proptest::prelude::*;
@@ -29,31 +28,9 @@ const SYNC_RTO: u64 = 8;
 /// still recovering drops quickly.
 const ASYNC_RTO: u64 = 1024;
 
-/// Zero lost elements: the matching must derive (no duplicate inserts, no
-/// double or phantom removes) and the elements still stored in shards must
-/// be exactly the inserted-but-never-removed ones.
+/// Zero lost elements, by the one conservation oracle.
 fn assert_conserved(h: &History, residual: &[Element], label: &str) {
-    h.matching()
-        .unwrap_or_else(|e| panic!("{label}: matching failed: {e:?}"));
-    let mut expect: BTreeSet<ElemId> = h
-        .records()
-        .filter_map(|r| match r.kind {
-            OpKind::Insert(e) => Some(e.id),
-            OpKind::DeleteMin => None,
-        })
-        .collect();
-    for r in h.records() {
-        if let Some(OpReturn::Removed(e)) = r.ret {
-            expect.remove(&e.id);
-        }
-    }
-    let got: BTreeSet<ElemId> = residual.iter().map(|e| e.id).collect();
-    assert_eq!(
-        residual.len(),
-        got.len(),
-        "{label}: an element is stored more than once"
-    );
-    assert_eq!(got, expect, "{label}: elements lost or fabricated");
+    check_conservation(h, residual).unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 // ---------------------------------------------------------------------------
@@ -66,11 +43,19 @@ fn assert_conserved(h: &History, residual: &[Element], label: &str) {
 fn fault_matrix_skeap_conformance() {
     let (n, ops) = (6usize, 3usize);
     let spec = WorkloadSpec::balanced(n, ops, 3, 4100);
-    let clean = skeap::cluster::run_sync_faulty(&spec, 3, 200_000, FaultPlan::none(), SYNC_RTO);
+    let clean = skeap::cluster::run(
+        &spec,
+        3,
+        Run::sync(200_000).faulty(FaultPlan::none(), SYNC_RTO),
+    );
     assert!(clean.completed, "clean baseline stalled");
     let horizon = clean.time.max(64);
     for cell in fault_matrix(n, 0xA11CE, horizon, 0.10, 0.10) {
-        let run = skeap::cluster::run_sync_faulty(&spec, 3, 400_000, cell.plan.clone(), SYNC_RTO);
+        let run = skeap::cluster::run(
+            &spec,
+            3,
+            Run::sync(400_000).faulty(cell.plan.clone(), SYNC_RTO),
+        );
         assert!(run.completed, "skeap stalled in cell {}", cell.name);
         let label = format!("skeap/{}", cell.name);
         replay(&run.history, ReplayMode::Fifo)
@@ -106,11 +91,17 @@ fn fault_matrix_seap_conformance() {
         n_prios: 1 << 20,
         seed: 4200,
     };
-    let clean = seap::cluster::run_sync_faulty(&spec, 400_000, FaultPlan::none(), SYNC_RTO);
+    let clean = seap::cluster::run(
+        &spec,
+        Run::sync(400_000).faulty(FaultPlan::none(), SYNC_RTO),
+    );
     assert!(clean.completed, "clean baseline stalled");
     let horizon = clean.time.max(64);
     for cell in fault_matrix(n, 0xB0B, horizon, 0.10, 0.10) {
-        let run = seap::cluster::run_sync_faulty(&spec, 800_000, cell.plan.clone(), SYNC_RTO);
+        let run = seap::cluster::run(
+            &spec,
+            Run::sync(800_000).faulty(cell.plan.clone(), SYNC_RTO),
+        );
         assert!(run.completed, "seap stalled in cell {}", cell.name);
         let label = format!("seap/{}", cell.name);
         seap::checker::check_seap_history(&run.history)
@@ -133,33 +124,18 @@ fn fault_matrix_kselect_conformance() {
     let cands = kselect::driver::random_candidates(n, m, 1 << 16, 4300);
     let expect = kselect::driver::sequential_select(&cands, k);
     let cfg = kselect::KSelectConfig::default();
-    let clean = kselect::driver::run_sync_faulty(
-        n,
-        cands.clone(),
-        k,
-        cfg,
-        4300,
-        200_000,
-        FaultPlan::none(),
-        SYNC_RTO,
-    )
-    .expect("clean baseline stalled");
-    assert_eq!(clean.run.result, expect, "clean baseline wrong");
-    let horizon = clean.run.rounds.max(64);
+    let run = Run::sync(200_000).faulty(FaultPlan::none(), SYNC_RTO);
+    let clean = kselect::driver::run(n, cands.clone(), k, cfg, 4300, run);
+    assert!(clean.completed, "clean baseline stalled");
+    assert_eq!(clean.result, Some(expect), "clean baseline wrong");
+    let horizon = clean.rounds.max(64);
     for cell in fault_matrix(n, 0xCAFE, horizon, 0.10, 0.10) {
-        let sel = kselect::driver::run_sync_faulty(
-            n,
-            cands.clone(),
-            k,
-            cfg,
-            4300,
-            400_000,
-            cell.plan.clone(),
-            SYNC_RTO,
-        )
-        .unwrap_or_else(|| panic!("kselect stalled in cell {}", cell.name));
+        let run = Run::sync(400_000).faulty(cell.plan.clone(), SYNC_RTO);
+        let sel = kselect::driver::run(n, cands.clone(), k, cfg, 4300, run);
+        assert!(sel.completed, "kselect stalled in cell {}", cell.name);
         assert_eq!(
-            sel.run.result, expect,
+            sel.result,
+            Some(expect),
             "kselect/{}: wrong rank-k key",
             cell.name
         );
@@ -172,12 +148,16 @@ fn fault_matrix_kselect_conformance() {
 #[test]
 fn fault_matrix_exercises_every_fault_kind() {
     let spec = WorkloadSpec::balanced(6, 3, 3, 4400);
-    let clean = skeap::cluster::run_sync_faulty(&spec, 3, 200_000, FaultPlan::none(), SYNC_RTO);
+    let clean = skeap::cluster::run(
+        &spec,
+        3,
+        Run::sync(200_000).faulty(FaultPlan::none(), SYNC_RTO),
+    );
     assert!(clean.completed);
     let mut agg = dpq::sim::FaultStats::default();
     let (mut retransmits, mut dup_suppressed) = (0u64, 0u64);
     for cell in fault_matrix(6, 0xD00D, clean.time.max(64), 0.10, 0.10) {
-        let run = skeap::cluster::run_sync_faulty(&spec, 3, 400_000, cell.plan, SYNC_RTO);
+        let run = skeap::cluster::run(&spec, 3, Run::sync(400_000).faulty(cell.plan, SYNC_RTO));
         assert!(run.completed);
         agg.dropped_chance += run.faults.dropped_chance;
         agg.dropped_partition += run.faults.dropped_partition;
@@ -226,18 +206,12 @@ fn adversarial_plan() -> FaultPlan {
 fn same_seed_same_plan_is_byte_identical() {
     let spec = WorkloadSpec::balanced(5, 3, 3, 4500);
     let sync_run = |_: u32| {
-        let nodes = dpq::sim::Reliable::wrap_all(skeap::cluster::build(5, 3, spec.seed), SYNC_RTO);
-        let scripts = dpq::core::workload::generate(&spec);
-        let mut sched =
-            SyncScheduler::with_faults_tracer(nodes, adversarial_plan(), VecTracer::new());
-        for (node, script) in sched.nodes_mut().iter_mut().zip(&scripts) {
-            for op in script {
-                node.inner_mut().issue(*op);
-            }
-        }
-        let out = sched.run_until_pred(400_000, |ns| ns.iter().all(|n| n.inner().all_complete()));
-        assert!(out.is_quiescent(), "faulty sync run stalled");
-        sched.into_tracer().into_events()
+        let run = Run::sync(400_000)
+            .faulty(adversarial_plan(), SYNC_RTO)
+            .tracer(VecTracer::new());
+        let out = skeap::cluster::run(&spec, 3, run);
+        assert!(out.completed, "faulty sync run stalled");
+        out.tracer.into_events()
     };
     let (a, b) = (sync_run(0), sync_run(1));
     assert!(!a.is_empty());
@@ -257,23 +231,13 @@ fn same_seed_same_plan_is_byte_identical() {
     );
 
     let async_run = |_: u32| {
-        let nodes = dpq::sim::Reliable::wrap_all(skeap::cluster::build(5, 3, spec.seed), ASYNC_RTO);
-        let scripts = dpq::core::workload::generate(&spec);
-        let mut sched = AsyncScheduler::with_faults_tracer(
-            nodes,
-            4501,
-            AsyncConfig::default(),
-            FaultPlan::uniform(0x5EED, 0.10, 0.10).with_delay(0.2, 64),
-            VecTracer::new(),
-        );
-        for (node, script) in sched.nodes_mut().iter_mut().zip(&scripts) {
-            for op in script {
-                node.inner_mut().issue(*op);
-            }
-        }
-        let ok = sched.run_until_pred(40_000_000, |ns| ns.iter().all(|n| n.inner().all_complete()));
-        assert!(ok, "faulty async run stalled");
-        sched.into_tracer().into_events()
+        let plan = FaultPlan::uniform(0x5EED, 0.10, 0.10).with_delay(0.2, 64);
+        let run = Run::asynchronous(4501, 40_000_000)
+            .faulty(plan, ASYNC_RTO)
+            .tracer(VecTracer::new());
+        let out = skeap::cluster::run(&spec, 3, run);
+        assert!(out.completed, "faulty async run stalled");
+        out.tracer.into_events()
     };
     let (c, d) = (async_run(0), async_run(1));
     assert!(!c.is_empty());
@@ -297,8 +261,11 @@ fn skeap_async_witnesses_exact_under_5pct_drop_and_dup() {
     for s in 0..15u64 {
         let spec = WorkloadSpec::balanced(4, 6, 3, 9100 + s);
         let plan = FaultPlan::uniform(0xE1_0000 + s, 0.05, 0.05);
-        let run =
-            skeap::cluster::run_async_faulty(&spec, 3, 8_800 + s, 60_000_000, plan, ASYNC_RTO);
+        let run = skeap::cluster::run(
+            &spec,
+            3,
+            Run::asynchronous(8_800 + s, 60_000_000).faulty(plan, ASYNC_RTO),
+        );
         assert!(run.completed, "skeap async run {s} stalled");
         let label = format!("skeap async run {s}");
         replay(&run.history, ReplayMode::Fifo)
@@ -329,7 +296,10 @@ fn seap_async_serializable_under_5pct_drop_and_dup() {
             seed: 9200 + s,
         };
         let plan = FaultPlan::uniform(0xE9_0000 + s, 0.05, 0.05);
-        let run = seap::cluster::run_async_faulty(&spec, 8_900 + s, 60_000_000, plan, ASYNC_RTO);
+        let run = seap::cluster::run(
+            &spec,
+            Run::asynchronous(8_900 + s, 60_000_000).faulty(plan, ASYNC_RTO),
+        );
         assert!(run.completed, "seap async run {s} stalled");
         let label = format!("seap async run {s}");
         seap::checker::check_seap_history(&run.history)
@@ -346,38 +316,15 @@ fn seap_async_serializable_under_5pct_drop_and_dup() {
 // Satellite properties
 // ---------------------------------------------------------------------------
 
-type SkeapObservation = (
-    Vec<OpRecord>,
-    MetricsSnapshot,
-    u64,
-    dpq::sim::LogHistogram,
-    Vec<TraceEvent>,
-);
-
-/// A Skeap sync run with an explicit plan, bare (no transport wrapper) so
-/// it is comparable to the production `run_sync_traced` path.
-fn skeap_sync_with_plan(spec: &WorkloadSpec, plan: FaultPlan) -> SkeapObservation {
-    let nodes = skeap::cluster::build(spec.n, 3, spec.seed);
-    let scripts = dpq::core::workload::generate(spec);
-    let mut sched = SyncScheduler::with_faults_tracer(nodes, plan, VecTracer::new());
-    for id in skeap::cluster::inject_all(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let out = sched.run_until_pred(400_000, |ns| ns.iter().all(skeap::SkeapNode::all_complete));
-    assert!(out.is_quiescent());
-    let recs: Vec<OpRecord> = skeap::cluster::history(sched.nodes())
-        .records()
-        .copied()
-        .collect();
-    let metrics = sched.metrics.snapshot();
-    let lats = sched.metrics.latency_histogram().clone();
-    (
-        recs,
-        metrics,
-        out.rounds(),
-        lats,
-        sched.into_tracer().into_events(),
-    )
+/// A traced Skeap sync run behind the reliable transport under `plan` —
+/// the faulty × traced cell of the driver.
+fn skeap_sync_with_plan(spec: &WorkloadSpec, plan: FaultPlan) -> Outcome<VecTracer> {
+    let run = Run::sync(400_000)
+        .faulty(plan, SYNC_RTO)
+        .tracer(VecTracer::new());
+    let out = skeap::cluster::run(spec, 3, run);
+    assert!(out.completed);
+    out
 }
 
 proptest! {
@@ -388,7 +335,7 @@ proptest! {
 
     /// Satellite: a FaultPlan that injects nothing is observationally
     /// invisible — identical traces (bit-for-bit as JSONL), metrics, round
-    /// counts and latencies as the plain scheduler, i.e. the E2-style
+    /// counts and latencies as under `FaultPlan::none()`, i.e. the E2-style
     /// numbers cannot move.
     #[test]
     fn null_fault_plan_is_observationally_invisible_skeap(
@@ -402,17 +349,18 @@ proptest! {
         // delay clause with no reach.
         let null = FaultPlan::uniform(nseed, 0.0, 0.0).with_delay(0.9, 0);
         prop_assert!(null.is_null());
-        let (base, tracer) =
-            skeap::cluster::run_sync_traced(&spec, 3, 400_000, VecTracer::new());
-        prop_assert!(base.completed);
-        let base_events = tracer.into_events();
-        let (recs, metrics, rounds, lats, events) = skeap_sync_with_plan(&spec, null);
+        let base = skeap_sync_with_plan(&spec, FaultPlan::none());
+        let run = skeap_sync_with_plan(&spec, null);
+        let recs: Vec<OpRecord> = run.history.records().copied().collect();
         let base_recs: Vec<OpRecord> = base.history.records().copied().collect();
         prop_assert_eq!(recs, base_recs);
-        prop_assert_eq!(metrics, base.metrics);
-        prop_assert_eq!(rounds, base.rounds);
-        prop_assert_eq!(&lats, &base.latency_hist);
-        prop_assert_eq!(trace_bytes(&events), trace_bytes(&base_events));
+        prop_assert_eq!(run.metrics, base.metrics);
+        prop_assert_eq!(run.time, base.time);
+        prop_assert_eq!(&run.latency_hist, &base.latency_hist);
+        prop_assert_eq!(
+            trace_bytes(&run.tracer.into_events()),
+            trace_bytes(&base.tracer.into_events())
+        );
     }
 
     /// Satellite (E10 numbers): the null plan is invisible to Seap's cost
@@ -426,11 +374,11 @@ proptest! {
         let spec = WorkloadSpec {
             n, ops_per_node: ops, insert_ratio: 0.5, n_prios: 1 << 20, seed,
         };
-        let base = seap::cluster::run_sync(&spec, 800_000);
+        let base = seap::cluster::run(&spec, Run::sync(800_000));
         prop_assert!(base.completed);
         let nodes = seap::cluster::build(spec.n, spec.seed);
         let scripts = dpq::core::workload::generate(&spec);
-        let mut sched = SyncScheduler::with_faults(nodes, FaultPlan::uniform(seed, 0.0, 0.0));
+        let mut sched = SyncScheduler::new(nodes).with_faults(FaultPlan::uniform(seed, 0.0, 0.0));
         for id in seap::cluster::inject_all(sched.nodes_mut(), &scripts) {
             sched.note_injected(id);
         }
@@ -443,7 +391,7 @@ proptest! {
         let base_recs: Vec<OpRecord> = base.history.records().copied().collect();
         prop_assert_eq!(recs, base_recs);
         prop_assert_eq!(sched.metrics.snapshot(), base.metrics);
-        prop_assert_eq!(out.rounds(), base.rounds);
+        prop_assert_eq!(out.rounds(), base.time);
     }
 
     /// Satellite (E5 numbers): the null plan is invisible to KSelect.
@@ -456,16 +404,14 @@ proptest! {
         let k = 1 + m / 2;
         let cands = kselect::driver::random_candidates(n, m, 1 << 16, seed);
         let cfg = kselect::KSelectConfig::default();
-        let base = kselect::driver::run_sync(n, cands.clone(), k, cfg, seed, 500_000);
-        let mut sched = SyncScheduler::with_faults(
-            kselect::driver::build(n, cands, k, cfg, seed),
-            FaultPlan::none(),
-        );
+        let base = kselect::driver::run(n, cands.clone(), k, cfg, seed, Run::sync(500_000));
+        let mut sched = SyncScheduler::new(kselect::driver::build(n, cands, k, cfg, seed))
+            .with_faults(FaultPlan::uniform(seed, 0.0, 0.0));
         let out = sched.run_until_pred(500_000, |ns| {
             ns.iter().all(|kn: &kselect::KSelectNode| kn.result.is_some())
         });
         prop_assert!(out.is_quiescent());
-        prop_assert_eq!(sched.nodes()[0].result, Some(base.result));
+        prop_assert_eq!(sched.nodes()[0].result, base.result);
         prop_assert_eq!(out.rounds(), base.rounds);
         prop_assert_eq!(sched.metrics.snapshot(), base.metrics);
     }
@@ -483,12 +429,8 @@ proptest! {
         fseed in 0u64..1000,
     ) {
         let spec = WorkloadSpec::balanced(n, ops, 3, seed);
-        let clean = skeap::cluster::run_sync_faulty(
-            &spec, 3, 400_000, FaultPlan::none(), 16,
-        );
-        let dup_run = skeap::cluster::run_sync_faulty(
-            &spec, 3, 400_000, FaultPlan::uniform(fseed, 0.0, dup), 16,
-        );
+        let clean = skeap::cluster::run(&spec, 3, Run::sync(400_000).faulty(FaultPlan::none(), 16));
+        let dup_run = skeap::cluster::run(&spec, 3, Run::sync(400_000).faulty(FaultPlan::uniform(fseed, 0.0, dup), 16));
         prop_assert!(clean.completed && dup_run.completed);
         let a: Vec<OpRecord> = clean.history.records().copied().collect();
         let b: Vec<OpRecord> = dup_run.history.records().copied().collect();
@@ -508,10 +450,8 @@ proptest! {
         let spec = WorkloadSpec {
             n, ops_per_node: ops, insert_ratio: 0.5, n_prios: 1 << 20, seed,
         };
-        let clean = seap::cluster::run_sync_faulty(&spec, 800_000, FaultPlan::none(), 16);
-        let dup_run = seap::cluster::run_sync_faulty(
-            &spec, 800_000, FaultPlan::uniform(fseed, 0.0, dup), 16,
-        );
+        let clean = seap::cluster::run(&spec, Run::sync(800_000).faulty(FaultPlan::none(), 16));
+        let dup_run = seap::cluster::run(&spec, Run::sync(800_000).faulty(FaultPlan::uniform(fseed, 0.0, dup), 16));
         prop_assert!(clean.completed && dup_run.completed);
         let a: Vec<OpRecord> = clean.history.records().copied().collect();
         let b: Vec<OpRecord> = dup_run.history.records().copied().collect();
@@ -526,12 +466,10 @@ proptest! {
 #[test]
 fn heavy_duplication_is_fully_suppressed() {
     let spec = WorkloadSpec::balanced(5, 4, 3, 4600);
-    let run = skeap::cluster::run_sync_faulty(
+    let run = skeap::cluster::run(
         &spec,
         3,
-        400_000,
-        FaultPlan::uniform(0xD0D0, 0.0, 0.5),
-        16,
+        Run::sync(400_000).faulty(FaultPlan::uniform(0xD0D0, 0.0, 0.5), 16),
     );
     assert!(run.completed);
     assert!(run.faults.duplicated > 0, "0.5 dup plan never duplicated");

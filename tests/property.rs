@@ -3,6 +3,7 @@
 
 use dpq::core::workload::WorkloadSpec;
 use dpq::semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
+use dpq::sim::Run;
 use proptest::prelude::*;
 
 proptest! {
@@ -22,7 +23,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let spec = WorkloadSpec { n, ops_per_node: ops, insert_ratio, n_prios, seed };
-        let run = skeap::cluster::run_sync(&spec, n_prios as usize, 400_000);
+        let run = skeap::cluster::run(&spec, n_prios as usize, Run::sync(400_000));
         prop_assert!(run.completed);
         prop_assert!(replay(&run.history, ReplayMode::Fifo).is_ok());
         prop_assert!(check_local_consistency(&run.history).is_ok());
@@ -45,7 +46,7 @@ proptest! {
             n_prios: 1 << 20,
             seed,
         };
-        let run = seap::cluster::run_sync(&spec, 800_000);
+        let run = seap::cluster::run(&spec, Run::sync(800_000));
         prop_assert!(run.completed);
         prop_assert!(seap::checker::check_seap_history(&run.history).is_ok());
     }
@@ -61,10 +62,8 @@ proptest! {
         let k = 1 + ((m - 1) as f64 * kf) as u64;
         let cands = kselect::driver::random_candidates(n, m, 1 << 20, seed);
         let expect = kselect::driver::sequential_select(&cands, k);
-        let run = kselect::driver::run_sync(
-            n, cands, k, kselect::KSelectConfig::default(), seed, 2_000_000,
-        );
-        prop_assert_eq!(run.result, expect);
+        let run = kselect::driver::run(n, cands, k, kselect::KSelectConfig::default(), seed, Run::sync(2_000_000));
+        prop_assert_eq!(run.result, Some(expect));
     }
 
     /// Async adversary: Skeap semantics survive arbitrary reordering.
@@ -74,8 +73,9 @@ proptest! {
         sched_seed in 0u64..200,
     ) {
         let spec = WorkloadSpec::balanced(5, 8, 3, seed);
-        let h = skeap::cluster::run_async(&spec, 3, sched_seed, 20_000_000)
-            .expect("run completed");
+        let run = skeap::cluster::run(&spec, 3, Run::asynchronous(sched_seed, 20_000_000));
+        prop_assert!(run.completed, "run completed");
+        let h = run.history;
         prop_assert!(replay(&h, ReplayMode::Fifo).is_ok());
         prop_assert!(check_local_consistency(&h).is_ok());
     }

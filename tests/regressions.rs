@@ -18,7 +18,7 @@
 use dpq::core::workload::WorkloadSpec;
 use dpq::core::OpRecord;
 use dpq::semantics::{check_heap_properties, check_local_consistency, replay, ReplayMode};
-use dpq::sim::{FaultPlan, SyncScheduler, TraceEvent, VecTracer};
+use dpq::sim::{FaultPlan, Run, TraceEvent, VecTracer};
 use dpq_trace::export::write_jsonl;
 
 /// One parsed `cc` line: the hash (documentation only) and the shrunk
@@ -140,7 +140,7 @@ fn replay_skeap_sequential_consistency(e: &Entry) {
             n_prios,
             seed,
         };
-        let run = skeap::cluster::run_sync(&spec, n_prios as usize, 400_000);
+        let run = skeap::cluster::run(&spec, n_prios as usize, Run::sync(400_000));
         assert!(run.completed, "n_prios={n_prios}: stalled");
         replay(&run.history, ReplayMode::Fifo)
             .unwrap_or_else(|err| panic!("n_prios={n_prios}: witness replay: {err:?}"));
@@ -159,39 +159,27 @@ fn replay_null_plan_invisibility(e: &Entry) {
     let null = FaultPlan::uniform(e.u64("nseed"), 0.0, 0.0).with_delay(0.9, 0);
     assert!(null.is_null());
 
-    let (base, tracer) = skeap::cluster::run_sync_traced(&spec, 3, 400_000, VecTracer::new());
-    assert!(base.completed);
-    let base_events = tracer.into_events();
+    // Both sides ride the reliable transport, as the property does.
+    let run_with = |plan: FaultPlan| {
+        let run = Run::sync(400_000).faulty(plan, 8).tracer(VecTracer::new());
+        let out = skeap::cluster::run(&spec, 3, run);
+        assert!(out.completed);
+        out
+    };
+    let (base, run) = (run_with(FaultPlan::none()), run_with(null));
 
-    let nodes = skeap::cluster::build(spec.n, 3, spec.seed);
-    let scripts = dpq::core::workload::generate(&spec);
-    let mut sched = SyncScheduler::with_faults_tracer(nodes, null, VecTracer::new());
-    for id in skeap::cluster::inject_all(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let out = sched.run_until_pred(400_000, |ns| ns.iter().all(skeap::SkeapNode::all_complete));
-    assert!(out.is_quiescent());
-
-    let recs: Vec<OpRecord> = skeap::cluster::history(sched.nodes())
-        .records()
-        .copied()
-        .collect();
+    let recs: Vec<OpRecord> = run.history.records().copied().collect();
     let base_recs: Vec<OpRecord> = base.history.records().copied().collect();
     assert_eq!(recs, base_recs, "null plan changed the history");
+    assert_eq!(run.metrics, base.metrics, "null plan changed metrics");
+    assert_eq!(run.time, base.time, "null plan changed round count");
     assert_eq!(
-        sched.metrics.snapshot(),
-        base.metrics,
-        "null plan changed metrics"
-    );
-    assert_eq!(out.rounds(), base.rounds, "null plan changed round count");
-    assert_eq!(
-        sched.metrics.latency_histogram(),
-        &base.latency_hist,
+        run.latency_hist, base.latency_hist,
         "null plan changed latencies"
     );
     assert_eq!(
-        trace_bytes(&sched.into_tracer().into_events()),
-        trace_bytes(&base_events),
+        trace_bytes(&run.tracer.into_events()),
+        trace_bytes(&base.tracer.into_events()),
         "null plan changed the trace"
     );
 }
@@ -200,13 +188,11 @@ fn replay_null_plan_invisibility(e: &Entry) {
 /// yields the same history records and residual elements as the clean run.
 fn replay_duplicate_idempotence(e: &Entry) {
     let spec = WorkloadSpec::balanced(e.usize("n"), e.usize("ops"), 3, e.u64("seed"));
-    let clean = skeap::cluster::run_sync_faulty(&spec, 3, 400_000, FaultPlan::none(), 16);
-    let dup_run = skeap::cluster::run_sync_faulty(
+    let clean = skeap::cluster::run(&spec, 3, Run::sync(400_000).faulty(FaultPlan::none(), 16));
+    let dup_run = skeap::cluster::run(
         &spec,
         3,
-        400_000,
-        FaultPlan::uniform(e.u64("fseed"), 0.0, e.f64("dup")),
-        16,
+        Run::sync(400_000).faulty(FaultPlan::uniform(e.u64("fseed"), 0.0, e.f64("dup")), 16),
     );
     assert!(clean.completed && dup_run.completed);
     let a: Vec<OpRecord> = clean.history.records().copied().collect();

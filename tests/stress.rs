@@ -7,20 +7,21 @@
 
 use dpq::core::workload::WorkloadSpec;
 use dpq::semantics::{check_local_consistency, replay, ReplayMode};
+use dpq::sim::Run;
 
 #[test]
 #[ignore = "large scale; run explicitly in release"]
 fn skeap_four_thousand_nodes() {
     let spec = WorkloadSpec::balanced(4096, 3, 3, 1);
-    let run = skeap::cluster::run_sync(&spec, 3, 5_000_000);
+    let run = skeap::cluster::run(&spec, 3, Run::sync(5_000_000));
     assert!(run.completed);
     replay(&run.history, ReplayMode::Fifo).unwrap();
     check_local_consistency(&run.history).unwrap();
     // Shape check at scale: rounds far below linear.
     assert!(
-        run.rounds < 1000,
+        run.time < 1000,
         "4096 nodes took {} rounds — superlogarithmic",
-        run.rounds
+        run.time
     );
 }
 
@@ -31,15 +32,15 @@ fn kselect_on_a_million_candidates() {
     let m = 1_048_576u64;
     let cands = kselect::driver::random_candidates(n, m, 1 << 40, 2);
     let expect = kselect::driver::sequential_select(&cands, m / 2);
-    let run = kselect::driver::run_sync(
+    let run = kselect::driver::run(
         n,
         cands,
         m / 2,
         kselect::KSelectConfig::default(),
         2,
-        10_000_000,
+        Run::sync(10_000_000),
     );
-    assert_eq!(run.result, expect);
+    assert_eq!(run.result, Some(expect));
     assert!(
         run.metrics.max_msg_bits < 1024,
         "messages stayed logarithmic"
@@ -50,7 +51,7 @@ fn kselect_on_a_million_candidates() {
 #[ignore = "large scale; run explicitly in release"]
 fn seap_thousand_nodes() {
     let spec = WorkloadSpec::balanced(1024, 3, 1 << 30, 3);
-    let run = seap::cluster::run_sync(&spec, 10_000_000);
+    let run = seap::cluster::run(&spec, Run::sync(10_000_000));
     assert!(run.completed);
     seap::checker::check_seap_history(&run.history).unwrap();
     assert!(run.metrics.max_msg_bits < 1024);
