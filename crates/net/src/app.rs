@@ -54,6 +54,29 @@ where
 
     /// Have all issued requests completed?
     fn all_complete(&self) -> bool;
+
+    /// [`completed`](Self::completed) and
+    /// [`all_complete`](Self::all_complete) for a caller that asks again and
+    /// again: `prefix` is the [`Progress::prefix`] of its previous answer
+    /// (0 at first), and the requests before it are not looked at again.
+    fn progress(&self, prefix: usize) -> Progress {
+        Progress {
+            prefix,
+            completed: self.completed(),
+            all_complete: self.all_complete(),
+        }
+    }
+}
+
+/// A node's completion state as `Status` reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progress {
+    /// Every request before this index is complete.
+    pub prefix: usize,
+    /// Requests completed at this node.
+    pub completed: u64,
+    /// Have all issued requests completed?
+    pub all_complete: bool,
 }
 
 /// The two per-protocol facts of a queue daemon; everything else the
@@ -132,12 +155,28 @@ where
     }
 
     fn completed(&self) -> u64 {
-        let ops = &self.node_history().ops;
-        ops.iter().filter(|r| r.is_complete()).count() as u64
+        self.progress(0).completed
     }
 
     fn all_complete(&self) -> bool {
         QueueNode::all_complete(self)
+    }
+
+    // Requests complete nearly in issue order, so past the all-complete
+    // prefix lies only the short tail still in flight: a status poll costs
+    // that tail, not the whole history.
+    fn progress(&self, prefix: usize) -> Progress {
+        let ops = &self.node_history().ops;
+        let mut prefix = prefix.min(ops.len());
+        while ops.get(prefix).is_some_and(|r| r.is_complete()) {
+            prefix += 1;
+        }
+        let tail = ops[prefix..].iter().filter(|r| r.is_complete()).count();
+        Progress {
+            prefix,
+            completed: (prefix + tail) as u64,
+            all_complete: prefix == ops.len(),
+        }
     }
 }
 

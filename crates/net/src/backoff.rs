@@ -2,7 +2,7 @@
 //!
 //! Deterministic doubling (`10, 20, 40, … 500ms`) synchronises every dialer
 //! that observed the same failure: when a node restarts, all of its peers'
-//! writer threads wake on the same schedule and stampede the fresh listener
+//! dialers wake on the same schedule and stampede the fresh listener
 //! together. Decorrelated jitter breaks the lockstep — each delay is drawn
 //! uniformly from `[base, min(cap, prev · 3)]`, so retries spread out while
 //! still growing geometrically in expectation and never exceeding the cap.

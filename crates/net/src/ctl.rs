@@ -211,7 +211,7 @@ pub struct CtlClient {
 impl CtlClient {
     /// Connect and handshake.
     pub fn connect(addr: &Addr, cluster: u64) -> io::Result<CtlClient> {
-        let mut conn = Conn::connect(addr)?;
+        let mut conn = Conn::connect(addr, Duration::from_secs(10))?;
         write_hello(
             &mut conn,
             &Hello {
@@ -265,7 +265,9 @@ pub fn serve_ctl(
             return;
         };
         let events = events.clone();
-        std::thread::spawn(move || ctl_conn(conn, cluster, events));
+        let _ = std::thread::Builder::new()
+            .name("dpq-ctl-conn".into())
+            .spawn(move || ctl_conn(conn, cluster, events));
     }
 }
 
@@ -292,8 +294,11 @@ fn ctl_conn(mut conn: Conn, cluster: u64, events: std::sync::mpsc::Sender<crate:
         };
         let shutdown = req == CtlReq::Shutdown;
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        // Dropped once the response is on the socket (or abandoned): a
+        // runtime that is about to exit waits on the other end for that.
+        let (_written, written_rx) = std::sync::mpsc::channel();
         if events
-            .send(crate::runtime::Event::Ctl(req, reply_tx))
+            .send(crate::runtime::Event::Ctl(req, reply_tx, written_rx))
             .is_err()
         {
             return;

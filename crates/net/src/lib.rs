@@ -11,11 +11,14 @@
 //!   clusters on one host cannot cross-connect;
 //! * [`transport`] — Unix-domain-socket and TCP listeners/connections
 //!   behind one [`Addr`](transport::Addr) type;
-//! * [`peers`] — per-peer writer threads with reconnect/backoff and bounded
-//!   send queues (overflow is message loss, which `Reliable` absorbs);
+//! * [`peers`] — the links: whoever sends writes the peer's non-blocking
+//!   socket itself, a whole batch per `write`; one dialer thread reconnects
+//!   with backoff, one reader per inbound connection decodes every frame a
+//!   `read` carried; bounded per-peer send buffers (overflow is message
+//!   loss, which `Reliable` absorbs);
 //! * [`runtime`] — the single-threaded event loop: ticks, deliveries, and
-//!   control requests, with an optional event-sourced [`wal`] for
-//!   crash-recover;
+//!   control requests, one flush per turn with acks riding along, and an
+//!   optional event-sourced [`wal`] for crash-recover;
 //! * [`ctl`] — the `dpq-ctl` control plane (status, enqueue/dequeue, trace
 //!   dump, Prometheus metrics pull, shutdown);
 //! * [`app`] — the [`NetApp`](app::NetApp) glue binding Skeap, Seap, and

@@ -1,69 +1,158 @@
-//! Peer connection manager: one outbound writer per peer with
-//! reconnect/backoff, one listener fanning inbound frames into the runtime's
-//! event queue.
+//! Peer connection manager: the caller of [`PeerManager::send_batch`] writes
+//! the peer's socket itself, one dialer thread brings links up, and one
+//! reader per inbound connection hands decoded frames to the runtime in
+//! batches.
 //!
 //! Connections are *unidirectional*: node `i` dials node `j` for its `i → j`
 //! traffic, so each ordered pair owns exactly one stream and there is no
-//! simultaneous-open tie to break. A writer that cannot connect (peer not up
-//! yet, peer crashed) retries with exponential backoff; frames queued while
-//! the link is down overflow a bounded queue and are *dropped*, counted in
-//! [`PeerWire::send_drops`] — the `Reliable` layer above retransmits, which
-//! is exactly the fault model it was built for. Nothing here blocks the
-//! runtime thread: `send` is a bounded `try_send`.
+//! simultaneous-open tie to break. The outbound half of a link is a
+//! non-blocking connection plus a bounded byte buffer behind one mutex. A
+//! send appends whole frames to the buffer and writes as much as the socket
+//! takes, so a frame costs no thread hand-off on its way out; what the
+//! socket refuses (a short write) or what was sent while the link was still
+//! connecting stays buffered, on frame boundaries, and goes out with the
+//! next send or when the dialer brings the link up. Frames that do not fit
+//! the buffer, that wait on a connect that fails, or that are addressed to
+//! a retired peer are *dropped* whole and counted in
+//! [`PeerWire::send_drops`](dpq_telemetry::PeerWire) — the `Reliable` layer
+//! above retransmits, which is exactly the fault model it was built for.
+//! Nothing here blocks the sending thread.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
 use crate::frame::{
-    read_frame, read_hello, write_frame, write_hello, Hello, ProtoId, WIRE_VERSION,
+    append_frame, read_hello, write_hello, FrameDecoder, Hello, ProtoId, WIRE_VERSION,
 };
 use crate::transport::{Addr, Conn, Listener};
 use dpq_telemetry::WireMetrics;
 
-/// Per-peer outbound queue depth. Sized for the burst a whole batch cycle
-/// can emit; overflow drops (and counts) rather than blocking the runtime.
-const SEND_QUEUE: usize = 4096;
+/// Per-peer bound on bytes accepted but not yet written: frames sent while
+/// the link connects, or behind a reader that has stopped reading. Sized
+/// for the burst a whole batch cycle can emit; overflow drops (and counts)
+/// rather than blocking the runtime.
+const SEND_BUFFER: usize = 256 * 1024;
 
 /// Initial reconnect backoff.
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Backoff ceiling.
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
+/// Longest the dialer waits on one TCP address before trying the others.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// One configured peer: counters for both directions and the outbound
+/// half of the link.
 #[derive(Default)]
-struct PeerCounters {
+struct Link {
     tx_frames: AtomicU64,
     tx_bytes: AtomicU64,
+    rx_frames: AtomicU64,
+    rx_bytes: AtomicU64,
     reconnects: AtomicU64,
     send_drops: AtomicU64,
-    /// Peer retired by the failure detector: sends drop, the writer parks.
+    /// Peer retired by the failure detector: sends drop, the dialer skips it.
     retired: AtomicBool,
+    out: Mutex<Outbox>,
+}
+
+impl Link {
+    fn out(&self) -> MutexGuard<'_, Outbox> {
+        self.out
+            .lock()
+            .expect("a sender or the dialer panicked holding the link")
+    }
+}
+
+#[derive(Default)]
+struct Outbox {
+    /// `Some` while the link is up; the dialer fills it, a failed write
+    /// empties it.
+    conn: Option<Conn>,
+    /// Whole frames, length prefixes included, not yet fully written.
+    buf: Vec<u8>,
+    /// Bytes of `buf` the connection has taken; always inside its first
+    /// frame, so a link that breaks mid-frame resends that frame whole.
+    written: usize,
+}
+
+impl Outbox {
+    /// Write as much of `buf` as the connection takes without blocking and
+    /// count the frames that went out whole. Returns `true` if the link
+    /// broke: it is then down and `buf` is back on a frame boundary.
+    fn flush(&mut self, c: &Link) -> bool {
+        let Some(conn) = self.conn.as_mut() else {
+            return false;
+        };
+        let mut broke = false;
+        while !broke && self.written < self.buf.len() {
+            match conn.write(&self.buf[self.written..]) {
+                Ok(0) => broke = true,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => broke = true,
+            }
+        }
+        let (sent, frames, payload) = frames_within(&self.buf, self.written);
+        c.tx_frames.fetch_add(frames, Ordering::Relaxed);
+        c.tx_bytes.fetch_add(payload, Ordering::Relaxed);
+        self.buf.drain(..sent);
+        self.written -= sent;
+        if broke {
+            self.conn = None;
+            self.written = 0;
+        }
+        broke
+    }
+
+    /// Drop (and count) everything buffered for a peer that cannot take
+    /// frames. Only for a link that is down, where `buf` holds whole frames.
+    fn drop_buffered(&mut self, c: &Link) {
+        let (_, frames, _) = frames_within(&self.buf, self.buf.len());
+        c.send_drops.fetch_add(frames, Ordering::Relaxed);
+        self.buf.clear();
+    }
+}
+
+/// The whole frames inside `buf[..limit]`, `buf` starting on a frame
+/// boundary: `(bytes they span, how many, their payload bytes)`.
+fn frames_within(buf: &[u8], limit: usize) -> (usize, u64, u64) {
+    let (mut at, mut frames, mut payload) = (0, 0, 0);
+    while let Some(prefix) = buf[at..limit].first_chunk::<4>() {
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if at + 4 + len > limit {
+            break;
+        }
+        at += 4 + len;
+        frames += 1;
+        payload += len as u64;
+    }
+    (at, frames, payload)
 }
 
 struct Shared {
     shutdown: AtomicBool,
-    /// Outbound counters, fixed key set (one entry per configured peer).
-    tx: BTreeMap<u64, PeerCounters>,
-    /// Inbound counters keyed by the sender a hello announced.
-    rx: Mutex<BTreeMap<u64, (u64, u64)>>,
+    /// Fixed key set: one entry per configured peer.
+    links: BTreeMap<u64, Link>,
 }
 
-/// Runs the socket threads for one node: outbound writers with
-/// reconnect/backoff, an accept loop, and per-connection readers pushing
-/// `(from, frame)` pairs into the runtime's queue.
+/// Runs the socket threads for one node — one dialer, an accept loop, one
+/// reader per inbound connection — and writes outbound frames on the
+/// caller's thread.
 pub struct PeerManager {
-    senders: BTreeMap<u64, mpsc::SyncSender<Vec<u8>>>,
     shared: Arc<Shared>,
+    /// Parked while every link is up (or retired); unparked to redial.
+    dialer: Thread,
 }
 
 impl PeerManager {
-    /// Bind `listen`, start the accept loop, and start one writer thread per
-    /// entry of `peers`. Inbound frames arrive on `inbox` as
-    /// `(sender, payload)`.
+    /// [`PeerManager::start_batched`] for a consumer that wants one
+    /// `(sender, payload)` message per frame.
     pub fn start(
         me: u64,
         proto: ProtoId,
@@ -72,262 +161,278 @@ impl PeerManager {
         peers: &BTreeMap<u64, Addr>,
         inbox: mpsc::Sender<(u64, Vec<u8>)>,
     ) -> std::io::Result<PeerManager> {
+        Self::start_batched(me, proto, cluster, listen, peers, move |from, frames| {
+            frames.into_iter().all(|f| inbox.send((from, f)).is_ok())
+        })
+    }
+
+    /// Bind `listen`, start the accept loop, and start dialing every entry
+    /// of `peers`. Each reader calls `sink(sender, frames)` with everything
+    /// one `read` completed, in stream order; `false` means the consumer is
+    /// gone and ends that reader.
+    pub fn start_batched(
+        me: u64,
+        proto: ProtoId,
+        cluster: u64,
+        listen: &Addr,
+        peers: &BTreeMap<u64, Addr>,
+        sink: impl Fn(u64, Vec<Vec<u8>>) -> bool + Send + Sync + 'static,
+    ) -> std::io::Result<PeerManager> {
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
-            tx: peers
-                .keys()
-                .map(|&p| (p, PeerCounters::default()))
-                .collect(),
-            rx: Mutex::new(BTreeMap::new()),
+            links: peers.keys().map(|&p| (p, Link::default())).collect(),
         });
 
         let listener = Listener::bind(listen)?;
         {
             let shared = Arc::clone(&shared);
-            let inbox = inbox.clone();
-            thread::spawn(move || accept_loop(listener, proto, cluster, shared, inbox));
+            thread::Builder::new()
+                .name("dpq-accept".into())
+                .spawn(move || accept_loop(listener, proto, cluster, shared, Arc::new(sink)))?;
         }
 
-        let mut senders = BTreeMap::new();
-        for (&peer, addr) in peers {
-            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(SEND_QUEUE);
-            senders.insert(peer, tx);
-            let addr = addr.clone();
+        let hello = Hello {
+            version: WIRE_VERSION,
+            proto,
+            cluster,
+            sender: me,
+        };
+        // Seeded by the ordered pair so every dialer draws its own schedule —
+        // peers that observed the same crash do not stampede the restart.
+        let dials = peers
+            .iter()
+            .map(|(&peer, addr)| Dial {
+                peer,
+                addr: addr.clone(),
+                backoff: Backoff::new(
+                    BACKOFF_MIN,
+                    BACKOFF_MAX,
+                    me.wrapping_mul(0x9E37_79B9).wrapping_add(peer),
+                ),
+                not_before: Instant::now(),
+                connected_before: false,
+            })
+            .collect();
+        let dialer = {
             let shared = Arc::clone(&shared);
-            let hello = Hello {
-                version: WIRE_VERSION,
-                proto,
-                cluster,
-                sender: me,
-            };
-            thread::spawn(move || writer_loop(peer, addr, hello, shared, rx));
-        }
+            thread::Builder::new()
+                .name("dpq-dial".into())
+                .spawn(move || dial_loop(dials, hello, shared))?
+                .thread()
+                .clone()
+        };
 
-        Ok(PeerManager { senders, shared })
+        Ok(PeerManager { shared, dialer })
     }
 
-    /// Queue a frame for `dst`. Never blocks; a full or torn-down queue
-    /// drops the frame and counts it (the reliable layer retransmits).
+    /// Send one frame to `dst`; see [`PeerManager::send_batch`].
     pub fn send(&self, dst: u64, frame: Vec<u8>) {
-        let Some(sender) = self.senders.get(&dst) else {
+        self.send_batch(dst, &[frame]);
+    }
+
+    /// Write `frames` to `dst` in one `write`. Never blocks: what the
+    /// socket does not take now waits in the link's bounded buffer, and a
+    /// frame that does not fit there, or whose peer is retired, is dropped
+    /// whole and counted (the reliable layer retransmits).
+    pub fn send_batch(&self, dst: u64, frames: &[Vec<u8>]) {
+        let Some(link) = self.shared.links.get(&dst) else {
             return;
         };
-        if let Some(c) = self.shared.tx.get(&dst) {
-            if c.retired.load(Ordering::Relaxed) {
-                c.send_drops.fetch_add(1, Ordering::Relaxed);
-                return;
+        if link.retired.load(Ordering::Relaxed) {
+            let n = frames.len() as u64;
+            link.send_drops.fetch_add(n, Ordering::Relaxed);
+            return;
+        }
+        let mut out = link.out();
+        let mut dropped = 0;
+        for frame in frames {
+            // An empty buffer takes any legal frame, however large.
+            let fits = out.buf.is_empty() || out.buf.len() + 4 + frame.len() <= SEND_BUFFER;
+            if !fits || append_frame(&mut out.buf, frame).is_err() {
+                dropped += 1;
             }
         }
-        if sender.try_send(frame).is_err() {
-            if let Some(c) = self.shared.tx.get(&dst) {
-                c.send_drops.fetch_add(1, Ordering::Relaxed);
-            }
+        let broke = out.flush(link);
+        drop(out);
+        link.send_drops.fetch_add(dropped, Ordering::Relaxed);
+        if broke {
+            self.dialer.unpark();
         }
     }
 
     /// Retire `dst`: the failure detector has confirmed it dead, so stop
-    /// dialing (the writer thread parks instead of hammering a dead address
-    /// with reconnects) and drop anything queued for it. Idempotent.
+    /// dialing (no hammering a dead address with reconnects) and drop
+    /// anything still waiting for a connection to it. Idempotent.
     pub fn retire(&self, dst: u64) {
-        if let Some(c) = self.shared.tx.get(&dst) {
-            c.retired.store(true, Ordering::SeqCst);
-        }
+        self.set_retired(dst, true);
     }
 
     /// Un-retire `dst`: the detector saw it return (higher incarnation),
     /// so resume dialing. Idempotent.
     pub fn revive(&self, dst: u64) {
-        if let Some(c) = self.shared.tx.get(&dst) {
-            c.retired.store(false, Ordering::SeqCst);
+        self.set_retired(dst, false);
+    }
+
+    fn set_retired(&self, dst: u64, retired: bool) {
+        if let Some(link) = self.shared.links.get(&dst) {
+            link.retired.store(retired, Ordering::SeqCst);
+            self.dialer.unpark();
         }
     }
 
     /// Is `dst` currently retired?
     pub fn is_retired(&self, dst: u64) -> bool {
         self.shared
-            .tx
+            .links
             .get(&dst)
-            .is_some_and(|c| c.retired.load(Ordering::SeqCst))
+            .is_some_and(|l| l.retired.load(Ordering::SeqCst))
     }
 
     /// Snapshot the per-peer counters (ack-RTT histograms are recorded by
     /// the runtime, not here).
     pub fn wire_metrics(&self) -> WireMetrics {
         let mut w = WireMetrics::new();
-        for (&peer, c) in &self.shared.tx {
+        for (&peer, link) in &self.shared.links {
             let pw = w.peer_mut(peer);
-            pw.tx_frames = c.tx_frames.load(Ordering::Relaxed);
-            pw.tx_bytes = c.tx_bytes.load(Ordering::Relaxed);
-            pw.reconnects = c.reconnects.load(Ordering::Relaxed);
-            pw.send_drops = c.send_drops.load(Ordering::Relaxed);
-        }
-        for (&peer, &(frames, bytes)) in self.shared.rx.lock().unwrap().iter() {
-            let pw = w.peer_mut(peer);
-            pw.rx_frames = frames;
-            pw.rx_bytes = bytes;
+            pw.tx_frames = link.tx_frames.load(Ordering::Relaxed);
+            pw.tx_bytes = link.tx_bytes.load(Ordering::Relaxed);
+            pw.rx_frames = link.rx_frames.load(Ordering::Relaxed);
+            pw.rx_bytes = link.rx_bytes.load(Ordering::Relaxed);
+            pw.reconnects = link.reconnects.load(Ordering::Relaxed);
+            pw.send_drops = link.send_drops.load(Ordering::Relaxed);
         }
         w
     }
 
-    /// Ask every thread to wind down. Threads notice within one backoff /
-    /// read-timeout interval; process exit reaps whatever is left.
+    /// Ask every thread to wind down. The dialer leaves at once, readers
+    /// within one read-timeout interval; process exit reaps whatever is
+    /// left.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.dialer.unpark();
     }
 }
 
-fn writer_loop(
+/// The dialer's private state for one peer.
+struct Dial {
     peer: u64,
     addr: Addr,
-    hello: Hello,
-    shared: Arc<Shared>,
-    rx: mpsc::Receiver<Vec<u8>>,
-) {
-    let mut connected_before = false;
-    // Seeded by the ordered pair so every dialer draws its own schedule —
-    // peers that observed the same crash do not stampede the restart.
-    let mut backoff = Backoff::new(
-        BACKOFF_MIN,
-        BACKOFF_MAX,
-        hello.sender.wrapping_mul(0x9E37_79B9).wrapping_add(peer),
-    );
-    'reconnect: while !shared.shutdown.load(Ordering::SeqCst) {
-        // A retired peer is not dialed at all: park (draining the queue so
-        // the runtime can never block) until the detector revives it.
-        if shared
-            .tx
-            .get(&peer)
-            .is_some_and(|c| c.retired.load(Ordering::SeqCst))
-        {
-            drain_queue(&rx, &shared, peer);
-            thread::sleep(BACKOFF_MAX);
-            backoff.reset();
-            continue;
-        }
-        let mut conn = match Conn::connect(&addr) {
-            Ok(c) => c,
-            Err(_) => {
-                // Drain whatever queued while down so the runtime never
-                // blocks; count the drops.
-                drain_queue(&rx, &shared, peer);
-                thread::sleep(backoff.next_delay());
+    backoff: Backoff,
+    /// Earliest time of the next connect attempt.
+    not_before: Instant,
+    connected_before: bool,
+}
+
+/// Connect, say hello, and leave the connection non-blocking for its
+/// senders.
+fn dial(addr: &Addr, hello: &Hello) -> std::io::Result<Conn> {
+    let mut conn = Conn::connect(addr, CONNECT_TIMEOUT)?;
+    write_hello(&mut conn, hello)?;
+    conn.set_nonblocking(true)?;
+    Ok(conn)
+}
+
+/// Bring every link that is down back up, each on its own backoff
+/// schedule; park while there is nothing to dial. A sender that finds its
+/// link broken, a retire/revive and shutdown unpark this thread.
+fn dial_loop(mut dials: Vec<Dial>, hello: Hello, shared: Arc<Shared>) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let mut wake: Option<Instant> = None;
+        for d in &mut dials {
+            let link = &shared.links[&d.peer];
+            if link.retired.load(Ordering::SeqCst) {
+                // Not dialed at all until the detector revives it.
+                let mut out = link.out();
+                if out.conn.is_none() {
+                    out.drop_buffered(link);
+                }
+                d.backoff.reset();
+                d.not_before = Instant::now();
                 continue;
             }
-        };
-        backoff.reset();
-        if write_hello(&mut conn, &hello)
-            .and_then(|_| conn.flush())
-            .is_err()
-        {
-            thread::sleep(backoff.next_delay());
-            continue;
-        }
-        if connected_before {
-            if let Some(c) = shared.tx.get(&peer) {
-                c.reconnects.fetch_add(1, Ordering::Relaxed);
+            if link.out().conn.is_some() {
+                continue;
             }
-        }
-        connected_before = true;
-
-        loop {
-            let frame = match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(f) => f,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
+            if Instant::now() >= d.not_before {
+                let up = dial(&d.addr, &hello).is_ok_and(|conn| {
+                    // Whoever brings the link up writes what waited.
+                    let mut out = link.out();
+                    out.conn = Some(conn);
+                    !out.flush(link)
+                });
+                if up {
+                    d.backoff.reset();
+                    d.not_before = Instant::now();
+                    if d.connected_before {
+                        link.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
+                    d.connected_before = true;
                     continue;
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            };
-            let len = frame.len() as u64;
-            if write_frame(&mut conn, &frame)
-                .and_then(|_| conn.flush())
-                .is_err()
-            {
-                if let Some(c) = shared.tx.get(&peer) {
-                    c.send_drops.fetch_add(1, Ordering::Relaxed);
-                }
-                continue 'reconnect;
+                link.out().drop_buffered(link);
+                d.not_before = Instant::now() + d.backoff.next_delay();
             }
-            if let Some(c) = shared.tx.get(&peer) {
-                c.tx_frames.fetch_add(1, Ordering::Relaxed);
-                c.tx_bytes.fetch_add(len, Ordering::Relaxed);
-            }
+            wake = Some(wake.map_or(d.not_before, |w| w.min(d.not_before)));
+        }
+        match wake {
+            Some(at) => thread::park_timeout(at.saturating_duration_since(Instant::now())),
+            None => thread::park(),
         }
     }
 }
 
-/// Drop (and count) everything queued for a peer that cannot take frames.
-fn drain_queue(rx: &mpsc::Receiver<Vec<u8>>, shared: &Shared, peer: u64) {
-    let mut dropped = 0;
-    while rx.try_recv().is_ok() {
-        dropped += 1;
-    }
-    if dropped > 0 {
-        if let Some(c) = shared.tx.get(&peer) {
-            c.send_drops.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-}
+/// Where a reader delivers `(sender, frames)`; `false` ends the reader.
+type Sink = Arc<dyn Fn(u64, Vec<Vec<u8>>) -> bool + Send + Sync>;
 
-fn accept_loop(
-    listener: Listener,
-    proto: ProtoId,
-    cluster: u64,
-    shared: Arc<Shared>,
-    inbox: mpsc::Sender<(u64, Vec<u8>)>,
-) {
+fn accept_loop(listener: Listener, proto: ProtoId, cluster: u64, shared: Arc<Shared>, sink: Sink) {
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(_) => continue,
+        let Ok(mut conn) = listener.accept() else {
+            continue;
         };
-        let shared = Arc::clone(&shared);
-        let inbox = inbox.clone();
-        thread::spawn(move || reader_loop(conn, proto, cluster, shared, inbox));
+        let (shared, sink) = (Arc::clone(&shared), Arc::clone(&sink));
+        // The reader's name carries the sender, known only after the hello;
+        // a short-lived thread waits for it (five seconds at most) so a
+        // silent connection can neither hold up the accept loop nor pin a
+        // thread.
+        let _ = thread::Builder::new()
+            .name("dpq-hello".into())
+            .spawn(move || {
+                let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
+                if let Ok(hello) = read_hello(&mut conn, proto, cluster) {
+                    let from = hello.sender;
+                    let _ = thread::Builder::new()
+                        .name(format!("dpq-rx-{from}"))
+                        .spawn(move || reader_loop(conn, from, shared, sink));
+                }
+            });
     }
 }
 
-fn reader_loop(
-    mut conn: Conn,
-    proto: ProtoId,
-    cluster: u64,
-    shared: Arc<Shared>,
-    inbox: mpsc::Sender<(u64, Vec<u8>)>,
-) {
-    // A bounded handshake wait so a half-open connection cannot pin the
-    // thread; after the hello the link blocks with a timeout so shutdown is
-    // noticed.
-    let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
-    let from = match read_hello(&mut conn, proto, cluster) {
-        Ok(h) => h.sender,
-        Err(_) => return,
-    };
+fn reader_loop(mut conn: Conn, from: u64, shared: Arc<Shared>, sink: Sink) {
+    // Reads block with a timeout so shutdown is noticed.
     let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_frame(&mut conn) {
-            Ok(Some(payload)) => {
-                {
-                    let mut rx = shared.rx.lock().unwrap();
-                    let e = rx.entry(from).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += payload.len() as u64;
+    let mut decoder = FrameDecoder::default();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let mut frames = Vec::new();
+        match decoder.read_from(&mut conn, &mut frames) {
+            Ok(true) if frames.is_empty() => {}
+            Ok(true) => {
+                if let Some(link) = shared.links.get(&from) {
+                    let bytes: usize = frames.iter().map(Vec::len).sum();
+                    let n = frames.len() as u64;
+                    link.rx_frames.fetch_add(n, Ordering::Relaxed);
+                    link.rx_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
                 }
-                if inbox.send((from, payload)).is_err() {
+                if !sink(from, frames) {
                     return;
                 }
             }
-            Ok(None) => return,
+            Ok(false) => return,
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => return,
         }
     }
@@ -342,31 +447,22 @@ mod tests {
         Addr::Uds(dir.join(format!("dpq-peers-{}-{name}.sock", std::process::id())))
     }
 
+    type Inbox = mpsc::Receiver<(u64, Vec<u8>)>;
+
+    fn manager(me: u64, cluster: u64, listen: &Addr, peer: u64, at: &Addr) -> (PeerManager, Inbox) {
+        let (tx, rx) = mpsc::channel();
+        let peers = BTreeMap::from([(peer, at.clone())]);
+        let m = PeerManager::start(me, ProtoId::Skeap, cluster, listen, &peers, tx).unwrap();
+        (m, rx)
+    }
+
     #[test]
     fn frames_flow_between_two_managers() {
-        let a_addr = temp_sock("a");
-        let b_addr = temp_sock("b");
-        let (a_in, a_rx) = mpsc::channel();
-        let (b_in, b_rx) = mpsc::channel();
-        let a = PeerManager::start(
-            0,
-            ProtoId::Skeap,
-            7,
-            &a_addr,
-            &BTreeMap::from([(1u64, b_addr.clone())]),
-            a_in,
-        )
-        .unwrap();
-        let b = PeerManager::start(
-            1,
-            ProtoId::Skeap,
-            7,
-            &b_addr,
-            &BTreeMap::from([(0u64, a_addr.clone())]),
-            b_in,
-        )
-        .unwrap();
+        let (a_addr, b_addr) = (temp_sock("a"), temp_sock("b"));
+        let (a, a_rx) = manager(0, 7, &a_addr, 1, &b_addr);
+        let (b, b_rx) = manager(1, 7, &b_addr, 0, &a_addr);
 
+        // Sent while the link may still be connecting: waits, then flows.
         a.send(1, vec![1, 2, 3]);
         let (from, payload) = b_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((from, payload), (0, vec![1, 2, 3]));
@@ -385,50 +481,10 @@ mod tests {
     }
 
     #[test]
-    fn sends_before_the_peer_exists_are_dropped_not_blocking() {
-        let addr = temp_sock("lonely");
-        let peer_addr = temp_sock("ghost");
-        let (tx, _rx) = mpsc::channel();
-        let m = PeerManager::start(
-            0,
-            ProtoId::Seap,
-            1,
-            &addr,
-            &BTreeMap::from([(1u64, peer_addr)]),
-            tx,
-        )
-        .unwrap();
-        // Never blocks even though peer 1 is down.
-        for i in 0..SEND_QUEUE + 10 {
-            m.send(1, vec![i as u8]);
-        }
-        m.shutdown();
-    }
-
-    #[test]
     fn retired_peers_drop_frames_until_revived() {
-        let a_addr = temp_sock("r1");
-        let b_addr = temp_sock("r2");
-        let (a_in, _a_rx) = mpsc::channel();
-        let (b_in, b_rx) = mpsc::channel();
-        let a = PeerManager::start(
-            0,
-            ProtoId::Skeap,
-            7,
-            &a_addr,
-            &BTreeMap::from([(1u64, b_addr.clone())]),
-            a_in,
-        )
-        .unwrap();
-        let _b = PeerManager::start(
-            1,
-            ProtoId::Skeap,
-            7,
-            &b_addr,
-            &BTreeMap::from([(0u64, a_addr.clone())]),
-            b_in,
-        )
-        .unwrap();
+        let (a_addr, b_addr) = (temp_sock("r1"), temp_sock("r2"));
+        let (a, _a_rx) = manager(0, 7, &a_addr, 1, &b_addr);
+        let (_b, b_rx) = manager(1, 7, &b_addr, 0, &a_addr);
         // Live first, so the link exists before the retire.
         a.send(1, vec![1]);
         b_rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -452,30 +508,11 @@ mod tests {
 
     #[test]
     fn cross_cluster_connections_are_refused() {
-        let a_addr = temp_sock("x1");
-        let b_addr = temp_sock("x2");
-        let (a_in, _a_rx) = mpsc::channel();
-        let (b_in, b_rx) = mpsc::channel();
-        // b expects cluster 99; a dials with cluster 7 → b's reader drops
-        // the connection at the handshake and no frame is ever delivered.
-        let a = PeerManager::start(
-            0,
-            ProtoId::Skeap,
-            7,
-            &a_addr,
-            &BTreeMap::from([(1u64, b_addr.clone())]),
-            a_in,
-        )
-        .unwrap();
-        let b = PeerManager::start(
-            1,
-            ProtoId::Skeap,
-            99,
-            &b_addr,
-            &BTreeMap::from([(0u64, a_addr.clone())]),
-            b_in,
-        )
-        .unwrap();
+        let (a_addr, b_addr) = (temp_sock("x1"), temp_sock("x2"));
+        // b expects cluster 99; a dials with cluster 7 → b drops the
+        // connection at the handshake and no frame is ever delivered.
+        let (a, _a_rx) = manager(0, 7, &a_addr, 1, &b_addr);
+        let (b, b_rx) = manager(1, 99, &b_addr, 0, &a_addr);
         a.send(1, vec![5]);
         assert!(b_rx.recv_timeout(Duration::from_millis(800)).is_err());
         a.shutdown();

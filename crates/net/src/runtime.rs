@@ -1,7 +1,10 @@
 //! The node runtime: drives one `Reliable<P>` over real sockets.
 //!
 //! A single event loop owns the node. Peer reader threads and control
-//! connections feed one queue; the loop interleaves three kinds of turns:
+//! connections feed one queue — a reader pushes everything one `read`
+//! carried as one event — and the loop takes *turns*: it handles whatever
+//! is already queued, then writes what the node produced, one `write` per
+//! peer, on this thread (see [`crate::peers`]). Three kinds of input:
 //!
 //! * **tick** — every `tick_ms` the logical clock advances and the node is
 //!   activated, exactly the simulator's periodic-activation model. The
@@ -13,11 +16,17 @@
 //!   metrics / shutdown) runs between node turns, so the control plane can
 //!   never observe a half-applied protocol step.
 //!
+//! Acks ride along: a destination owed nothing but `ReliableMsg::Ack`
+//! frames is written at the next payload for it or at the next tick,
+//! whichever is first, so an ack waits less than one tick — far inside the
+//! retransmission timeout — and rarely costs a `write` of its own.
+//!
 //! With `--wal` every input is appended to the write-ahead log *before* the
 //! node processes it, and outbound frames are flushed only *after* the
-//! append (see [`crate::wal`] for the recovery argument). On restart the
-//! log replays through a fresh node with outputs suppressed, then the loop
-//! resumes at the recorded tick.
+//! append — the end of the turn is after every append of the turn (see
+//! [`crate::wal`] for the recovery argument). On restart the log replays
+//! through a fresh node with outputs suppressed, then the loop resumes at
+//! the recorded tick.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -45,12 +54,62 @@ const LANE_APP: u8 = 0;
 /// Membership lane (see [`LANE_APP`]).
 const LANE_GOSSIP: u8 = 1;
 
+/// Most queued events one turn handles before it writes and looks at the
+/// clock again, so a flood of input can neither starve the tick nor hold
+/// back replies.
+const TURN_EVENTS: usize = 256;
+
+/// How long a `Shutdown` waits for the ctl thread to put `Bye` on the wire.
+const BYE_WAIT: Duration = Duration::from_millis(100);
+
 /// One unit of work for the runtime's event loop.
 pub enum Event {
-    /// An inbound peer frame: `(sender, payload)`.
-    Net(u64, Vec<u8>),
-    /// A control request and where to send its response.
-    Ctl(CtlReq, mpsc::Sender<CtlResp>),
+    /// Inbound peer frames, everything one `read` carried:
+    /// `(sender, payloads)`.
+    Net(u64, Vec<Vec<u8>>),
+    /// A control request, where to send its response, and a channel the
+    /// ctl thread closes once that response is on the socket.
+    Ctl(CtlReq, mpsc::Sender<CtlResp>, mpsc::Receiver<()>),
+}
+
+/// Frames one destination is owed at the end of the turn.
+#[derive(Default)]
+struct Outbound {
+    frames: Vec<Vec<u8>>,
+    /// Something other than a bare ack is among them.
+    payload: bool,
+}
+
+/// Transmission ticks of the data frames still awaiting an ack, and the
+/// per-peer ack round-trip histograms they feed.
+#[derive(Default)]
+struct AckRtt {
+    /// `dst → seq → tick of last transmission`.
+    pending: BTreeMap<u64, BTreeMap<u64, u64>>,
+    /// Ack RTT per peer, in ticks.
+    hist: BTreeMap<u64, LogHistogram>,
+}
+
+impl AckRtt {
+    fn sent(&mut self, dst: u64, seq: u64, now: u64) {
+        self.pending.entry(dst).or_default().insert(seq, now);
+    }
+
+    /// `from` acknowledged `seq` and everything below `cum`. Payloads freed
+    /// only by the cumulative part (their own ack was lost) are forgotten
+    /// without a sample — which transmission the peer saw is unknowable.
+    fn acked(&mut self, from: u64, seq: u64, cum: u64, now: u64) {
+        let Some(pending) = self.pending.get_mut(&from) else {
+            return;
+        };
+        if let Some(sent) = pending.remove(&seq) {
+            let rtt = now.saturating_sub(sent);
+            self.hist.entry(from).or_default().record(rtt);
+        }
+        while let Some(oldest) = pending.first_entry().filter(|e| *e.key() < cum) {
+            oldest.remove();
+        }
+    }
 }
 
 /// The runtime driving one node. Generic over the protocol via [`NetApp`].
@@ -71,10 +130,12 @@ where
     /// freely send to their own node (the simulator delivers those like any
     /// other message), but no peer connection exists for `me`.
     loopback: mpsc::Sender<Event>,
-    /// `(dst, seq) → tick of last transmission`, for per-peer ack RTT.
-    rtt_pending: BTreeMap<(u64, u64), u64>,
-    /// Per-peer ack RTT histograms (ticks).
-    ack_rtt: BTreeMap<u64, LogHistogram>,
+    /// What the current turn owes each destination (`me` included).
+    out: BTreeMap<u64, Outbound>,
+    ack_rtt: AckRtt,
+    /// Every request before this index is complete: where `Status` resumes
+    /// its count.
+    op_prefix: usize,
     /// `op → issue tick`, for the op-latency histogram.
     op_issued: BTreeMap<OpId, u64>,
     op_latency: LogHistogram,
@@ -117,34 +178,25 @@ where
         };
 
         let (events_tx, events_rx) = mpsc::channel::<Event>();
-
-        // Bridge the peer manager's (from, bytes) channel into the event
-        // queue.
-        let (net_tx, net_rx) = mpsc::channel::<(u64, Vec<u8>)>();
-        {
-            let events_tx = events_tx.clone();
-            std::thread::spawn(move || {
-                while let Ok((from, bytes)) = net_rx.recv() {
-                    if events_tx.send(Event::Net(from, bytes)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
         let fingerprint = cfg.fingerprint();
-        let peers = PeerManager::start(
-            cfg.me,
-            P::PROTO,
-            fingerprint,
-            &cfg.listen,
-            &cfg.peers,
-            net_tx,
-        )?;
+        let peers = {
+            let events_tx = events_tx.clone();
+            PeerManager::start_batched(
+                cfg.me,
+                P::PROTO,
+                fingerprint,
+                &cfg.listen,
+                &cfg.peers,
+                move |from, frames| events_tx.send(Event::Net(from, frames)).is_ok(),
+            )?
+        };
 
         let ctl_listener = Listener::bind(&cfg.ctl)?;
         {
             let events_tx = events_tx.clone();
-            std::thread::spawn(move || serve_ctl(ctl_listener, fingerprint, events_tx));
+            std::thread::Builder::new()
+                .name("dpq-ctl".into())
+                .spawn(move || serve_ctl(ctl_listener, fingerprint, events_tx))?;
         }
 
         let gossip = cfg.gossip.then(|| {
@@ -169,8 +221,9 @@ where
             peers,
             events: events_rx,
             loopback: events_tx,
-            rtt_pending: BTreeMap::new(),
-            ack_rtt: BTreeMap::new(),
+            out: BTreeMap::new(),
+            ack_rtt: AckRtt::default(),
+            op_prefix: 0,
             op_issued: BTreeMap::new(),
             op_latency: LogHistogram::new(),
             rx_decode_errors: 0,
@@ -185,23 +238,46 @@ where
         let tick = Duration::from_millis(self.cfg.tick_ms.max(1));
         let mut next_tick = Instant::now() + tick;
         loop {
-            if Instant::now() >= next_tick {
+            let now = Instant::now();
+            if now >= next_tick {
                 self.on_tick()?;
-                next_tick = Instant::now() + tick;
-            }
-            let timeout = next_tick.saturating_duration_since(Instant::now());
-            match self.events.recv_timeout(timeout) {
-                Ok(Event::Net(from, bytes)) => self.on_net(from, bytes)?,
-                Ok(Event::Ctl(req, reply)) => {
-                    let stop = self.on_ctl(req, &reply)?;
-                    if stop {
-                        self.peers.shutdown();
-                        return Ok(());
-                    }
+                self.flush_out(true);
+                // Ticks are due on a fixed grid, so the work of a tick does
+                // not stretch the period; a loop that fell more than a
+                // period behind re-anchors instead of firing a burst.
+                next_tick += tick;
+                if next_tick + tick < now {
+                    next_tick = now + tick;
                 }
+            }
+            let wait = next_tick.saturating_duration_since(Instant::now());
+            let mut next = match self.events.recv_timeout(wait) {
+                Ok(event) => Some(event),
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
                 Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+            };
+            let mut budget = TURN_EVENTS;
+            while let Some(event) = next {
+                match event {
+                    Event::Net(from, frames) => {
+                        for bytes in frames {
+                            self.on_net(from, bytes)?;
+                        }
+                    }
+                    Event::Ctl(req, reply, written) => {
+                        if self.on_ctl(req, &reply)? {
+                            // Exiting closes the socket under the ctl thread;
+                            // give it the moment it needs to write `Bye`.
+                            let _ = written.recv_timeout(BYE_WAIT);
+                            self.peers.shutdown();
+                            return Ok(());
+                        }
+                    }
+                }
+                budget -= 1;
+                next = (budget > 0).then(|| self.events.try_recv().ok()).flatten();
             }
+            self.flush_out(false);
         }
     }
 
@@ -217,7 +293,7 @@ where
         self.log(&WalEntry::Activate { now: self.now })?;
         let mut ctx = Ctx::new(NodeId(self.cfg.me), self.now);
         self.node.on_activate(&mut ctx);
-        self.flush(ctx);
+        self.absorb(ctx);
         self.gossip_tick();
         Ok(())
     }
@@ -230,11 +306,7 @@ where
         };
         let mut ctx = Ctx::new(NodeId(self.cfg.me), self.now);
         g.on_activate(&mut ctx);
-        for env in ctx.take_outbox() {
-            let mut bytes = vec![LANE_GOSSIP];
-            env.msg.encode(&mut bytes);
-            self.peers.send(env.dst.0, bytes);
-        }
+        queue_gossip(&mut self.out, ctx);
         for &peer in self.cfg.peers.keys() {
             let dead = g.considers_dead(NodeId(peer));
             if dead != self.peers.is_retired(peer) {
@@ -264,11 +336,7 @@ where
         };
         let mut ctx = Ctx::new(NodeId(self.cfg.me), self.now);
         g.on_message(NodeId(from), msg, &mut ctx);
-        for env in ctx.take_outbox() {
-            let mut bytes = vec![LANE_GOSSIP];
-            env.msg.encode(&mut bytes);
-            self.peers.send(env.dst.0, bytes);
-        }
+        queue_gossip(&mut self.out, ctx);
     }
 
     fn on_net(&mut self, from: u64, mut bytes: Vec<u8>) -> io::Result<()> {
@@ -301,27 +369,23 @@ where
             from,
             frame: RawBytes(bytes),
         })?;
-        if let ReliableMsg::Ack { seq, .. } = &msg {
-            if let Some(sent) = self.rtt_pending.remove(&(from, *seq)) {
-                self.ack_rtt
-                    .entry(from)
-                    .or_default()
-                    .record(self.now.saturating_sub(sent));
-            }
+        if let ReliableMsg::Ack { seq, cum } = msg {
+            self.ack_rtt.acked(from, seq, cum, self.now);
         }
         let mut ctx = Ctx::new(NodeId(self.cfg.me), self.now);
         self.node.on_message(NodeId(from), msg, &mut ctx);
-        self.flush(ctx);
+        self.absorb(ctx);
         Ok(())
     }
 
-    /// Encode and hand the node's buffered sends to the peer threads, and
-    /// absorb its telemetry notes. Called only after the triggering input
-    /// was logged.
-    fn flush(&mut self, mut ctx: Ctx<ReliableMsg<P::Msg>>) {
+    /// Encode the node's buffered sends into this turn's outbound batches
+    /// and absorb its telemetry notes. Called only after the triggering
+    /// input was logged; the batches are written when the turn ends.
+    fn absorb(&mut self, mut ctx: Ctx<ReliableMsg<P::Msg>>) {
         for env in ctx.take_outbox() {
+            let dst = env.dst.0;
             if let ReliableMsg::Data { seq, .. } = &env.msg {
-                self.rtt_pending.insert((env.dst.0, *seq), self.now);
+                self.ack_rtt.sent(dst, *seq, self.now);
             }
             let bytes = if self.gossip.is_some() {
                 let mut b = vec![LANE_APP];
@@ -330,11 +394,9 @@ where
             } else {
                 to_bytes(&env.msg)
             };
-            if env.dst.0 == self.cfg.me {
-                let _ = self.loopback.send(Event::Net(self.cfg.me, bytes));
-            } else {
-                self.peers.send(env.dst.0, bytes);
-            }
+            let out = self.out.entry(dst).or_default();
+            out.frames.push(bytes);
+            out.payload |= !matches!(env.msg, ReliableMsg::Ack { .. });
         }
         for ev in ctx.drain_events() {
             if let CtxEvent::OpDone { op } = ev {
@@ -345,14 +407,35 @@ where
         }
     }
 
-    fn status(&self) -> StatusInfo {
+    /// End of a turn: one write per destination that is owed a payload —
+    /// or, at a tick, owed anything — carrying every frame queued for it.
+    /// Self-addressed frames re-enter the event queue the same way.
+    fn flush_out(&mut self, tick: bool) {
+        for (&dst, out) in &mut self.out {
+            if out.frames.is_empty() || !(out.payload || tick) {
+                continue;
+            }
+            if dst == self.cfg.me {
+                let frames = std::mem::take(&mut out.frames);
+                let _ = self.loopback.send(Event::Net(dst, frames));
+            } else {
+                self.peers.send_batch(dst, &out.frames);
+                out.frames.clear();
+            }
+            out.payload = false;
+        }
+    }
+
+    fn status(&mut self) -> StatusInfo {
         let inner = self.node.inner();
+        let progress = inner.progress(self.op_prefix);
+        self.op_prefix = progress.prefix;
         StatusInfo {
             node: self.cfg.me,
             proto: P::PROTO.name().to_string(),
             issued: inner.issued(),
-            completed: inner.completed(),
-            all_complete: inner.all_complete(),
+            completed: progress.completed,
+            all_complete: progress.all_complete,
             result: inner.result_key(),
             ticks: self.now,
             retransmits: self.node.stats.retransmits,
@@ -379,7 +462,7 @@ where
             }
         }
         let mut wire = self.peers.wire_metrics();
-        for (&peer, hist) in &self.ack_rtt {
+        for (&peer, hist) in &self.ack_rtt.hist {
             wire.peer_mut(peer).ack_rtt.merge(hist);
         }
         wire.fold_into(&mut hub);
@@ -441,16 +524,23 @@ where
             CtlReq::Metrics => CtlResp::Metrics(self.metrics_text()),
             CtlReq::Shutdown => {
                 let _ = reply.send(CtlResp::Bye);
-                // The reply travels through a channel to the connection
-                // thread, which still has to write the frame; exiting
-                // immediately would close the socket under it and the
-                // client would see "daemon closed" instead of Bye.
-                std::thread::sleep(Duration::from_millis(100));
                 return Ok(true);
             }
         };
         let _ = reply.send(resp);
         Ok(false)
+    }
+}
+
+/// Queue the membership sidecar's sends, lane-tagged, as payloads of the
+/// current turn.
+fn queue_gossip(out: &mut BTreeMap<u64, Outbound>, mut ctx: Ctx<GossipMsg>) {
+    for env in ctx.take_outbox() {
+        let mut bytes = vec![LANE_GOSSIP];
+        env.msg.encode(&mut bytes);
+        let out = out.entry(env.dst.0).or_default();
+        out.frames.push(bytes);
+        out.payload = true;
     }
 }
 
@@ -479,5 +569,66 @@ where
                 CtlOpKind::DeleteMin => node.inner_mut().dequeue(),
             };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Inner protocol: node 0 sends one number per activation, nobody
+    /// replies.
+    struct Counter(u64);
+
+    impl Protocol for Counter {
+        type Msg = u64;
+        fn on_activate(&mut self, ctx: &mut Ctx<u64>) {
+            if ctx.me() == NodeId(0) && self.0 < 40 {
+                ctx.send(NodeId(1), self.0);
+                self.0 += 1;
+            }
+        }
+        fn on_message(&mut self, _: NodeId, _: u64, _: &mut Ctx<u64>) {}
+    }
+
+    /// Two `Reliable` nodes over a link that loses three acks in four,
+    /// tracked the way `absorb`/`on_net` track a live link. Most payloads
+    /// are freed by a later ack's cumulative part and never retransmitted,
+    /// so their own ack never comes: the table must forget them anyway.
+    #[test]
+    fn ack_rtt_table_drains_when_acks_are_lost() {
+        let mut a = Reliable::new(Counter(0), 4);
+        let mut b = Reliable::new(Counter(0), 4);
+        let mut rtt = AckRtt::default();
+        let (mut acks, mut peak) = (0, 0);
+        for now in 1..200 {
+            let mut ctx = Ctx::new(NodeId(0), now);
+            a.on_activate(&mut ctx);
+            for env in ctx.take_outbox() {
+                let ReliableMsg::Data { seq, .. } = &env.msg else {
+                    panic!("node 0 receives no data, so it sends no acks");
+                };
+                rtt.sent(1, *seq, now);
+                let mut ctx = Ctx::new(NodeId(1), now);
+                b.on_message(NodeId(0), env.msg, &mut ctx);
+                for ack in ctx.take_outbox() {
+                    acks += 1;
+                    if acks % 4 != 0 {
+                        continue;
+                    }
+                    let ReliableMsg::Ack { seq, cum } = ack.msg else {
+                        panic!("node 1 only acks");
+                    };
+                    rtt.acked(1, seq, cum, now);
+                    a.on_message(NodeId(1), ack.msg, &mut Ctx::new(NodeId(0), now));
+                }
+            }
+            peak = peak.max(rtt.pending[&1].len());
+            assert!(rtt.pending[&1].len() <= a.unacked());
+        }
+        assert!(peak > 1, "no ack was ever outstanding");
+        assert_eq!(a.unacked(), 0, "the exchange did not finish");
+        assert!(rtt.pending[&1].is_empty(), "leaked {:?}", rtt.pending);
+        assert!(rtt.hist[&1].count() > 0 && rtt.hist[&1].count() < 40);
     }
 }

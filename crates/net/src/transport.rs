@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -91,23 +91,36 @@ pub enum Conn {
 }
 
 impl Conn {
-    /// Connect to `addr`.
-    pub fn connect(addr: &Addr) -> io::Result<Conn> {
-        match addr {
-            Addr::Uds(path) => Ok(Conn::Uds(UnixStream::connect(path)?)),
-            Addr::Tcp(hp) => {
-                let s = TcpStream::connect(hp.as_str())?;
-                s.set_nodelay(true)?;
-                Ok(Conn::Tcp(s))
+    /// Connect to `addr`, giving up on each TCP address it resolves to after
+    /// `timeout`, so a dialer with several peers is never held by one
+    /// black-holed address (a UDS connect is local and returns at once).
+    pub fn connect(addr: &Addr, timeout: Duration) -> io::Result<Conn> {
+        let hp = match addr {
+            Addr::Uds(path) => return Ok(Conn::Uds(UnixStream::connect(path)?)),
+            Addr::Tcp(hp) => hp,
+        };
+        let mut last = io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{hp:?} resolves to no address"),
+        );
+        for sa in hp.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&sa, timeout) {
+                Ok(s) => {
+                    s.set_nodelay(true)?;
+                    return Ok(Conn::Tcp(s));
+                }
+                Err(e) => last = e,
             }
         }
+        Err(last)
     }
 
-    /// Clone the underlying descriptor (independent read/write halves).
-    pub fn try_clone(&self) -> io::Result<Conn> {
+    /// Switch non-blocking mode: a read or write that would wait returns
+    /// `WouldBlock` instead.
+    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
-            Conn::Uds(s) => Ok(Conn::Uds(s.try_clone()?)),
-            Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
+            Conn::Uds(s) => s.set_nonblocking(on),
+            Conn::Tcp(s) => s.set_nonblocking(on),
         }
     }
 
@@ -116,14 +129,6 @@ impl Conn {
         match self {
             Conn::Uds(s) => s.set_read_timeout(d),
             Conn::Tcp(s) => s.set_read_timeout(d),
-        }
-    }
-
-    /// Shut down both halves, unblocking any reader.
-    pub fn shutdown(&self) -> io::Result<()> {
-        match self {
-            Conn::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
         }
     }
 }

@@ -116,15 +116,22 @@ fi
 # Wire-conformance tier (opt-in: `./scripts/check.sh net`): the 3-process
 # loopback smoke from crates/net/tests/wire_conformance.rs — real dpq-node
 # daemons on Unix sockets, driven through the control plane, traces replayed
-# through the sim oracles. A hard timeout guards against a wedged cluster
-# (a live-locked retransmit loop would otherwise hang CI), and the trap
-# reaps any dpq-node orphans the timeout may strand: the harness kills its
-# children on drop, but a SIGKILLed test binary cannot run destructors.
+# through the sim oracles — plus the two tests that pin the send path: a
+# peer that stops reading must never block or tear the sender's stream, and
+# a held ack must leave within a tick (no retransmission at --rto 4). A hard
+# timeout guards against a wedged cluster or a blocked send (a live-locked
+# retransmit loop would otherwise hang CI), and the trap reaps any dpq-node
+# orphans the timeout may strand: the harness kills its children on drop,
+# but a SIGKILLed test binary cannot run destructors.
 if [ "$TIER" = "net" ]; then
   cleanup_net() { pkill -f "$PWD/target/[^ ]*/dpq-node" 2>/dev/null || true; }
   trap cleanup_net EXIT
   timeout --signal=KILL 180 \
     cargo test -q -p dpq-net --test wire_conformance smoke_three_process_uds
+  timeout --signal=KILL 180 \
+    cargo test -q -p dpq-net --test peers_send a_stalled_reader
+  timeout --signal=KILL 180 \
+    cargo test -q -p dpq-net --test ack_hold
   cleanup_net
   trap - EXIT
 fi
