@@ -141,9 +141,12 @@ pub struct ScaleRun {
     pub sched_bytes_per_node: f64,
     /// Scheduler rounds per second over the whole run.
     pub rounds_per_sec: f64,
-    /// Node activations per second (`rounds/s × n`) — the "steps/s" axis of
-    /// the nodes × steps/s × peak-RSS frontier.
+    /// Node-rounds scheduled per second (`rounds/s × n`), whether the
+    /// scheduler stepped the node or skipped it as dormant — the "steps/s"
+    /// axis of the nodes × steps/s × peak-RSS frontier.
     pub node_steps_per_sec: f64,
+    /// How many of the `rounds × n` node-rounds were skipped as dormant.
+    pub skipped_activations: u64,
     /// Peak RSS of the process after the run (monotone across runs in one
     /// process — run the largest `n` last or fork per point).
     pub peak_rss_bytes: u64,
@@ -176,11 +179,8 @@ pub fn scale_run(n: usize) -> ScaleRun {
     let t0 = Instant::now();
     let nodes = cluster::build(n, SCALE_PRIOS, spec.seed);
     let mut sched = dpq_sim::SyncScheduler::new(nodes);
-    for (i, script) in scripts.iter().enumerate() {
-        for op in script {
-            let id = sched.nodes_mut()[i].issue(*op);
-            sched.note_injected(id);
-        }
+    for id in cluster::inject_all(sched.nodes_mut(), &scripts) {
+        sched.note_injected(id);
     }
     let out = sched.run_until_pred(1_000_000, |ns| {
         ns.iter().all(skeap::SkeapNode::all_complete)
@@ -188,6 +188,7 @@ pub fn scale_run(n: usize) -> ScaleRun {
     assert!(out.is_quiescent(), "scale run did not quiesce at n={n}");
     let secs = t0.elapsed().as_secs_f64();
     let rounds = out.rounds();
+    let skipped_activations = sched.dormant_skips();
     let live_all = live_bytes();
     // Separate the node core from the scheduler machinery by dropping one
     // at a time: after `into_parts` only the nodes remain live.
@@ -202,6 +203,7 @@ pub fn scale_run(n: usize) -> ScaleRun {
         sched_bytes_per_node: live_all.saturating_sub(live_nodes) as f64 / n as f64,
         rounds_per_sec: rounds as f64 / secs,
         node_steps_per_sec: rounds as f64 * n as f64 / secs,
+        skipped_activations,
         peak_rss_bytes: peak_rss_bytes(),
     }
 }
@@ -216,11 +218,8 @@ pub fn scale_stages(n: usize) -> [f64; 3] {
     let nodes = cluster::build(n, SCALE_PRIOS, spec.seed);
     let built = live_bytes().saturating_sub(live0);
     let mut sched = dpq_sim::SyncScheduler::new(nodes);
-    for (i, script) in scripts.iter().enumerate() {
-        for op in script {
-            let id = sched.nodes_mut()[i].issue(*op);
-            sched.note_injected(id);
-        }
+    for id in cluster::inject_all(sched.nodes_mut(), &scripts) {
+        sched.note_injected(id);
     }
     let scheduled = live_bytes().saturating_sub(live0);
     let out = sched.run_until_pred(1_000_000, |ns| {
@@ -238,13 +237,15 @@ pub fn scale_run_json(r: &ScaleRun, prefix: &str) -> String {
         "  \"{prefix}n\": {},\n  \"{prefix}rounds\": {},\n  \
          \"{prefix}bytes_per_node\": {:.0},\n  \"{prefix}sched_bytes_per_node\": {:.0},\n  \
          \"{prefix}rounds_per_sec\": {:.0},\n  \
-         \"{prefix}node_steps_per_sec\": {:.0},\n  \"{prefix}peak_rss_bytes\": {}",
+         \"{prefix}node_steps_per_sec\": {:.0},\n  \"{prefix}skipped_activations\": {},\n  \
+         \"{prefix}peak_rss_bytes\": {}",
         r.n,
         r.rounds,
         r.bytes_per_node,
         r.sched_bytes_per_node,
         r.rounds_per_sec,
         r.node_steps_per_sec,
+        r.skipped_activations,
         r.peak_rss_bytes
     )
 }

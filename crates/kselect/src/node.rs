@@ -725,6 +725,11 @@ impl Protocol for KSelectNode {
     fn done(&self) -> bool {
         self.roles_drained()
     }
+
+    /// An activation only fires a queued selection.
+    fn dormant(&self) -> bool {
+        self.pending_start.is_none()
+    }
 }
 
 impl dpq_core::StateHash for CopyState {

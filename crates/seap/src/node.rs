@@ -749,6 +749,11 @@ impl Protocol for SeapNode {
     fn done(&self) -> bool {
         self.ins_buf.is_empty() && self.del_buf.is_empty() && self.all_complete()
     }
+
+    /// Phases are message-driven; only the anchor's first activation acts.
+    fn dormant(&self) -> bool {
+        self.started || !self.view.is_anchor()
+    }
 }
 
 impl dpq_core::StateHash for SeapAnchor {

@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+mod dormant;
 pub mod envelope;
 pub mod faults;
 mod flightset;

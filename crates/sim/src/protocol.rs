@@ -190,6 +190,19 @@ pub trait Protocol {
     fn done(&self) -> bool {
         true
     }
+
+    /// Sleep hint. `true` promises that [`Protocol::on_activate`] sends
+    /// nothing, records no [`CtxEvent`] and changes no state until this node
+    /// next receives a message or is handed out through
+    /// `node_mut`/`nodes_mut`. The schedulers then skip those activations
+    /// without touching the node (the trace still shows them) and ask again
+    /// after every turn the node does take. A runtime may ignore it — the
+    /// socket runtime in `dpq-net` does — and the default never sleeps, so
+    /// only a protocol whose activations are provably idle between messages
+    /// should say `true`: negate the guard `on_activate` already has.
+    fn dormant(&self) -> bool {
+        false
+    }
 }
 
 /// The queue seam: what a driver, an oracle or a runtime needs from a

@@ -296,6 +296,11 @@ where
         self.tx.iter().map(|(_, l)| l.unacked.len()).sum()
     }
 
+    /// Does no link hold a payload awaiting its ack?
+    fn all_acked(&self) -> bool {
+        self.tx.iter().all(|(_, l)| l.unacked.is_empty())
+    }
+
     /// Resident transport entries over all links: buffered unacked payloads
     /// plus out-of-order dedup seqs. This is the quantity the cumulative-ack
     /// watermark and prefix compaction keep bounded — the per-link memory
@@ -395,7 +400,13 @@ where
     }
 
     fn done(&self) -> bool {
-        self.inner.done() && self.tx.iter().all(|(_, l)| l.unacked.is_empty())
+        self.inner.done() && self.all_acked()
+    }
+
+    /// An activation is the inner one plus the retransmission scan, which
+    /// has nothing to walk — now or later — while no payload is unacked.
+    fn dormant(&self) -> bool {
+        self.inner.dormant() && self.all_acked()
     }
 }
 

@@ -13,6 +13,7 @@
 //! round-robin activation sweep is interleaved so runs terminate even when
 //! the coin is unlucky.
 
+use crate::dormant::DormantSet;
 use crate::envelope::Envelope;
 use crate::faults::{FaultPlan, FaultState};
 use crate::flightset::FlightSet;
@@ -102,6 +103,8 @@ pub struct AsyncScheduler<
     /// Recycled Ctx storage: one outbox/event allocation per scheduler,
     /// not per node turn.
     bufs: CtxBufs<P::Msg>,
+    /// Nodes whose activations may be skipped ([`Protocol::dormant`]).
+    dormant: DormantSet,
 }
 
 impl<P: Protocol> AsyncScheduler<P>
@@ -127,6 +130,7 @@ where
             win_base_messages: 0,
             win_handles: None,
             bufs: CtxBufs::default(),
+            dormant: DormantSet::new(n),
         }
     }
 }
@@ -193,6 +197,7 @@ where
             win_base_messages: self.win_base_messages,
             win_handles: self.win_handles,
             bufs: self.bufs,
+            dormant: self.dormant,
         }
     }
 
@@ -257,14 +262,23 @@ where
         &self.nodes
     }
 
-    /// Mutable access to all instances.
+    /// Mutable access to all instances. Wakes every dormant node — in
+    /// O(1), drivers call this once per injected op.
     pub fn nodes_mut(&mut self) -> &mut [P] {
+        self.dormant.wake_all();
         &mut self.nodes
     }
 
-    /// Mutable access to the instance at `v`.
+    /// Mutable access to the instance at `v`. Wakes `v` if it was dormant.
     pub fn node_mut(&mut self, v: NodeId) -> &mut P {
+        self.dormant.wake(v.index());
         &mut self.nodes[v.index()]
+    }
+
+    /// Activations (sweep or adversary pick) skipped so far because the
+    /// node had said it was [dormant](Protocol::dormant).
+    pub fn dormant_skips(&self) -> u64 {
+        self.dormant.skips
     }
 
     /// Messages currently in flight.
@@ -304,6 +318,7 @@ where
         let me = NodeId(i as u64);
         let mut ctx = Ctx::from_bufs(me, self.step, &mut self.bufs);
         f(&mut self.nodes[i], &mut ctx);
+        self.dormant.set(i, self.nodes[i].dormant());
         for ev in ctx.drain_events() {
             match ev {
                 CtxEvent::Phase { label, value } => {
@@ -395,6 +410,8 @@ where
         self.run_node(dst, |n, ctx| n.on_message(env.src, env.msg, ctx));
     }
 
+    /// One activation turn (sweep or adversary pick): always traced, but a
+    /// node that said it was [dormant](Protocol::dormant) is not stepped.
     fn activate(&mut self, i: usize) {
         if T::ENABLED {
             self.tracer.record(TraceEvent::Activate {
@@ -402,7 +419,9 @@ where
                 node: NodeId(i as u64),
             });
         }
-        self.run_node(i, |n, ctx| n.on_activate(ctx));
+        if !self.dormant.skip(i) {
+            self.run_node(i, |n, ctx| n.on_activate(ctx));
+        }
     }
 
     /// One adversary step.
@@ -413,6 +432,7 @@ where
     /// once mature, and a delivery attempt across a live cut (or to a down
     /// node) destroys the message.
     pub fn step_once(&mut self) {
+        self.dormant.settle();
         self.step += 1;
         self.in_flight.advance(self.step);
         if self.faults.active() {

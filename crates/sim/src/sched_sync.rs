@@ -6,6 +6,7 @@
 //! Additionally, we assume that each node is activated once in each round."
 //! (§1.1)
 
+use crate::dormant::DormantSet;
 use crate::envelope::Envelope;
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
@@ -102,6 +103,8 @@ pub struct SyncScheduler<P: Protocol, T: Tracer = NullTracer, M: Telemetry = Nul
     bufs: CtxBufs<P::Msg>,
     /// Recycled scratch for the `future` maturity filter.
     future_scratch: Vec<(u64, Envelope<P::Msg>)>,
+    /// Nodes whose activations may be skipped ([`Protocol::dormant`]).
+    dormant: DormantSet,
 }
 
 impl<P: Protocol> SyncScheduler<P>
@@ -128,6 +131,7 @@ where
             ticks_per_round: 1,
             bufs: CtxBufs::default(),
             future_scratch: Vec::new(),
+            dormant: DormantSet::new(n),
         }
     }
 }
@@ -172,6 +176,7 @@ where
             ticks_per_round: self.ticks_per_round,
             bufs: self.bufs,
             future_scratch: self.future_scratch,
+            dormant: self.dormant,
         }
     }
 
@@ -254,8 +259,10 @@ where
         &self.nodes[v.index()]
     }
 
-    /// Mutable access to the instance at `v` (drivers inject requests here).
+    /// Mutable access to the instance at `v` (drivers inject requests
+    /// here). Wakes `v` if it was dormant.
     pub fn node_mut(&mut self, v: NodeId) -> &mut P {
+        self.dormant.wake(v.index());
         &mut self.nodes[v.index()]
     }
 
@@ -264,9 +271,17 @@ where
         &self.nodes
     }
 
-    /// Mutable access to all instances.
+    /// Mutable access to all instances. Wakes every dormant node — in
+    /// O(1), drivers call this once per injected op.
     pub fn nodes_mut(&mut self) -> &mut [P] {
+        self.dormant.wake_all();
         &mut self.nodes
+    }
+
+    /// Activations skipped so far because the node had no message and had
+    /// said it was [dormant](Protocol::dormant).
+    pub fn dormant_skips(&self) -> u64 {
+        self.dormant.skips
     }
 
     /// Rounds elapsed since construction.
@@ -330,11 +345,16 @@ where
     /// arrived, then is activated once. Messages emitted during the round
     /// become deliverable in the next one.
     ///
+    /// A node with no message this round that said it was
+    /// [dormant](Protocol::dormant) is not touched: its activation is
+    /// traced and skipped.
+    ///
     /// With an active fault plan, the round opens by firing scheduled
     /// crash/recover/partition transitions and releasing delay-inflated
     /// messages that have matured; down nodes neither receive nor run, and
     /// deliveries crossing a live partition cut are destroyed.
     pub fn step_round(&mut self) {
+        self.dormant.settle();
         if self.faults.active() {
             for tr in self.faults.advance_to(self.round) {
                 if T::ENABLED {
@@ -376,6 +396,10 @@ where
                 begin = end;
                 continue;
             }
+            if begin == end && self.dormant.skip(i) {
+                self.trace_activate(me);
+                continue;
+            }
             let mut ctx = Ctx::from_bufs(me, self.round, &mut self.bufs);
             for j in begin..end {
                 let env = self.next[self.order[j] as usize]
@@ -401,13 +425,9 @@ where
                 self.nodes[i].on_message(env.src, env.msg, &mut ctx);
             }
             begin = end;
-            if T::ENABLED {
-                self.tracer.record(TraceEvent::Activate {
-                    round: self.round,
-                    node: me,
-                });
-            }
+            self.trace_activate(me);
             self.nodes[i].on_activate(&mut ctx);
+            self.dormant.set(i, self.nodes[i].dormant());
             self.drain_ctx_events(me, &mut ctx);
             if T::ENABLED {
                 for env in ctx.outbox() {
@@ -463,6 +483,18 @@ where
         }
         self.metrics.end_round();
         self.round += 1;
+    }
+
+    /// Every live node is activated once a round as far as the trace can
+    /// tell, stepped or skipped.
+    #[inline]
+    fn trace_activate(&mut self, me: NodeId) {
+        if T::ENABLED {
+            self.tracer.record(TraceEvent::Activate {
+                round: self.round,
+                node: me,
+            });
+        }
     }
 
     /// Flush a node turn's telemetry notes into the metrics and tracer.
@@ -668,6 +700,43 @@ mod tests {
         let out = s.run_until(5, |_| false);
         assert_eq!(out.rounds(), 5);
         assert!(!out.is_quiescent());
+    }
+
+    /// Claims to sleep always, and counts the activations it gets anyway.
+    struct Sleeper(u64);
+
+    impl Protocol for Sleeper {
+        type Msg = u64;
+        fn on_activate(&mut self, _: &mut Ctx<u64>) {
+            self.0 += 1;
+        }
+        fn on_message(&mut self, _: NodeId, _: u64, _: &mut Ctx<u64>) {}
+        fn dormant(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn handing_nodes_out_wakes_them_once_and_nodes_mut_stays_constant_time() {
+        let n = 130;
+        let mut s = SyncScheduler::new((0..n).map(|_| Sleeper(0)).collect());
+        let counts = |s: &SyncScheduler<Sleeper>| s.nodes().iter().map(|n| n.0).collect::<Vec<_>>();
+        s.step_round(); // every node starts awake
+        s.step_round(); // and was asked right after its step
+        assert_eq!(counts(&s), vec![1; n]);
+        assert_eq!(s.dormant_skips(), n as u64);
+        let _ = s.nodes_mut();
+        // The bits still stand: `nodes_mut` raised a flag, it walked nothing.
+        assert!((0..n).all(|i| s.dormant.asleep(i)));
+        s.step_round();
+        s.step_round();
+        assert_eq!(counts(&s), vec![2; n], "woken once, then asleep again");
+        s.node_mut(NodeId(77));
+        s.step_round();
+        let mut want = vec![2; n];
+        want[77] = 3;
+        assert_eq!(counts(&s), want, "node_mut wakes its node only");
+        assert_eq!(s.dormant_skips(), 3 * n as u64 - 1);
     }
 
     #[test]

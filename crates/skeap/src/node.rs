@@ -412,6 +412,13 @@ impl Protocol for SkeapNode {
     fn done(&self) -> bool {
         self.buffer.is_empty() && self.client.idle() && self.all_complete()
     }
+
+    /// `on_activate`'s two guards, negated: the snapshot is taken, and
+    /// `try_advance` returns at once until a `BatchUp` completes the
+    /// collector or the `Down` wave opens the next cycle.
+    fn dormant(&self) -> bool {
+        self.snapshotted && (self.sent_up || !self.collector.is_complete())
+    }
 }
 
 impl dpq_core::StateHash for SkeapNode {
