@@ -1,8 +1,8 @@
 //! Criterion bench: raw scheduler stepping throughput — the metric PR 3's
 //! flight-set swap targets, extended in PR 6 with telemetry-enabled cases.
 //!
-//! Four cases mirror the headline metrics in `BENCH_*.json` (see
-//! `perf_probe`): the async adversary scheduler and the sync round
+//! Four cases mirror the perf ledger's `sim.sync_rounds_per_s` and
+//! `sim.async_steps_per_s` series (see `perf_probe`): the async adversary scheduler and the sync round
 //! scheduler, each under the null fault plan and under the drop+dup+delay
 //! probe plan. Two further cases (`clean+telemetry`) re-run the clean plans
 //! with a live `dpq_sim::Hub` attached, so the per-delivery cost of the

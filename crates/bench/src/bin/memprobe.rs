@@ -1,137 +1,29 @@
-//! Node-memory scale probe: live heap bytes/node, peak RSS, throughput.
+//! Node-memory scale probe: one frontier point per process.
 //!
 //! ```text
-//! cargo run -p dpq-bench --release --bin memprobe                 # n=100k point
-//! cargo run -p dpq-bench --release --bin memprobe -- 1000000      # one point
-//! cargo run -p dpq-bench --release --bin memprobe -- --sizes      # struct sizes
-//! cargo run -p dpq-bench --release --bin memprobe -- --check BENCH_pr8.json
+//! cargo run -p dpq-bench --release --bin memprobe              # n = 100k
+//! cargo run -p dpq-bench --release --bin memprobe -- 1000000   # n = 1M
 //! ```
 //!
-//! Installs the counting allocator (every build of this binary measures real
-//! heap traffic) and drives the fixed scale workload from
-//! `dpq_bench::memprobe`. One invocation measures one `n` — peak RSS is a
-//! process-lifetime high-water mark, so `scripts/bench-snapshot.sh` runs one
-//! process per frontier point.
-//!
-//! `--check <file>` re-measures the n=100k point and fails (exit 1) if
-//! bytes/node regressed more than 20% over the committed
-//! `after_p100k_bytes_per_node` — the perf tier's memory floor.
+//! Installs the counting allocator, drives `dpq_bench::memprobe::scale_run`
+//! at `n` and prints the `ScaleRun`. Peak RSS is a process-lifetime
+//! high-water mark, so one invocation measures one `n`; the n = 10k and
+//! n = 100k points are also rows of the perf ledger (`benchmark/`), this
+//! binary is how the n = 1M point in EXPERIMENTS.md is reproduced.
 
-use dpq_bench::memprobe::{scale_run, scale_run_json, CountingAlloc};
+use dpq_bench::memprobe::{scale_run, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The frontier point the perf tier gates on.
-const GATE_N: usize = 100_000;
-/// Allowed bytes/node regression vs the committed snapshot.
-const GATE_SLACK: f64 = 1.20;
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--sizes") => print_sizes(),
-        Some("--stages") => {
-            let n: usize = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(GATE_N);
-            let [built, scheduled, done] = dpq_bench::memprobe::scale_stages(n);
-            println!(
-                "bytes/node  built: {built:.0}  scheduled: {scheduled:.0}  quiescent: {done:.0}"
-            );
+    let n = match std::env::args().nth(1).map(|a| a.parse()) {
+        None => 100_000,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => {
+            eprintln!("usage: memprobe [n]");
+            std::process::exit(2);
         }
-        Some("--check") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("--check requires a path to BENCH_pr8.json");
-                std::process::exit(2);
-            };
-            check_floor(path);
-        }
-        Some(n) => {
-            let n: usize = n.parse().unwrap_or_else(|_| {
-                eprintln!("usage: memprobe [n | --sizes | --check <file>]");
-                std::process::exit(2);
-            });
-            let r = scale_run(n);
-            println!("{{\n{}\n}}", scale_run_json(&r, ""));
-        }
-        None => {
-            let r = scale_run(GATE_N);
-            println!("{{\n{}\n}}", scale_run_json(&r, ""));
-        }
-    }
-}
-
-fn check_floor(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let committed = json_number(&text, "after_p100k_bytes_per_node").unwrap_or_else(|e| {
-        eprintln!("--check: {e}");
-        std::process::exit(2);
-    });
-    let r = scale_run(GATE_N);
-    let limit = committed * GATE_SLACK;
-    println!(
-        "memory floor: measured {:.0} bytes/node at n={GATE_N} \
-         (committed {committed:.0}, limit {limit:.0})",
-        r.bytes_per_node
-    );
-    if r.bytes_per_node > limit {
-        eprintln!(
-            "FAIL: bytes/node regressed {:.1}% (> {:.0}% allowed)",
-            (r.bytes_per_node / committed - 1.0) * 100.0,
-            (GATE_SLACK - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("memory floor OK");
-}
-
-/// Find `"key": <number>` in a flat JSON object (same dialect as
-/// `perf_probe`; duplicated here to keep the binary self-contained).
-fn json_number(text: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("key `{key}` not found"))?;
-    let rest = &text[at + needle.len()..];
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("key `{key}`: expected `:`"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|_| format!("key `{key}`: not a number"))
-}
-
-fn print_sizes() {
-    use std::mem::size_of;
-    macro_rules! row {
-        ($t:ty) => {
-            println!("{:<44} {:>6}", stringify!($t), size_of::<$t>())
-        };
-    }
-    println!("{:<44} {:>6}", "type", "bytes");
-    row!(skeap::SkeapNode);
-    row!(skeap::AnchorState);
-    row!(skeap::Batch);
-    row!(skeap::BatchEntry);
-    row!(skeap::EntryAssign);
-    row!(skeap::SkeapMsg);
-    row!(seap::SeapNode);
-    row!(seap::SeapMsg);
-    row!(dpq_overlay::NodeView);
-    row!(dpq_overlay::VirtView);
-    row!(dpq_agg::Interval);
-    row!(dpq_agg::Segments);
-    row!(dpq_agg::Collector<skeap::Batch>);
-    row!(dpq_core::OpRecord);
-    row!(dpq_core::Element);
-    row!(dpq_sim::Envelope<skeap::SkeapMsg>);
-    row!(dpq_sim::Envelope<seap::SeapMsg>);
-    row!(dpq_sim::Reliable<skeap::SkeapNode>);
+    };
+    println!("{:#?}", scale_run(n));
 }

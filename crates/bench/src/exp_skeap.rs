@@ -359,7 +359,8 @@ pub fn f1_figure1(_opts: &crate::ExpOpts) -> Table {
 /// scale: rounds-to-drain must keep tracking log2(n) two orders of
 /// magnitude past the E2 curve. Bytes/node and peak RSS are deliberately
 /// absent here — they need the counting allocator and one process per
-/// point, so `memprobe` owns them (`BENCH_pr8.json` has the frontier).
+/// point, so `memprobe` and the perf ledger own them
+/// (`sim.bytes_per_node_100k`, `peak_rss_mb` on `sim_skeap_100k`).
 pub fn e17_scale(_opts: &crate::ExpOpts) -> Table {
     let mut t = Table::new(
         "e17",
@@ -386,6 +387,6 @@ pub fn e17_scale(_opts: &crate::ExpOpts) -> Table {
         f(b),
         r2
     ));
-    t.note("memory axis of this sweep: memprobe / BENCH_pr8.json (one process per point)");
+    t.note("memory axis of this sweep: memprobe / ledger row sim.bytes_per_node_100k");
     t
 }

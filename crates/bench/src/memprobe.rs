@@ -1,5 +1,6 @@
 //! Memory measurement: a counting global allocator, peak-RSS readout, and
-//! the n-node scale probe behind `BENCH_pr8.json`'s bytes/node numbers.
+//! the n-node scale probe behind the perf ledger's `sim.bytes_per_node_100k`
+//! and `sim.node_steps_per_s_*` rows.
 //!
 //! The counting allocator ([`CountingAlloc`]) wraps the system allocator
 //! and keeps four relaxed atomic counters: allocations, frees, bytes
@@ -11,11 +12,11 @@
 //! static ALLOC: dpq_bench::memprobe::CountingAlloc = dpq_bench::memprobe::CountingAlloc;
 //! ```
 //!
-//! Two consumers exist: the `memprobe` binary (scale runs: live heap
-//! bytes/node at quiescence, peak RSS, round throughput — the memory half
-//! of the perf tier's regression gate) and the `alloc_free` integration
-//! test (the PR 3 "steady-state stepping is allocation-free" claim, now
-//! enforced by actually counting).
+//! Three consumers exist: the perf ledger's harness (`benchmark/`) and the
+//! `memprobe` binary (scale runs: live heap bytes/node at quiescence, peak
+//! RSS, round throughput), and the `zero_alloc` integration test (the
+//! "steady-state stepping is allocation-free" claim and the bytes/node
+//! floor, enforced by actually counting).
 
 use dpq_core::workload::WorkloadSpec;
 use skeap::cluster;
@@ -65,16 +66,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         p
     }
-}
-
-/// Counter snapshot: `(allocs, frees, live_bytes, total_bytes)`.
-pub fn alloc_counters() -> (u64, u64, u64, u64) {
-    (
-        ALLOCS.load(Relaxed),
-        FREES.load(Relaxed),
-        LIVE_BYTES.load(Relaxed),
-        TOTAL_BYTES.load(Relaxed),
-    )
 }
 
 /// Heap bytes currently live (0 unless [`CountingAlloc`] is installed).
@@ -206,48 +197,6 @@ pub fn scale_run(n: usize) -> ScaleRun {
         skipped_activations,
         peak_rss_bytes: peak_rss_bytes(),
     }
-}
-
-/// Live-bytes checkpoints through one scale run (diagnostic aid for the
-/// `memprobe --stages` view): after topology+node build, after scheduler
-/// construction, and at quiescence. Each is a per-node figure.
-pub fn scale_stages(n: usize) -> [f64; 3] {
-    let live0 = live_bytes();
-    let spec = scale_spec(n);
-    let scripts = dpq_core::workload::generate(&spec);
-    let nodes = cluster::build(n, SCALE_PRIOS, spec.seed);
-    let built = live_bytes().saturating_sub(live0);
-    let mut sched = dpq_sim::SyncScheduler::new(nodes);
-    for id in cluster::inject_all(sched.nodes_mut(), &scripts) {
-        sched.note_injected(id);
-    }
-    let scheduled = live_bytes().saturating_sub(live0);
-    let out = sched.run_until_pred(1_000_000, |ns| {
-        ns.iter().all(skeap::SkeapNode::all_complete)
-    });
-    assert!(out.is_quiescent());
-    let done = live_bytes().saturating_sub(live0);
-    [built, scheduled, done].map(|b| b as f64 / n as f64)
-}
-
-/// Render a scale run as one flat-JSON fragment (keys prefixed `p{n}_`
-/// when `prefix` is set, following the `BENCH_*.json` dialect).
-pub fn scale_run_json(r: &ScaleRun, prefix: &str) -> String {
-    format!(
-        "  \"{prefix}n\": {},\n  \"{prefix}rounds\": {},\n  \
-         \"{prefix}bytes_per_node\": {:.0},\n  \"{prefix}sched_bytes_per_node\": {:.0},\n  \
-         \"{prefix}rounds_per_sec\": {:.0},\n  \
-         \"{prefix}node_steps_per_sec\": {:.0},\n  \"{prefix}skipped_activations\": {},\n  \
-         \"{prefix}peak_rss_bytes\": {}",
-        r.n,
-        r.rounds,
-        r.bytes_per_node,
-        r.sched_bytes_per_node,
-        r.rounds_per_sec,
-        r.node_steps_per_sec,
-        r.skipped_activations,
-        r.peak_rss_bytes
-    )
 }
 
 #[cfg(test)]

@@ -8,21 +8,26 @@
 //! warms each scheduler past its high-water mark, then pins the allocation
 //! count to ZERO over a long measured window — any regression that puts a
 //! per-step or per-round allocation back on the hot path fails loudly, not
-//! as a few-percent throughput drift in `BENCH_*.json`.
+//! as a few-percent throughput drift in the perf ledger.
 //!
 //! Everything here is deterministic (seeded fault plans, seeded adversary,
 //! fixed round counts), so the assertion is exact, not statistical. The
 //! four configurations live in one `#[test]` because the allocation
 //! counter is process-global: parallel test threads would bleed counts
-//! into each other's windows.
+//! into each other's windows. The memory floor below takes [`SERIAL`] for
+//! the same reason.
 
-use dpq_bench::memprobe::{alloc_count, CountingAlloc};
+use dpq_bench::memprobe::{alloc_count, scale_run, CountingAlloc};
 use dpq_bench::perf_probe::{probe_plan, relays, PROBE_NODES};
 use dpq_core::NodeId;
 use dpq_sim::{AsyncScheduler, FaultPlan, SyncScheduler};
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Held by each test while it reads the process-global counters.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Tokens per node held in flight by the sync probe.
 const SYNC_PER_NODE: u64 = 8;
@@ -74,6 +79,7 @@ fn async_steady_allocs(plan: FaultPlan, warmup: u64, measure: u64) -> u64 {
 
 #[test]
 fn steady_state_steps_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert!(
         dpq_bench::memprobe::counting_alloc_installed(),
         "counting allocator not installed"
@@ -115,4 +121,23 @@ fn steady_state_steps_do_not_allocate() {
             "{name}: steady-state steps allocated {allocs} times"
         );
     }
+}
+
+/// The memory floor: the scale probe (one op per node, Skeap under the
+/// synchronous scheduler, to quiescence) at n = 10 000. Rounds and dormant
+/// skips repeat exactly, so any change to delivery order, dormancy or the
+/// probe workload shows here; live heap per node is 670 B at n = 10k, 100k
+/// and 1M, held to the 20 % slack the retired `memprobe --check` allowed —
+/// a per-node `Vec` or map creeping back into the hot structs fails this.
+#[test]
+fn scale_probe_counts_repeat_and_hold_the_memory_floor() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let r = scale_run(10_000);
+    assert_eq!(r.rounds, 215);
+    assert_eq!(r.skipped_activations, 1_804_114);
+    assert!(
+        r.bytes_per_node > 0.0 && r.bytes_per_node <= 804.0,
+        "{} bytes/node",
+        r.bytes_per_node
+    );
 }

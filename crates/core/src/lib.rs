@@ -21,6 +21,7 @@ pub mod ops;
 pub mod priority;
 pub mod rng;
 pub mod statehash;
+pub mod text;
 pub mod workload;
 
 pub use bitsize::{vlq_bits, vlq_bits_i64, BitSize, MsgKind};

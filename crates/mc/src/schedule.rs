@@ -6,6 +6,8 @@
 //! sufficient to reproduce a failure bit-for-bit via
 //! [`crate::policy::replay_schedule`].
 
+use dpq_core::text::{json_escape, json_str, json_u64, json_value};
+
 /// A serializable failing schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
@@ -19,45 +21,6 @@ pub struct Schedule {
     pub original_len: usize,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => break,
-        }
-    }
-    out
-}
-
 impl Schedule {
     /// Serialize to the `schedule.json` text.
     pub fn to_json(&self) -> String {
@@ -69,9 +32,9 @@ impl Schedule {
             .join(", ");
         format!(
             "{{\n  \"scenario\": \"{}\",\n  \"decisions\": [{}],\n  \"violation\": \"{}\",\n  \"original_len\": {}\n}}\n",
-            escape(&self.scenario),
+            json_escape(&self.scenario),
             decisions,
-            escape(&self.violation),
+            json_escape(&self.violation),
             self.original_len
         )
     }
@@ -80,10 +43,11 @@ impl Schedule {
     /// variations of the writer's dialect; rejects anything missing the
     /// required keys.
     pub fn from_json(text: &str) -> Result<Schedule, String> {
-        let scenario = string_field(text, "scenario")?;
-        let violation = string_field(text, "violation").unwrap_or_default();
+        let scenario = json_str(text, "scenario")
+            .ok_or("schedule.json: missing or malformed string \"scenario\"")?;
+        let violation = json_str(text, "violation").unwrap_or_default();
         let decisions = array_field(text, "decisions")?;
-        let original_len = number_field(text, "original_len").unwrap_or(decisions.len() as u64);
+        let original_len = json_u64(text, "original_len").unwrap_or(decisions.len() as u64);
         Ok(Schedule {
             scenario,
             decisions,
@@ -93,43 +57,9 @@ impl Schedule {
     }
 }
 
-fn find_key<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("schedule.json: missing key {key:?}"))?;
-    let rest = &text[at + needle.len()..];
-    let colon = rest
-        .find(':')
-        .ok_or_else(|| format!("schedule.json: key {key:?} has no value"))?;
-    Ok(rest[colon + 1..].trim_start())
-}
-
-fn string_field(text: &str, key: &str) -> Result<String, String> {
-    let v = find_key(text, key)?;
-    let v = v
-        .strip_prefix('"')
-        .ok_or_else(|| format!("schedule.json: {key:?} is not a string"))?;
-    // Scan to the closing unescaped quote.
-    let mut end = None;
-    let mut esc = false;
-    for (i, c) in v.char_indices() {
-        if esc {
-            esc = false;
-        } else if c == '\\' {
-            esc = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    let end = end.ok_or_else(|| format!("schedule.json: unterminated string for {key:?}"))?;
-    Ok(unescape(&v[..end]))
-}
-
 fn array_field(text: &str, key: &str) -> Result<Vec<usize>, String> {
-    let v = find_key(text, key)?;
-    let v = v
+    let v = json_value(text, key)
+        .ok_or_else(|| format!("schedule.json: missing key {key:?}"))?
         .strip_prefix('[')
         .ok_or_else(|| format!("schedule.json: {key:?} is not an array"))?;
     let end = v
@@ -148,14 +78,6 @@ fn array_field(text: &str, key: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-fn number_field(text: &str, key: &str) -> Result<u64, String> {
-    let v = find_key(text, key)?;
-    let digits: String = v.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits
-        .parse::<u64>()
-        .map_err(|e| format!("schedule.json: bad number for {key:?}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,11 +87,14 @@ mod tests {
         let s = Schedule {
             scenario: "skeap_clean".into(),
             decisions: vec![0, 3, 1, 2],
-            violation: "witness 6 assigned \"twice\"\nsecond line".into(),
+            violation: "witness 6 assigned \"twice\"\nsecond line\rthird".into(),
             original_len: 57,
         };
         let parsed = Schedule::from_json(&s.to_json()).expect("parse");
         assert_eq!(parsed, s);
+        // Files written before the writers were unified spell CR `\u000d`.
+        let old = s.to_json().replace("\\r", "\\u000d");
+        assert_eq!(Schedule::from_json(&old).expect("parse"), s);
     }
 
     #[test]

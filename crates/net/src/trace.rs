@@ -17,25 +17,8 @@
 
 use std::fmt::Write as _;
 
+use dpq_core::text::{json_str, json_u64};
 use dpq_core::{ElemId, Element, NodeId, OpId, OpKind, OpRecord, OpReturn, Priority};
-
-fn num_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
 
 fn push_elem(out: &mut String, prefix: &str, e: &Element) {
     let _ = write!(
@@ -47,9 +30,9 @@ fn push_elem(out: &mut String, prefix: &str, e: &Element) {
 
 fn parse_elem(line: &str, prefix: &str) -> Option<Element> {
     Some(Element {
-        id: ElemId(num_field(line, &format!("{prefix}_id"))?),
-        prio: Priority(num_field(line, &format!("{prefix}_prio"))?),
-        payload: num_field(line, &format!("{prefix}_pay"))?,
+        id: ElemId(json_u64(line, &format!("{prefix}_id"))?),
+        prio: Priority(json_u64(line, &format!("{prefix}_prio"))?),
+        payload: json_u64(line, &format!("{prefix}_pay"))?,
     })
 }
 
@@ -117,20 +100,20 @@ pub fn parse_trace(text: &str) -> Result<(Vec<OpRecord>, Vec<Element>), String> 
             continue;
         }
         let fail = |what: &str| format!("line {}: {what}: {line}", i + 1);
-        match str_field(line, "t") {
+        match json_str(line, "t").as_deref() {
             Some("op") => {
                 let id = OpId {
-                    node: NodeId(num_field(line, "node").ok_or_else(|| fail("missing node"))?),
-                    seq: num_field(line, "seq").ok_or_else(|| fail("missing seq"))?,
+                    node: NodeId(json_u64(line, "node").ok_or_else(|| fail("missing node"))?),
+                    seq: json_u64(line, "seq").ok_or_else(|| fail("missing seq"))?,
                 };
-                let kind = match str_field(line, "kind") {
+                let kind = match json_str(line, "kind").as_deref() {
                     Some("ins") => OpKind::Insert(
                         parse_elem(line, "e").ok_or_else(|| fail("missing insert element"))?,
                     ),
                     Some("del") => OpKind::DeleteMin,
                     _ => return Err(fail("bad kind")),
                 };
-                let ret = match str_field(line, "ret") {
+                let ret = match json_str(line, "ret").as_deref() {
                     Some("none") => None,
                     Some("inserted") => Some(OpReturn::Inserted),
                     Some("bottom") => Some(OpReturn::Bottom),
@@ -143,7 +126,7 @@ pub fn parse_trace(text: &str) -> Result<(Vec<OpRecord>, Vec<Element>), String> 
                     id,
                     kind,
                     ret,
-                    witness: num_field(line, "wit"),
+                    witness: json_u64(line, "wit"),
                 });
             }
             Some("res") => {

@@ -27,6 +27,7 @@
 //! (`recover: None`) for tests that probe safety under permanent loss.
 
 use crate::envelope::Envelope;
+use dpq_core::text::{parse_f64, parse_u64, toml_kv, toml_lines};
 use dpq_core::{DetRng, NodeId};
 use dpq_trace::{DropReason, TraceEvent, Tracer};
 
@@ -648,16 +649,6 @@ enum Section {
     Link,
 }
 
-fn parse_u64(v: &str, line: usize) -> Result<u64, String> {
-    v.parse::<u64>()
-        .map_err(|_| format!("line {line}: expected integer, got `{v}`"))
-}
-
-fn parse_f64(v: &str, line: usize) -> Result<f64, String> {
-    v.parse::<f64>()
-        .map_err(|_| format!("line {line}: expected number, got `{v}`"))
-}
-
 fn parse_node_list(v: &str, line: usize) -> Result<Vec<NodeId>, String> {
     let inner = v
         .strip_prefix('[')
@@ -674,15 +665,7 @@ fn parse_node_list(v: &str, line: usize) -> Result<Vec<NodeId>, String> {
 fn parse_toml(text: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::none();
     let mut section = Section::Top;
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = match raw.split_once('#') {
-            Some((before, _)) => before.trim(),
-            None => raw.trim(),
-        };
-        if line.is_empty() {
-            continue;
-        }
+    for (line_no, line) in toml_lines(text) {
         if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
             section = match header.trim() {
                 "partition" => {
@@ -721,10 +704,7 @@ fn parse_toml(text: &str) -> Result<FaultPlan, String> {
             };
             continue;
         }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {line_no}: expected `key = value`"))?;
-        let (key, value) = (key.trim(), value.trim());
+        let (key, value) = toml_kv(line, line_no)?;
         match section {
             Section::Top => match key {
                 "seed" => plan.seed = parse_u64(value, line_no)?,

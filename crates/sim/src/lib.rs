@@ -14,7 +14,11 @@
 //!
 //! Protocols are state machines implementing [`Protocol`]; the scheduler
 //! owns one instance per node and drives it through message deliveries and
-//! activations. All randomness is seeded ([`dpq_core::DetRng`]), so every
+//! activations. The two models differ only in when a sent message is
+//! delivered: each scheduler keeps its delivery order and its clock, and
+//! what a node turn does and records — fault drops, delivery accounting,
+//! completions, `Send` tracing, fault routing, dormancy — is written once,
+//! in the [`Kernel`] both dereference to. All randomness is seeded ([`dpq_core::DetRng`]), so every
 //! run replays bit-for-bit.
 
 #![warn(missing_docs)]
@@ -23,6 +27,7 @@ mod dormant;
 pub mod envelope;
 pub mod faults;
 mod flightset;
+mod kernel;
 pub mod metrics;
 pub mod policy;
 pub mod protocol;
@@ -36,6 +41,7 @@ pub use faults::{
     fault_matrix, CrashEvent, DelayInflation, FaultCell, FaultPlan, FaultState, FaultStats,
     FaultTransition, LinkFault, Partition, SendVerdict,
 };
+pub use kernel::Kernel;
 pub use metrics::{
     KindStat, LatencySummary, Metrics, MetricsDelta, MetricsSnapshot, RoundSample, RoundWindow,
 };

@@ -158,52 +158,36 @@ impl<T: Tracer, M: Telemetry> Run<T, M> {
         P::Msg: Clone,
     {
         let all_done = |ns: &[P]| ns.iter().all(&done);
-        let (completed, time, metrics, latency_hist, faults, (nodes, tracer, telemetry)) =
-            match self.sched {
-                Sched::Sync => {
-                    let mut s = SyncScheduler::new(nodes)
-                        .with_faults(plan)
-                        .with_tracer(self.tracer)
-                        .with_telemetry(self.telemetry);
-                    injected.iter().for_each(|&id| s.note_injected(id));
-                    let out = s.run_until_pred(self.budget, all_done);
-                    (
-                        out.is_quiescent(),
-                        out.rounds(),
-                        s.metrics.snapshot(),
-                        s.metrics.latency_histogram().clone(),
-                        s.faults().stats,
-                        s.into_parts(),
-                    )
-                }
-                Sched::Async(seed) => {
-                    let mut s = AsyncScheduler::new(nodes, seed)
-                        .with_faults(plan)
-                        .with_tracer(self.tracer)
-                        .with_telemetry(self.telemetry);
-                    injected.iter().for_each(|&id| s.note_injected(id));
-                    let completed = s.run_until_pred(self.budget, all_done);
-                    (
-                        completed,
-                        s.steps(),
-                        s.metrics.snapshot(),
-                        s.metrics.latency_histogram().clone(),
-                        s.faults().stats,
-                        s.into_parts(),
-                    )
-                }
-            };
+        let (completed, time, k) = match self.sched {
+            Sched::Sync => {
+                let mut s = SyncScheduler::new(nodes)
+                    .with_faults(plan)
+                    .with_tracer(self.tracer)
+                    .with_telemetry(self.telemetry);
+                injected.iter().for_each(|&id| s.note_injected(id));
+                let out = s.run_until_pred(self.budget, all_done);
+                (out.is_quiescent(), out.rounds(), s.k)
+            }
+            Sched::Async(seed) => {
+                let mut s = AsyncScheduler::new(nodes, seed)
+                    .with_faults(plan)
+                    .with_tracer(self.tracer)
+                    .with_telemetry(self.telemetry);
+                injected.iter().for_each(|&id| s.note_injected(id));
+                (s.run_until_pred(self.budget, all_done), s.steps(), s.k)
+            }
+        };
         Core {
-            nodes,
-            metrics,
+            metrics: k.metrics.snapshot(),
+            latency_hist: k.metrics.latency_histogram().clone(),
+            faults: k.faults.stats,
+            nodes: k.nodes,
             time,
             completed,
-            latency_hist,
-            faults,
             retransmits: 0,
             dup_suppressed: 0,
-            tracer,
-            telemetry,
+            tracer: k.tracer,
+            telemetry: k.telemetry,
         }
     }
 

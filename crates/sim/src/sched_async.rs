@@ -13,16 +13,16 @@
 //! round-robin activation sweep is interleaved so runs terminate even when
 //! the coin is unlucky.
 
-use crate::dormant::DormantSet;
 use crate::envelope::Envelope;
-use crate::faults::{FaultPlan, FaultState};
+use crate::faults::FaultPlan;
 use crate::flightset::FlightSet;
-use crate::metrics::Metrics;
+use crate::kernel::Kernel;
 use crate::policy::{DeliveryPolicy, RandomAdversary, StepChoice};
-use crate::protocol::{Ctx, CtxBufs, CtxEvent, Protocol};
+use crate::protocol::Protocol;
 use dpq_core::{NodeId, OpId};
 use dpq_telemetry::{NullTelemetry, Telemetry};
-use dpq_trace::{NullTracer, TraceEvent, Tracer};
+use dpq_trace::{NullTracer, Tracer};
+use std::ops::{Deref, DerefMut};
 
 /// Tunables for the asynchronous adversary.
 #[derive(Debug, Clone, Copy)]
@@ -75,24 +75,21 @@ impl Default for AsyncConfig {
 /// choices — and therefore the whole run — bit-for-bit identical to a
 /// scheduler constructed without one. `P::Msg: Clone` because the fault
 /// layer may have to duplicate a message.
+///
+/// Dereferences to the [`Kernel`] it shares with the synchronous scheduler
+/// (nodes, fault state, `metrics`, `tracer`, `telemetry`, their accessors);
+/// what is here is the delivery order — the flight set and the policy that
+/// picks from it — and the step clock.
 pub struct AsyncScheduler<
     P: Protocol,
     T: Tracer = NullTracer,
     D: DeliveryPolicy = RandomAdversary,
     M: Telemetry = NullTelemetry,
 > {
-    nodes: Vec<P>,
+    pub(crate) k: Kernel<P, T, M>,
     /// In-flight messages, maturity-indexed when the fault layer (or a
     /// delay bound) makes readiness non-trivial.
     in_flight: FlightSet<P::Msg>,
-    /// The fault plan being executed (the null plan by default).
-    faults: FaultState,
-    /// Run metrics (steps, messages, bits, congestion).
-    pub metrics: Metrics,
-    /// The event sink.
-    pub tracer: T,
-    /// The metrics sink.
-    pub telemetry: M,
     policy: D,
     cfg: AsyncConfig,
     step: u64,
@@ -100,11 +97,21 @@ pub struct AsyncScheduler<
     win_base_messages: u64,
     /// Gauge/histogram handles, registered lazily at the first sweep.
     win_handles: Option<(dpq_telemetry::GaugeId, dpq_telemetry::GaugeId)>,
-    /// Recycled Ctx storage: one outbox/event allocation per scheduler,
-    /// not per node turn.
-    bufs: CtxBufs<P::Msg>,
-    /// Nodes whose activations may be skipped ([`Protocol::dormant`]).
-    dormant: DormantSet,
+}
+
+impl<P: Protocol, T: Tracer, D: DeliveryPolicy, M: Telemetry> Deref for AsyncScheduler<P, T, D, M> {
+    type Target = Kernel<P, T, M>;
+    fn deref(&self) -> &Self::Target {
+        &self.k
+    }
+}
+
+impl<P: Protocol, T: Tracer, D: DeliveryPolicy, M: Telemetry> DerefMut
+    for AsyncScheduler<P, T, D, M>
+{
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.k
+    }
 }
 
 impl<P: Protocol> AsyncScheduler<P>
@@ -115,22 +122,15 @@ where
     /// default configuration, null fault plan, no sinks. The optional parts
     /// are the `with_*` setters below, applied before the first step.
     pub fn new(nodes: Vec<P>, seed: u64) -> Self {
-        let n = nodes.len();
         let cfg = AsyncConfig::default();
         AsyncScheduler {
-            nodes,
+            k: Kernel::new(nodes),
             in_flight: FlightSet::new(false, cfg.max_delay),
-            faults: FaultState::new(FaultPlan::none(), n),
-            metrics: Metrics::new(n),
-            tracer: NullTracer,
-            telemetry: NullTelemetry,
             policy: RandomAdversary::new(seed),
             cfg,
             step: 0,
             win_base_messages: 0,
             win_handles: None,
-            bufs: CtxBufs::default(),
-            dormant: DormantSet::new(n),
         }
     }
 }
@@ -147,7 +147,7 @@ where
 
     /// Execute `plan` (replaces the null plan).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultState::new(plan, self.nodes.len());
+        self.k = self.k.with_faults(plan);
         self.reindex_flight()
     }
 
@@ -160,44 +160,38 @@ where
             self.in_flight.is_empty(),
             "configure the scheduler before its first step"
         );
-        self.in_flight = FlightSet::new(self.faults.active(), self.cfg.max_delay);
+        self.in_flight = FlightSet::new(self.k.faults.active(), self.cfg.max_delay);
         self
     }
 
     /// Let `policy` pick what each free step does.
     pub fn with_policy<D2: DeliveryPolicy>(self, policy: D2) -> AsyncScheduler<P, T, D2, M> {
-        self.map_parts(|t, _, m| (t, policy, m))
+        self.map_parts(|k, _| (k, policy))
     }
 
     /// Attach an event sink.
     pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> AsyncScheduler<P, T2, D, M> {
-        self.map_parts(|_, d, m| (tracer, d, m))
+        self.map_parts(|k, d| (k.map_sinks(|_, m| (tracer, m)), d))
     }
 
     /// Attach a metrics sink.
     pub fn with_telemetry<M2: Telemetry>(self, telemetry: M2) -> AsyncScheduler<P, T, D, M2> {
-        self.map_parts(|t, d, _| (t, d, telemetry))
+        self.map_parts(|k, d| (k.map_sinks(|t, _| (t, telemetry)), d))
     }
 
     fn map_parts<T2: Tracer, D2: DeliveryPolicy, M2: Telemetry>(
         self,
-        f: impl FnOnce(T, D, M) -> (T2, D2, M2),
+        f: impl FnOnce(Kernel<P, T, M>, D) -> (Kernel<P, T2, M2>, D2),
     ) -> AsyncScheduler<P, T2, D2, M2> {
-        let (tracer, policy, telemetry) = f(self.tracer, self.policy, self.telemetry);
+        let (k, policy) = f(self.k, self.policy);
         AsyncScheduler {
-            nodes: self.nodes,
+            k,
             in_flight: self.in_flight,
-            faults: self.faults,
-            metrics: self.metrics,
-            tracer,
-            telemetry,
             policy,
             cfg: self.cfg,
             step: self.step,
             win_base_messages: self.win_base_messages,
             win_handles: self.win_handles,
-            bufs: self.bufs,
-            dormant: self.dormant,
         }
     }
 
@@ -211,23 +205,18 @@ where
         &mut self.policy
     }
 
-    /// The fault layer's state (plan, down map, injection counters).
-    pub fn faults(&self) -> &FaultState {
-        &self.faults
-    }
-
     /// Consume the scheduler, yielding the protocol instances and both
     /// sinks — for drivers that fold node-local state (e.g. transport
     /// counters) into the metrics sink after the run ends.
     pub fn into_parts(self) -> (Vec<P>, T, M) {
-        (self.nodes, self.tracer, self.telemetry)
+        (self.k.nodes, self.k.tracer, self.k.telemetry)
     }
 
     /// Consume the scheduler, yielding the protocol instances — used by
     /// churn drivers that rebuild a scheduler over a changed membership.
     /// Any in-flight messages are discarded; run to quiescence first.
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        self.k.nodes
     }
 
     /// Register that the driver just injected `op` into its issuing node;
@@ -242,43 +231,7 @@ where
     /// clock must start at the mapped arrival step, not at whatever step
     /// the driver reached when it got around to issuing the op.
     pub fn note_injected_at(&mut self, op: OpId, step: u64) {
-        self.metrics.note_injected(op, step);
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::OpInjected {
-                round: self.step,
-                node: op.node,
-                op,
-            });
-        }
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// All instances.
-    pub fn nodes(&self) -> &[P] {
-        &self.nodes
-    }
-
-    /// Mutable access to all instances. Wakes every dormant node — in
-    /// O(1), drivers call this once per injected op.
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        self.dormant.wake_all();
-        &mut self.nodes
-    }
-
-    /// Mutable access to the instance at `v`. Wakes `v` if it was dormant.
-    pub fn node_mut(&mut self, v: NodeId) -> &mut P {
-        self.dormant.wake(v.index());
-        &mut self.nodes[v.index()]
-    }
-
-    /// Activations (sweep or adversary pick) skipped so far because the
-    /// node had said it was [dormant](Protocol::dormant).
-    pub fn dormant_skips(&self) -> u64 {
-        self.dormant.skips
+        self.k.note_injected(op, step, self.step);
     }
 
     /// Messages currently in flight.
@@ -291,7 +244,7 @@ where
     /// ones with one. This is the `eligible` that the next non-sweep,
     /// non-forced [`step_once`](Self::step_once) will pass to the policy.
     pub fn eligible_now(&self) -> usize {
-        if self.faults.active() {
+        if self.k.faults.active() {
             self.in_flight.eligible_count()
         } else {
             self.in_flight.len()
@@ -314,113 +267,25 @@ where
         &self.cfg
     }
 
-    fn run_node<F: FnOnce(&mut P, &mut Ctx<P::Msg>)>(&mut self, i: usize, f: F) {
-        let me = NodeId(i as u64);
-        let mut ctx = Ctx::from_bufs(me, self.step, &mut self.bufs);
-        f(&mut self.nodes[i], &mut ctx);
-        self.dormant.set(i, self.nodes[i].dormant());
-        for ev in ctx.drain_events() {
-            match ev {
-                CtxEvent::Phase { label, value } => {
-                    if T::ENABLED {
-                        self.tracer.record(TraceEvent::PhaseMark {
-                            round: self.step,
-                            node: me,
-                            label,
-                            value,
-                        });
-                    }
-                }
-                CtxEvent::OpDone { op } => {
-                    let lat = self.metrics.note_completed(op, self.step);
-                    if M::ENABLED {
-                        if let Some(lat) = lat {
-                            self.telemetry.on_op_latency(lat);
-                        }
-                    }
-                    if T::ENABLED {
-                        self.tracer.record(TraceEvent::OpCompleted {
-                            round: self.step,
-                            node: me,
-                            op,
-                        });
-                    }
-                }
-            }
-        }
-        let step = self.step;
-        if T::ENABLED {
-            for env in ctx.outbox() {
-                self.tracer.record(TraceEvent::Send {
-                    round: step,
-                    src: env.src,
-                    dst: env.dst,
-                    kind: env.kind,
-                    bits: env.bits,
-                });
-            }
-        }
-        if !self.faults.active() {
-            for env in ctx.drain_outbox() {
-                self.in_flight.push(step, env);
-            }
-        } else {
-            let in_flight = &mut self.in_flight;
-            let faults = &mut self.faults;
-            let tracer = &mut self.tracer;
-            for env in ctx.drain_outbox() {
-                faults.route_send(step, env, tracer, |extra, env| {
-                    in_flight.push(step + extra, env);
-                });
-            }
-        }
-        ctx.into_bufs(&mut self.bufs);
+    /// One node turn at the current step: every surviving send joins the
+    /// flight set, ready after whatever delay the fault layer added.
+    fn turn(&mut self, i: usize, inbox: Option<Envelope<P::Msg>>, activate: bool) {
+        let (step, in_flight) = (self.step, &mut self.in_flight);
+        self.k.turn(i, step, step, inbox, activate, |extra, env| {
+            in_flight.push(step + extra, env)
+        });
     }
 
     fn deliver_at(&mut self, idx: usize) {
         let env = self.in_flight.swap_remove(idx);
-        if let Some(reason) = self.faults.delivery_fault(env.src, env.dst) {
-            self.faults.note_delivery_drop(reason);
-            if T::ENABLED {
-                self.tracer.record(TraceEvent::FaultDrop {
-                    round: self.step,
-                    src: env.src,
-                    dst: env.dst,
-                    kind: env.kind,
-                    bits: env.bits,
-                    reason,
-                });
-            }
-            return;
-        }
-        let dst = env.dst.index();
-        self.metrics.on_deliver(dst, env.bits, env.kind);
-        if M::ENABLED {
-            self.telemetry.on_deliver(env.kind, env.bits);
-        }
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::Deliver {
-                round: self.step,
-                src: env.src,
-                dst: env.dst,
-                kind: env.kind,
-                bits: env.bits,
-            });
-        }
-        self.run_node(dst, |n, ctx| n.on_message(env.src, env.msg, ctx));
+        self.turn(env.dst.index(), Some(env), false);
     }
 
     /// One activation turn (sweep or adversary pick): always traced, but a
     /// node that said it was [dormant](Protocol::dormant) is not stepped.
     fn activate(&mut self, i: usize) {
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::Activate {
-                round: self.step,
-                node: NodeId(i as u64),
-            });
-        }
-        if !self.dormant.skip(i) {
-            self.run_node(i, |n, ctx| n.on_activate(ctx));
+        if !self.k.skip_activation(i, self.step) {
+            self.turn(i, None, true);
         }
     }
 
@@ -432,22 +297,15 @@ where
     /// once mature, and a delivery attempt across a live cut (or to a down
     /// node) destroys the message.
     pub fn step_once(&mut self) {
-        self.dormant.settle();
         self.step += 1;
         self.in_flight.advance(self.step);
-        if self.faults.active() {
-            for tr in self.faults.advance_to(self.step) {
-                if T::ENABLED {
-                    self.tracer.record(tr.to_event(self.step));
-                }
-            }
-        }
+        self.k.open_step(self.step);
         if self.cfg.sweep_every > 0 && self.step.is_multiple_of(self.cfg.sweep_every) {
             if M::ENABLED {
                 self.telemetry_window();
             }
-            for i in 0..self.nodes.len() {
-                if !self.faults.is_down(NodeId(i as u64)) {
+            for i in 0..self.k.nodes.len() {
+                if !self.k.faults.is_down(NodeId(i as u64)) {
                     self.activate(i);
                 }
             }
@@ -461,32 +319,24 @@ where
                 return;
             }
         }
-        if !self.faults.active() {
-            // Without a fault plan every in-flight message is eligible.
-            match self
-                .policy
-                .decide(self.in_flight.len(), self.nodes.len(), &self.cfg)
-            {
-                // swap_remove of the chosen index = non-FIFO fair delivery.
-                StepChoice::Deliver(k) => self.deliver_at(k),
-                StepChoice::Activate(i) => self.activate(i),
-            }
-            return;
-        }
-        // Fault-aware path: only mature messages are eligible for the
+        // Without a fault plan every in-flight message is eligible and no
+        // node is down. With one, only mature messages are eligible for the
         // delivery pick, and a crashed node's activation turn is consumed
         // doing nothing (fail-pause). The k-th-eligible select reproduces
         // the retired linear scan's `eligible[k]` exactly, so the random
         // adversary's choices — and the pinned golden traces — are
         // unchanged.
-        let eligible = self.in_flight.eligible_count();
-        match self.policy.decide(eligible, self.nodes.len(), &self.cfg) {
-            StepChoice::Deliver(k) => {
+        let faulty = self.k.faults.active();
+        let eligible = self.eligible_now();
+        match self.policy.decide(eligible, self.k.nodes.len(), &self.cfg) {
+            // swap_remove of the chosen index = non-FIFO fair delivery.
+            StepChoice::Deliver(k) if faulty => {
                 let idx = self.in_flight.pick_eligible(k);
                 self.deliver_at(idx);
             }
+            StepChoice::Deliver(k) => self.deliver_at(k),
             StepChoice::Activate(i) => {
-                if !self.faults.is_down(NodeId(i as u64)) {
+                if !self.k.faults.is_down(NodeId(i as u64)) {
                     self.activate(i);
                 }
             }
@@ -499,47 +349,34 @@ where
     /// totals. Pure observation — reads scheduler state, mutates only the
     /// sink.
     fn telemetry_window(&mut self) {
-        let (occ, spill) = match self.win_handles {
-            Some(h) => h,
-            None => {
-                let h = (
-                    self.telemetry.register_gauge("flightset.occupancy"),
-                    self.telemetry.register_gauge("flightset.overflow_spill"),
-                );
-                self.win_handles = Some(h);
-                h
-            }
-        };
-        let delivered = self.metrics.messages - self.win_base_messages;
-        self.win_base_messages = self.metrics.messages;
+        let telemetry = &mut self.k.telemetry;
+        let (occ, spill) = *self.win_handles.get_or_insert_with(|| {
+            (
+                telemetry.register_gauge("flightset.occupancy"),
+                telemetry.register_gauge("flightset.overflow_spill"),
+            )
+        });
+        let delivered = self.k.metrics.messages - self.win_base_messages;
+        self.win_base_messages = self.k.metrics.messages;
         // Async has no rounds, so the congestion figure is the running
         // per-(node, run) maximum rather than a per-window one.
-        self.telemetry
-            .on_window_end(delivered, self.metrics.congestion);
-        self.telemetry.gauge_set(occ, self.in_flight.len() as u64);
-        self.telemetry
-            .gauge_set(spill, self.in_flight.overflow_len() as u64);
-        if self.faults.active() {
-            self.telemetry.fault_totals(self.faults.stats.totals());
+        telemetry.on_window_end(delivered, self.k.metrics.congestion);
+        telemetry.gauge_set(occ, self.in_flight.len() as u64);
+        telemetry.gauge_set(spill, self.in_flight.overflow_len() as u64);
+        if self.k.faults.active() {
+            telemetry.fault_totals(self.k.faults.stats.totals());
         }
     }
 
     /// Nothing in flight and every node reports done.
     pub fn quiescent(&self) -> bool {
-        self.in_flight.is_empty() && self.nodes.iter().all(Protocol::done)
+        self.in_flight.is_empty() && self.k.nodes.iter().all(Protocol::done)
     }
 
     /// Run until quiescence (plus `pred`) or a step budget.
     /// Returns `true` on quiescence.
     pub fn run_until(&mut self, max_steps: u64, pred: impl Fn(&[P]) -> bool) -> bool {
-        let start = self.step;
-        while self.step - start < max_steps {
-            if self.quiescent() && pred(&self.nodes) {
-                return true;
-            }
-            self.step_once();
-        }
-        self.quiescent() && pred(&self.nodes)
+        self.run_to(max_steps, |s| s.quiescent() && pred(&s.k.nodes))
     }
 
     /// Run until quiescence or the step budget.
@@ -551,20 +388,25 @@ where
     /// rule for perpetually cycling protocols. Returns `true` if `pred` was
     /// reached within the budget.
     pub fn run_until_pred(&mut self, max_steps: u64, pred: impl Fn(&[P]) -> bool) -> bool {
+        self.run_to(max_steps, |s| pred(&s.k.nodes))
+    }
+
+    fn run_to(&mut self, max_steps: u64, stop: impl Fn(&Self) -> bool) -> bool {
         let start = self.step;
         while self.step - start < max_steps {
-            if pred(&self.nodes) {
+            if stop(self) {
                 return true;
             }
             self.step_once();
         }
-        pred(&self.nodes)
+        stop(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Ctx;
 
     /// Echo protocol: node 0 sends `k` pings to everyone on first activation;
     /// receivers reply; node 0 counts pongs.

@@ -6,14 +6,14 @@
 //! Additionally, we assume that each node is activated once in each round."
 //! (§1.1)
 
-use crate::dormant::DormantSet;
 use crate::envelope::Envelope;
-use crate::faults::{FaultPlan, FaultState};
-use crate::metrics::Metrics;
-use crate::protocol::{Ctx, CtxBufs, CtxEvent, Protocol};
+use crate::faults::FaultPlan;
+use crate::kernel::Kernel;
+use crate::protocol::Protocol;
 use dpq_core::{NodeId, OpId};
 use dpq_telemetry::{NullTelemetry, Telemetry};
-use dpq_trace::{DropReason, NullTracer, TraceEvent, Tracer};
+use dpq_trace::{NullTracer, TraceEvent, Tracer};
+use std::ops::{Deref, DerefMut};
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +61,13 @@ impl RunOutcome {
 /// observationally identical to no plan at all and any (plan, workload) pair
 /// replays bit-for-bit. `P::Msg: Clone` because the fault layer may have to
 /// duplicate a message.
+///
+/// Dereferences to the [`Kernel`] it shares with the asynchronous scheduler
+/// (nodes, fault state, `metrics`, `tracer`, `telemetry`, their accessors);
+/// what is here is the delivery order — next round, grouped by destination,
+/// in send order — and the round clock.
 pub struct SyncScheduler<P: Protocol, T: Tracer = NullTracer, M: Telemetry = NullTelemetry> {
-    nodes: Vec<P>,
+    pub(crate) k: Kernel<P, T, M>,
     /// The messages deliverable this round, one flat buffer: sent last
     /// round, in send order, plus any matured delayed messages behind them.
     /// Delivered slots are `take`n during the round; at round end the fully
@@ -84,27 +89,27 @@ pub struct SyncScheduler<P: Protocol, T: Tracer = NullTracer, M: Telemetry = Nul
     starts: Vec<u32>,
     /// Messages the fault layer delayed: `(deliverable_round, envelope)`.
     future: Vec<(u64, Envelope<P::Msg>)>,
-    /// The fault plan being executed (the null plan by default).
-    faults: FaultState,
-    /// Run metrics (rounds, messages, bits, congestion).
-    pub metrics: Metrics,
-    /// The event sink.
-    pub tracer: T,
-    /// The metrics sink.
-    pub telemetry: M,
     round: u64,
     /// Simulated-time ticks per round (default 1). Open-loop workload
     /// drivers set this so op latencies are bucketed on the *simulated*
     /// time axis (arrival tick → completion tick) rather than the round
     /// index — see [`Self::set_ticks_per_round`].
     ticks_per_round: u64,
-    /// Recycled Ctx storage: one outbox/event allocation per scheduler,
-    /// not per node turn.
-    bufs: CtxBufs<P::Msg>,
     /// Recycled scratch for the `future` maturity filter.
     future_scratch: Vec<(u64, Envelope<P::Msg>)>,
-    /// Nodes whose activations may be skipped ([`Protocol::dormant`]).
-    dormant: DormantSet,
+}
+
+impl<P: Protocol, T: Tracer, M: Telemetry> Deref for SyncScheduler<P, T, M> {
+    type Target = Kernel<P, T, M>;
+    fn deref(&self) -> &Self::Target {
+        &self.k
+    }
+}
+
+impl<P: Protocol, T: Tracer, M: Telemetry> DerefMut for SyncScheduler<P, T, M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.k
+    }
 }
 
 impl<P: Protocol> SyncScheduler<P>
@@ -115,23 +120,16 @@ where
     /// plan, no sinks. The optional parts are the `with_*` setters below,
     /// applied before the first step.
     pub fn new(nodes: Vec<P>) -> Self {
-        let n = nodes.len();
         SyncScheduler {
-            nodes,
+            k: Kernel::new(nodes),
             next: Vec::new(),
             fresh: Vec::new(),
             order: Vec::new(),
             starts: Vec::new(),
             future: Vec::new(),
-            faults: FaultState::new(FaultPlan::none(), n),
-            metrics: Metrics::new(n),
-            tracer: NullTracer,
-            telemetry: NullTelemetry,
             round: 0,
             ticks_per_round: 1,
-            bufs: CtxBufs::default(),
             future_scratch: Vec::new(),
-            dormant: DormantSet::new(n),
         }
     }
 }
@@ -142,7 +140,7 @@ where
 {
     /// Execute `plan` (replaces the null plan; set before the first step).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = FaultState::new(plan, self.nodes.len());
+        self.k = self.k.with_faults(plan);
         self
     }
 
@@ -160,50 +158,38 @@ where
         self,
         f: impl FnOnce(T, M) -> (T2, M2),
     ) -> SyncScheduler<P, T2, M2> {
-        let (tracer, telemetry) = f(self.tracer, self.telemetry);
         SyncScheduler {
-            nodes: self.nodes,
+            k: self.k.map_sinks(f),
             next: self.next,
             fresh: self.fresh,
             order: self.order,
             starts: self.starts,
             future: self.future,
-            faults: self.faults,
-            metrics: self.metrics,
-            tracer,
-            telemetry,
             round: self.round,
             ticks_per_round: self.ticks_per_round,
-            bufs: self.bufs,
             future_scratch: self.future_scratch,
-            dormant: self.dormant,
         }
-    }
-
-    /// The fault layer's state (plan, down map, injection counters).
-    pub fn faults(&self) -> &FaultState {
-        &self.faults
     }
 
     /// Consume the scheduler, yielding the protocol instances and both
     /// sinks — for drivers that fold node-local state (e.g. transport
     /// counters) into the metrics sink after the run ends.
     pub fn into_parts(self) -> (Vec<P>, T, M) {
-        (self.nodes, self.tracer, self.telemetry)
+        (self.k.nodes, self.k.tracer, self.k.telemetry)
     }
 
     /// Consume the scheduler, yielding the protocol instances — used by
     /// churn drivers that rebuild a scheduler over a changed membership.
     /// Any in-flight messages are discarded; run to quiescence first.
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        self.k.nodes
     }
 
     /// Register that the driver just injected `op` into its issuing node;
     /// starts the op's latency clock at the current simulated time
     /// (`round × ticks_per_round`).
     pub fn note_injected(&mut self, op: OpId) {
-        self.note_injected_at(op, self.round * self.ticks_per_round);
+        self.note_injected_at(op, self.now_ticks());
     }
 
     /// Register an injection whose *arrival* happened at simulated tick
@@ -213,14 +199,7 @@ where
     /// mid-round (ticks_per_round > 1) and must charge the op's latency
     /// clock from its arrival, not from the round the driver got to it.
     pub fn note_injected_at(&mut self, op: OpId, tick: u64) {
-        self.metrics.note_injected(op, tick);
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::OpInjected {
-                round: self.round,
-                node: op.node,
-                op,
-            });
-        }
+        self.k.note_injected(op, tick, self.round);
     }
 
     /// Set the simulated-time granularity: `ticks` per synchronous round
@@ -232,7 +211,7 @@ where
     pub fn set_ticks_per_round(&mut self, ticks: u64) {
         assert!(ticks >= 1, "ticks_per_round must be >= 1");
         assert_eq!(
-            self.metrics.pending_ops(),
+            self.k.metrics.pending_ops(),
             0,
             "cannot rescale the time axis with ops in flight"
         );
@@ -249,41 +228,6 @@ where
         self.round * self.ticks_per_round
     }
 
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The protocol instance at `v`.
-    pub fn node(&self, v: NodeId) -> &P {
-        &self.nodes[v.index()]
-    }
-
-    /// Mutable access to the instance at `v` (drivers inject requests
-    /// here). Wakes `v` if it was dormant.
-    pub fn node_mut(&mut self, v: NodeId) -> &mut P {
-        self.dormant.wake(v.index());
-        &mut self.nodes[v.index()]
-    }
-
-    /// All instances.
-    pub fn nodes(&self) -> &[P] {
-        &self.nodes
-    }
-
-    /// Mutable access to all instances. Wakes every dormant node — in
-    /// O(1), drivers call this once per injected op.
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        self.dormant.wake_all();
-        &mut self.nodes
-    }
-
-    /// Activations skipped so far because the node had no message and had
-    /// said it was [dormant](Protocol::dormant).
-    pub fn dormant_skips(&self) -> u64 {
-        self.dormant.skips
-    }
-
     /// Rounds elapsed since construction.
     pub fn round(&self) -> u64 {
         self.round
@@ -295,21 +239,6 @@ where
         self.next.iter().flatten().count() + self.fresh.iter().flatten().count() + self.future.len()
     }
 
-    /// Record a message the fault layer destroyed at delivery time.
-    fn drop_delivery(&mut self, env: Envelope<P::Msg>, reason: DropReason) {
-        self.faults.note_delivery_drop(reason);
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::FaultDrop {
-                round: self.round,
-                src: env.src,
-                dst: env.dst,
-                kind: env.kind,
-                bits: env.bits,
-                reason,
-            });
-        }
-    }
-
     /// Group the deliverable messages (the whole of `next`, in global send
     /// order) by destination: a stable counting sort writing a permutation
     /// into `order` with row bounds in `starts`. Stability means that within
@@ -318,7 +247,7 @@ where
     /// pin. Touches the allocator only while the buffers grow toward their
     /// high-water capacity.
     fn regroup(&mut self) {
-        let n = self.nodes.len();
+        let n = self.k.nodes.len();
         let m = self.next.len();
         self.starts.clear();
         self.starts.resize(n + 1, 0);
@@ -354,112 +283,52 @@ where
     /// messages that have matured; down nodes neither receive nor run, and
     /// deliveries crossing a live partition cut are destroyed.
     pub fn step_round(&mut self) {
-        self.dormant.settle();
-        if self.faults.active() {
-            for tr in self.faults.advance_to(self.round) {
-                if T::ENABLED {
-                    self.tracer.record(tr.to_event(self.round));
+        let round = self.round;
+        self.k.open_step(round);
+        // Release matured delay-inflated messages behind the regular
+        // deliveries, preserving both the release order and the relative
+        // order of what stays — one pass through a recycled scratch vector.
+        if !self.future.is_empty() {
+            let mut pending =
+                std::mem::replace(&mut self.future, std::mem::take(&mut self.future_scratch));
+            for (due, env) in pending.drain(..) {
+                if due <= round {
+                    self.next.push(Some(env));
+                } else {
+                    self.future.push((due, env));
                 }
             }
-            // Release matured delay-inflated messages behind the regular
-            // deliveries, preserving both the release order and the relative
-            // order of what stays — one pass through a recycled scratch
-            // vector.
-            if !self.future.is_empty() {
-                let round = self.round;
-                let mut pending =
-                    std::mem::replace(&mut self.future, std::mem::take(&mut self.future_scratch));
-                for (due, env) in pending.drain(..) {
-                    if due <= round {
-                        self.next.push(Some(env));
-                    } else {
-                        self.future.push((due, env));
-                    }
-                }
-                self.future_scratch = pending;
-            }
+            self.future_scratch = pending;
         }
         self.regroup();
         let mut begin = 0usize;
-        for i in 0..self.nodes.len() {
-            let me = NodeId(i as u64);
-            let end = self.starts[i] as usize;
-            if self.faults.is_down(me) {
-                // Fail-pause: a down node loses its incoming traffic and is
-                // not activated; its protocol state is untouched.
-                for j in begin..end {
-                    let env = self.next[self.order[j] as usize]
-                        .take()
-                        .expect("delivery slot consumed twice");
-                    self.drop_delivery(env, DropReason::Crash);
-                }
-                begin = end;
+        let done_tick = self.now_ticks();
+        for i in 0..self.k.nodes.len() {
+            let row = begin..self.starts[i] as usize;
+            begin = row.end;
+            // Fail-pause: a down node is not activated, and the kernel
+            // destroys its incoming traffic at admission; its protocol
+            // state is untouched.
+            let down = self.k.faults.is_down(NodeId(i as u64));
+            if row.is_empty() && (down || self.k.skip_activation(i, round)) {
                 continue;
             }
-            if begin == end && self.dormant.skip(i) {
-                self.trace_activate(me);
-                continue;
-            }
-            let mut ctx = Ctx::from_bufs(me, self.round, &mut self.bufs);
-            for j in begin..end {
-                let env = self.next[self.order[j] as usize]
+            let (next, order) = (&mut self.next, &self.order);
+            let inbox = row.map(|j| {
+                next[order[j] as usize]
                     .take()
-                    .expect("delivery slot consumed twice");
-                if let Some(reason) = self.faults.delivery_fault(env.src, env.dst) {
-                    self.drop_delivery(env, reason);
-                    continue;
-                }
-                self.metrics.on_deliver(i, env.bits, env.kind);
-                if M::ENABLED {
-                    self.telemetry.on_deliver(env.kind, env.bits);
-                }
-                if T::ENABLED {
-                    self.tracer.record(TraceEvent::Deliver {
-                        round: self.round,
-                        src: env.src,
-                        dst: env.dst,
-                        kind: env.kind,
-                        bits: env.bits,
-                    });
-                }
-                self.nodes[i].on_message(env.src, env.msg, &mut ctx);
-            }
-            begin = end;
-            self.trace_activate(me);
-            self.nodes[i].on_activate(&mut ctx);
-            self.dormant.set(i, self.nodes[i].dormant());
-            self.drain_ctx_events(me, &mut ctx);
-            if T::ENABLED {
-                for env in ctx.outbox() {
-                    self.tracer.record(TraceEvent::Send {
-                        round: self.round,
-                        src: env.src,
-                        dst: env.dst,
-                        kind: env.kind,
-                        bits: env.bits,
-                    });
-                }
-            }
-            if !self.faults.active() {
-                self.fresh.extend(ctx.drain_outbox().map(Some));
-            } else {
-                let round = self.round;
-                let fresh = &mut self.fresh;
-                let future = &mut self.future;
-                let faults = &mut self.faults;
-                let tracer = &mut self.tracer;
-                for env in ctx.drain_outbox() {
-                    // Queue each surviving copy, honouring fault-layer delay.
-                    faults.route_send(round, env, tracer, |extra, env| {
-                        if extra == 0 {
-                            fresh.push(Some(env));
-                        } else {
-                            future.push((round + 1 + extra, env));
-                        }
-                    });
-                }
-            }
-            ctx.into_bufs(&mut self.bufs);
+                    .expect("delivery slot consumed twice")
+            });
+            // Queue each surviving send, honouring fault-layer delay.
+            let (fresh, future) = (&mut self.fresh, &mut self.future);
+            self.k
+                .turn(i, round, done_tick, inbox, !down, |extra, env| {
+                    if extra == 0 {
+                        fresh.push(Some(env));
+                    } else {
+                        future.push((round + 1 + extra, env));
+                    }
+                });
         }
         // The deliverable buffer is fully consumed; this round's sends
         // become next round's deliverables by pointer swap (both buffers
@@ -467,74 +336,26 @@ where
         debug_assert!(self.next.iter().all(Option::is_none));
         self.next.clear();
         std::mem::swap(&mut self.next, &mut self.fresh);
+        let s = self.k.metrics.this_round();
         if T::ENABLED {
-            let s = self.metrics.this_round();
-            self.tracer.record(TraceEvent::RoundEnd {
-                round: self.round,
+            self.k.tracer.record(TraceEvent::RoundEnd {
+                round,
                 messages: s.messages,
                 bits: s.bits,
                 congestion: s.congestion,
             });
         }
         if M::ENABLED {
-            let s = self.metrics.this_round();
-            self.telemetry.on_window_end(s.messages, s.congestion);
-            self.telemetry.fault_totals(self.faults.stats.totals());
+            self.k.telemetry.on_window_end(s.messages, s.congestion);
+            self.k.telemetry.fault_totals(self.k.faults.stats.totals());
         }
-        self.metrics.end_round();
+        self.k.metrics.end_round();
         self.round += 1;
-    }
-
-    /// Every live node is activated once a round as far as the trace can
-    /// tell, stepped or skipped.
-    #[inline]
-    fn trace_activate(&mut self, me: NodeId) {
-        if T::ENABLED {
-            self.tracer.record(TraceEvent::Activate {
-                round: self.round,
-                node: me,
-            });
-        }
-    }
-
-    /// Flush a node turn's telemetry notes into the metrics and tracer.
-    fn drain_ctx_events(&mut self, me: NodeId, ctx: &mut Ctx<P::Msg>) {
-        for ev in ctx.drain_events() {
-            match ev {
-                CtxEvent::Phase { label, value } => {
-                    if T::ENABLED {
-                        self.tracer.record(TraceEvent::PhaseMark {
-                            round: self.round,
-                            node: me,
-                            label,
-                            value,
-                        });
-                    }
-                }
-                CtxEvent::OpDone { op } => {
-                    let lat = self
-                        .metrics
-                        .note_completed(op, self.round * self.ticks_per_round);
-                    if M::ENABLED {
-                        if let Some(lat) = lat {
-                            self.telemetry.on_op_latency(lat);
-                        }
-                    }
-                    if T::ENABLED {
-                        self.tracer.record(TraceEvent::OpCompleted {
-                            round: self.round,
-                            node: me,
-                            op,
-                        });
-                    }
-                }
-            }
-        }
     }
 
     /// True when nothing is in flight and every node reports done.
     pub fn quiescent(&self) -> bool {
-        self.in_flight() == 0 && self.nodes.iter().all(Protocol::done)
+        self.in_flight() == 0 && self.k.nodes.iter().all(Protocol::done)
     }
 
     /// Run until quiescence or until `max_rounds` elapse.
@@ -547,42 +368,28 @@ where
     /// empty batches) where "the workload completed" is the stopping
     /// condition, not quiescence.
     pub fn run_until_pred(&mut self, max_rounds: u64, pred: impl Fn(&[P]) -> bool) -> RunOutcome {
-        let start = self.round;
-        loop {
-            // Checked before each step AND once more after the final one, so
-            // a workload completing exactly at the budget boundary reports
-            // `Quiescent`, not `Budget`.
-            if pred(&self.nodes) {
-                return RunOutcome::Quiescent {
-                    rounds: self.round - start,
-                };
-            }
-            if self.round - start >= max_rounds {
-                return RunOutcome::Budget {
-                    rounds: self.round - start,
-                };
-            }
-            self.step_round();
-        }
+        self.run_to(max_rounds, |s| pred(&s.k.nodes))
     }
 
     /// Run until (quiescent AND `pred` holds over the nodes) or the budget
     /// runs out. `pred` lets drivers wait for protocol-level completion that
     /// `done()` alone cannot express (e.g. "all requests answered").
     pub fn run_until(&mut self, max_rounds: u64, pred: impl Fn(&[P]) -> bool) -> RunOutcome {
+        self.run_to(max_rounds, |s| s.quiescent() && pred(&s.k.nodes))
+    }
+
+    fn run_to(&mut self, max_rounds: u64, stop: impl Fn(&Self) -> bool) -> RunOutcome {
         let start = self.round;
         loop {
-            // Same final re-check as `run_until_pred`: quiescence reached on
-            // the budget's last round still counts.
-            if self.quiescent() && pred(&self.nodes) {
-                return RunOutcome::Quiescent {
-                    rounds: self.round - start,
-                };
+            // Checked before each step AND once more after the final one, so
+            // a workload completing (or quiescence reached) exactly at the
+            // budget boundary reports `Quiescent`, not `Budget`.
+            let rounds = self.round - start;
+            if stop(self) {
+                return RunOutcome::Quiescent { rounds };
             }
-            if self.round - start >= max_rounds {
-                return RunOutcome::Budget {
-                    rounds: self.round - start,
-                };
+            if rounds >= max_rounds {
+                return RunOutcome::Budget { rounds };
             }
             self.step_round();
         }
@@ -592,7 +399,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpq_core::NodeId;
+    use crate::protocol::Ctx;
 
     /// Toy protocol: node 0 floods a token along a ring once.
     struct Ring {

@@ -111,7 +111,7 @@ fn run(cfg: AsyncConfig, plan: FaultPlan, seed: u64) -> (u64, u64) {
         .with_faults(plan)
         .with_tracer(VecTracer::new());
     assert!(s.run_until_quiescent(4_000_000), "golden run stalled");
-    delivery_hash(&s.tracer.into_events())
+    delivery_hash(&s.into_parts().1.into_events())
 }
 
 #[test]

@@ -108,7 +108,7 @@ fn run(plan: FaultPlan) -> (u64, u64) {
         s.run_until_quiescent(100_000).is_quiescent(),
         "golden run stalled"
     );
-    delivery_hash(&s.tracer.into_events())
+    delivery_hash(&s.into_parts().1.into_events())
 }
 
 #[test]

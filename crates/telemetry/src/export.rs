@@ -9,11 +9,12 @@
 //! `tests/exposition_golden.rs`), which is the contract the future network
 //! daemon will serve over HTTP.
 //!
-//! No serialization dependency anywhere: JSON is assembled by hand with the
-//! same escaping idiom as `dpq-trace`'s exporters.
+//! No serialization dependency anywhere: JSON is assembled by hand with
+//! `dpq_core::text`'s escaping, shared with `dpq-trace`'s exporters.
 
 use crate::hist::LogHistogram;
 use crate::sink::Hub;
+pub use dpq_core::text::json_escape;
 use std::fmt::Write as _;
 
 /// Metric name prefix for everything this workspace exposes.
@@ -265,26 +266,6 @@ pub fn render_exposition(doc: &Exposition) -> String {
                 out.push('}');
             }
             let _ = writeln!(out, " {}", s.value);
-        }
-    }
-    out
-}
-
-/// Escape a string for embedding in a JSON string literal (same idiom as
-/// `dpq-trace`'s exporters — no serialization dependency).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
     out

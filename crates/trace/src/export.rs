@@ -5,24 +5,8 @@
 //! escapes itself.
 
 use crate::event::TraceEvent;
+use dpq_core::text::json_escape;
 use std::io::{self, Write};
-
-/// Escape `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Serialize one event as a single-line JSON object (no trailing newline).
 pub fn event_to_json(ev: &TraceEvent) -> String {

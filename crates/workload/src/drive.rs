@@ -1,6 +1,6 @@
-//! Schedule drivers: replay an injection schedule against a live scheduler.
+//! The schedule driver: replay an injection schedule against a live scheduler.
 //!
-//! The drivers own the open-loop clock discipline and nothing else: *when*
+//! The driver owns the open-loop clock discipline and nothing else: *when*
 //! each injection fires and at which simulated tick its latency clock
 //! starts. *How* an injection turns into a protocol request stays with the
 //! caller (an `issue` closure), because every protocol spells "insert"
@@ -75,56 +75,6 @@ where
     DriveOutcome {
         injected: schedule.injections.len() as u64,
         rounds: sched.round() - started,
-        drained,
-    }
-}
-
-/// Replay `schedule` against the adversarial async scheduler.
-///
-/// The async scheduler has no rounds, only scheduler *steps*; the driver
-/// maps the tick axis onto it with a fixed exchange rate of
-/// `steps_per_tick` steps per simulated tick (so node count and message
-/// volume set the real density, exactly like `rate` does for rounds).
-/// Latency is still stamped at the scheduled arrival tick — metrics from
-/// sync and async runs of the same schedule share a time axis.
-pub fn drive_async<P, T, D, M>(
-    sched: &mut dpq_sim::AsyncScheduler<P, T, D, M>,
-    schedule: &Schedule,
-    steps_per_tick: u64,
-    drain_steps: u64,
-    mut issue: impl FnMut(&mut P, &Injection) -> OpId,
-    done: impl Fn(&[P]) -> bool,
-) -> DriveOutcome
-where
-    P: Protocol,
-    T: Tracer,
-    D: dpq_sim::DeliveryPolicy,
-    M: Telemetry,
-    P::Msg: Clone,
-{
-    assert!(steps_per_tick >= 1, "steps_per_tick must be >= 1");
-    let started = sched.steps();
-    let mut next = 0usize;
-    while next < schedule.injections.len() {
-        let now_tick = sched.steps() / steps_per_tick;
-        while next < schedule.injections.len() && schedule.injections[next].tick <= now_tick {
-            let inj = schedule.injections[next];
-            let op = issue(sched.node_mut(inj.node), &inj);
-            sched.note_injected_at(op, inj.tick);
-            next += 1;
-        }
-        sched.step_once();
-    }
-    let mut budget = drain_steps;
-    let mut drained = done(sched.nodes());
-    while !drained && budget > 0 {
-        sched.step_once();
-        budget -= 1;
-        drained = done(sched.nodes());
-    }
-    DriveOutcome {
-        injected: schedule.injections.len() as u64,
-        rounds: sched.steps() - started,
         drained,
     }
 }

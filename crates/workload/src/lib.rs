@@ -17,8 +17,8 @@
 //!   (`--workload <spec.toml>` on the experiment binary);
 //! * [`schedule`] — the materialised injection schedule, a *pure function*
 //!   of the spec with a canonical byte form (determinism pins live on it);
-//! * [`drive`] — replay drivers for both schedulers, stamping each op's
-//!   latency clock at its scheduled arrival tick.
+//! * [`drive`] — the replay driver for the synchronous scheduler, stamping
+//!   each op's latency clock at its scheduled arrival tick.
 //!
 //! Everything is seeded through [`dpq_core::DetRng`] streams — no wall
 //! clock, no OS randomness — so a spec names a workload the way a seed
@@ -34,7 +34,7 @@ pub mod spec;
 pub mod zipf;
 
 pub use arrivals::{exp_draw, Arrivals, Mmpp, MmppEvent, MmppState, Poisson};
-pub use drive::{drive_async, drive_sync, DriveOutcome};
+pub use drive::{drive_sync, DriveOutcome};
 pub use mix::{Mix, MixKind};
 pub use schedule::{Injection, Schedule, WorkOp};
 pub use spec::{ArrivalSpec, OpenLoopSpec};

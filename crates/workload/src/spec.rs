@@ -9,6 +9,7 @@
 
 use crate::arrivals::{Arrivals, Mmpp, Poisson};
 use crate::mix::{Mix, MixKind};
+use dpq_core::text::{parse_f64, parse_str, parse_u64, toml_kv, toml_lines};
 
 /// Which arrival process drives injections.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,19 +134,8 @@ impl OpenLoopSpec {
         let mut zipf_s = 1.0;
         let mut sawtooth_period = 32;
         let mut hot_frac = 0.9;
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = match raw.split_once('#') {
-                Some((before, _)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {line_no}: expected `key = value`"))?;
-            let (key, value) = (key.trim(), value.trim());
+        for (line_no, line) in toml_lines(text) {
+            let (key, value) = toml_kv(line, line_no)?;
             match key {
                 "n" => spec.n = parse_u64(value, line_no)? as usize,
                 "clients" => spec.clients = parse_u64(value, line_no)?,
@@ -193,27 +183,6 @@ impl OpenLoopSpec {
         spec.validate();
         Ok(spec)
     }
-}
-
-fn parse_u64(value: &str, line_no: usize) -> Result<u64, String> {
-    value
-        .replace('_', "")
-        .parse()
-        .map_err(|_| format!("line {line_no}: `{value}` is not an integer"))
-}
-
-fn parse_f64(value: &str, line_no: usize) -> Result<f64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("line {line_no}: `{value}` is not a number"))
-}
-
-fn parse_str(value: &str, line_no: usize) -> Result<String, String> {
-    value
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {line_no}: expected a quoted string, got `{value}`"))
 }
 
 #[cfg(test)]
