@@ -39,11 +39,6 @@ impl MultiQueue {
         }
     }
 
-    /// Number of internal sub-queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
     fn pop_from(&mut self, qi: usize) -> Option<Element> {
         let q = &mut self.queues[qi];
         let (&k, _) = q.iter().next()?;

@@ -84,18 +84,17 @@ fn steady_state_steps_do_not_allocate() {
         dpq_bench::memprobe::counting_alloc_installed(),
         "counting allocator not installed"
     );
-    // Sync scheduler: warmup must (a) reach the flat inbox's and future
-    // heap's high-water capacity and (b) leave the metrics round-series
-    // with enough grown-but-unused capacity to absorb the measured rounds
-    // without a geometric doubling landing inside the window.
+    // Sync scheduler: warmup must reach the flat inbox's and future heap's
+    // high-water capacity. The measured window crosses round 4 096, so
+    // anything that grows by doubling once per round is caught in it.
     let cases: [(&str, u64); 2] = [
         (
             "sync/null",
-            sync_steady_allocs(FaultPlan::none(), 3_000, 1_000),
+            sync_steady_allocs(FaultPlan::none(), 3_000, 2_000),
         ),
         (
             "sync/faulty",
-            sync_steady_allocs(probe_plan(), 3_000, 1_000),
+            sync_steady_allocs(probe_plan(), 3_000, 2_000),
         ),
     ];
     for (name, allocs) in cases {

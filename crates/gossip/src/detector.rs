@@ -283,14 +283,6 @@ impl FailureDetector {
             .map(|i| self.peers[i].1.window.phi(now, self.cfg.bootstrap_mean))
     }
 
-    /// Peers currently Confirmed dead, with their suspicion start times.
-    pub fn confirmed(&self) -> impl Iterator<Item = (NodeId, u64, u64)> + '_ {
-        self.peers.iter().filter_map(|(p, r)| match r.health {
-            Health::Confirmed { since, at } => Some((*p, since, at)),
-            _ => None,
-        })
-    }
-
     /// Tracked peers and their verdicts, ascending by id.
     pub fn peers(&self) -> impl Iterator<Item = (NodeId, Health)> + '_ {
         self.peers.iter().map(|(p, r)| (*p, r.health))

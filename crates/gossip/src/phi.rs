@@ -84,11 +84,6 @@ impl ArrivalWindow {
         t * INV_LN10 / self.mean(bootstrap)
     }
 
-    /// Logical time of the last observation.
-    pub fn last_seen(&self) -> u64 {
-        self.last
-    }
-
     /// Logical time at which `phi` will first reach `threshold` if the peer
     /// stays silent — the detector's re-check deadline.
     pub fn deadline(&self, threshold: f64, bootstrap: f64) -> u64 {

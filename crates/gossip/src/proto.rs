@@ -227,11 +227,6 @@ impl GossipNode {
         self.state.get(peer, K_HEARTBEAT)
     }
 
-    /// Publish a key on this node's own record (replicated by gossip).
-    pub fn publish(&mut self, key: u64, value: u64) {
-        self.state.set(key, value);
-    }
-
     /// Rejoin after having been evicted elsewhere: bump the incarnation so
     /// the new life outranks every tombstone held against the old one. The
     /// membership layer calls this when a recovered node learns it was

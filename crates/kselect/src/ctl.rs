@@ -266,11 +266,6 @@ impl AnchorCtl {
             (phase, rsp) => panic!("unexpected response {rsp:?} in phase {phase:?}"),
         }
     }
-
-    /// Has the selection finished?
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
 }
 
 impl dpq_core::StateHash for KSelectConfig {

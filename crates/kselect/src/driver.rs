@@ -4,7 +4,7 @@ use crate::ctl::{KSelectConfig, KStats};
 use crate::node::KSelectNode;
 use dpq_core::{DetRng, ElemId, Key, NodeId, Priority};
 use dpq_overlay::{tree, NodeView, Topology};
-use dpq_sim::{Core, FaultStats, MetricsSnapshot, Run};
+use dpq_sim::{Core, FaultTotals, MetricsSnapshot, Run};
 
 /// Generate `m` candidate keys with priorities drawn uniformly from
 /// `0..prio_space` and spread them uniformly at random over `n` nodes — the
@@ -47,7 +47,7 @@ pub struct KSelectRun {
     /// epoch (Lemma 4.5 predicts Θ(1) for Phase-2 epochs).
     pub avg_tree_memberships: f64,
     /// What the fault layer did to the run (all zero without a plan).
-    pub faults: FaultStats,
+    pub faults: FaultTotals,
     /// Retransmissions the transport performed to beat the drops.
     pub retransmits: u64,
     /// Duplicate deliveries the transport suppressed.

@@ -29,6 +29,7 @@
 use crate::envelope::Envelope;
 use dpq_core::text::{parse_f64, parse_u64, toml_kv, toml_lines};
 use dpq_core::{DetRng, NodeId};
+use dpq_telemetry::FaultTotals;
 use dpq_trace::{DropReason, TraceEvent, Tracer};
 
 /// Per-link override of the global drop/duplicate probabilities.
@@ -287,47 +288,6 @@ impl FaultTransition {
     }
 }
 
-/// Counters over the faults a run actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages dropped by the per-link coin at send time.
-    pub dropped_chance: u64,
-    /// Messages dropped at delivery time because the link was partitioned.
-    pub dropped_partition: u64,
-    /// Messages dropped at delivery time because the receiver was down.
-    pub dropped_crash: u64,
-    /// Extra copies injected by the duplicate coin.
-    pub duplicated: u64,
-    /// Messages given extra delay.
-    pub delayed: u64,
-    /// Crash transitions fired.
-    pub crashes: u64,
-    /// Recovery transitions fired.
-    pub recoveries: u64,
-}
-
-impl FaultStats {
-    /// Total messages destroyed, over all reasons.
-    pub fn dropped(&self) -> u64 {
-        self.dropped_chance + self.dropped_partition + self.dropped_crash
-    }
-
-    /// The same counters as a telemetry [`FaultTotals`] mirror — the
-    /// schedulers push this into their `Telemetry` sink at window
-    /// boundaries so exposition output carries the fault-injection totals.
-    pub fn totals(&self) -> dpq_telemetry::FaultTotals {
-        dpq_telemetry::FaultTotals {
-            dropped_chance: self.dropped_chance,
-            dropped_partition: self.dropped_partition,
-            dropped_crash: self.dropped_crash,
-            duplicated: self.duplicated,
-            delayed: self.delayed,
-            crashes: self.crashes,
-            recoveries: self.recoveries,
-        }
-    }
-}
-
 /// Runtime state the schedulers drive: the plan, its private randomness, the
 /// fault clock, and the per-node up/down bitmap.
 #[derive(Debug, Clone)]
@@ -342,7 +302,7 @@ pub struct FaultState {
     next: u64,
     down: Vec<bool>,
     /// Injection counters.
-    pub stats: FaultStats,
+    pub stats: FaultTotals,
 }
 
 impl FaultState {
@@ -358,7 +318,7 @@ impl FaultState {
             now: 0,
             next: 0,
             down: vec![false; n],
-            stats: FaultStats::default(),
+            stats: FaultTotals::default(),
         }
     }
 
@@ -775,7 +735,7 @@ mod tests {
         assert!(st.advance_to(100).is_empty());
         assert_eq!(st.delivery_fault(NodeId(0), NodeId(1)), None);
         assert!(!st.is_down(NodeId(2)));
-        assert_eq!(st.stats, FaultStats::default());
+        assert_eq!(st.stats, FaultTotals::default());
     }
 
     #[test]

@@ -173,7 +173,7 @@ where
             }
             return false;
         }
-        self.metrics.on_deliver(env.dst.index(), env.bits, env.kind);
+        self.metrics.on_deliver(env.dst.index(), env.bits);
         if M::ENABLED {
             self.telemetry.on_deliver(env.kind, env.bits);
         }

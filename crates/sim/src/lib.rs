@@ -38,13 +38,11 @@ pub mod sched_sync;
 
 pub use envelope::Envelope;
 pub use faults::{
-    fault_matrix, CrashEvent, DelayInflation, FaultCell, FaultPlan, FaultState, FaultStats,
-    FaultTransition, LinkFault, Partition, SendVerdict,
+    fault_matrix, CrashEvent, DelayInflation, FaultCell, FaultPlan, FaultState, FaultTransition,
+    LinkFault, Partition, SendVerdict,
 };
 pub use kernel::Kernel;
-pub use metrics::{
-    KindStat, LatencySummary, Metrics, MetricsDelta, MetricsSnapshot, RoundSample, RoundWindow,
-};
+pub use metrics::{LatencySummary, Metrics, MetricsSnapshot, RoundSample};
 pub use policy::{DeliveryPolicy, RandomAdversary, StepChoice};
 pub use protocol::{history, residual, Ctx, CtxEvent, Protocol, QueueNode};
 pub use reliable::{Reliable, ReliableMsg, ReliableStats};
@@ -58,5 +56,5 @@ pub use dpq_trace::{EventMask, NullTracer, RingTracer, TraceEvent, Tracer, VecTr
 // Likewise for dpq-telemetry: the streaming metrics layer.
 pub use dpq_telemetry::{
     hub_to_json, prometheus_text, CounterId, FaultTotals, GaugeId, HistId, Hub, LogHistogram,
-    NullTelemetry, RingSeries, Telemetry,
+    NullTelemetry, Telemetry,
 };

@@ -1,36 +1,24 @@
-//! Run metrics: rounds, congestion, message counts and sizes — with
-//! per-round time series, per-message-kind accounting, and per-operation
-//! latency tracking, all in **streaming constant memory**.
+//! Run metrics: the paper's cost model plus per-operation latency, always
+//! on and in constant memory.
 //!
 //! The paper's cost measures (§1.1): *rounds* until an operation batch
 //! completes, *congestion* — "the maximum number of messages that need to be
 //! handled by a node in one round" — and per-message *bit size* (Lemmas 3.8,
 //! 5.5, Theorem 4.2). The schedulers update a [`Metrics`] instance as they
-//! run; experiments read a [`MetricsSnapshot`] afterwards, and can drill
-//! into [`Metrics::series`] (what did round 37 cost?), [`Metrics::kind_stats`]
-//! (which message family ate the bits?), and [`Metrics::latency_histogram`]
-//! (the full distribution of injection-to-completion latencies).
+//! run; experiments read a [`MetricsSnapshot`] afterwards and the full
+//! latency distribution through [`Metrics::latency_histogram`]. Per-kind
+//! and per-window views are a sink's business (`dpq_telemetry::Hub`), not
+//! this struct's.
 //!
 //! Latencies land in a `dpq-telemetry` [`LogHistogram`] — O(1) record, fixed
-//! footprint, ≤1% relative quantile error — instead of an unbounded `Vec`,
-//! so a run's memory no longer grows with completed operations and
-//! [`Metrics::snapshot`] is O(buckets) instead of clone-and-sort
-//! O(n log n). The per-round series sits in a [`RingSeries`] that keeps the
-//! **newest** `series_capacity` rounds and reports how many older ones were
-//! evicted; windowed queries surface that truncation instead of silently
-//! answering over a different range (see [`RoundWindow::truncated_rounds`]).
+//! footprint, ≤1% relative quantile error — so a run's memory does not grow
+//! with completed operations and [`Metrics::snapshot`] is O(buckets).
 
-use dpq_core::{MsgKind, OpId};
-use dpq_telemetry::{LogHistogram, RingSeries};
+use dpq_core::OpId;
+use dpq_telemetry::LogHistogram;
 use std::collections::HashMap;
 
-/// Default cap on the per-round series window. A run that exceeds it (only
-/// possible when a protocol stalls against a multi-million-round budget)
-/// keeps the *newest* `SERIES_CAP` rounds; [`Metrics::series_truncated`]
-/// reports how many older samples were evicted.
-const SERIES_CAP: usize = 1 << 20;
-
-/// One round's (or async sweep window's) traffic.
+/// The open round's traffic so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundSample {
     /// Messages delivered in the round.
@@ -39,19 +27,6 @@ pub struct RoundSample {
     pub bits: u64,
     /// Maximum messages one node handled in the round.
     pub congestion: u64,
-    /// Largest single message delivered in the round, in bits.
-    pub max_msg_bits: u64,
-}
-
-/// Aggregate traffic attributed to one message family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KindStat {
-    /// The message family label.
-    pub kind: MsgKind,
-    /// Messages of this kind delivered.
-    pub messages: u64,
-    /// Payload bits of this kind delivered.
-    pub bits: u64,
 }
 
 /// Order statistics over completed operation latencies (in rounds/steps).
@@ -139,10 +114,6 @@ pub struct Metrics {
     per_node_this_round: Vec<u64>,
     /// The current round's running sample (scratch space).
     this_round: RoundSample,
-    /// The newest closed-round samples, oldest-retained first.
-    series: RingSeries<RoundSample>,
-    /// Per-message-kind totals (few kinds; linear scan).
-    kinds: Vec<KindStat>,
     /// Injection time of operations still awaiting completion.
     pending_ops: HashMap<OpId, u64>,
     /// Completed-operation latency distribution (streaming, O(buckets)).
@@ -156,14 +127,8 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Fresh counters for an `n`-node run (default series window).
+    /// Fresh counters for an `n`-node run.
     pub fn new(n: usize) -> Self {
-        Metrics::with_series_capacity(n, SERIES_CAP)
-    }
-
-    /// Fresh counters with an explicit per-round series window — tests pin
-    /// truncation behavior at a tiny cap without pushing 2²⁰ rounds.
-    pub fn with_series_capacity(n: usize, cap: usize) -> Self {
         Metrics {
             rounds: 0,
             messages: 0,
@@ -172,23 +137,20 @@ impl Metrics {
             congestion: 0,
             per_node_this_round: vec![0; n],
             this_round: RoundSample::default(),
-            series: RingSeries::new(cap),
-            kinds: Vec::new(),
             pending_ops: HashMap::new(),
             latency_hist: LogHistogram::new(),
         }
     }
 
-    /// Record a delivery of a `kind`-family message to `node_index` in the
+    /// Record a delivery of a `bits`-bit message to `node_index` in the
     /// current round.
     #[inline]
-    pub fn on_deliver(&mut self, node_index: usize, bits: u64, kind: MsgKind) {
+    pub fn on_deliver(&mut self, node_index: usize, bits: u64) {
         self.messages += 1;
         self.total_bits += bits;
         self.max_msg_bits = self.max_msg_bits.max(bits);
         self.this_round.messages += 1;
         self.this_round.bits += bits;
-        self.this_round.max_msg_bits = self.this_round.max_msg_bits.max(bits);
         let c = &mut self.per_node_this_round[node_index];
         *c += 1;
         if *c > self.this_round.congestion {
@@ -196,17 +158,6 @@ impl Metrics {
         }
         if *c > self.congestion {
             self.congestion = *c;
-        }
-        match self.kinds.iter_mut().find(|k| k.kind == kind) {
-            Some(k) => {
-                k.messages += 1;
-                k.bits += bits;
-            }
-            None => self.kinds.push(KindStat {
-                kind,
-                messages: 1,
-                bits,
-            }),
         }
     }
 
@@ -216,41 +167,12 @@ impl Metrics {
         self.this_round
     }
 
-    /// Close the current round: bump the round counter, append the round's
-    /// sample to the series window, and reset the per-round scratch.
+    /// Close the current round: bump the round counter and reset the
+    /// per-round scratch.
     pub fn end_round(&mut self) {
         self.rounds += 1;
-        self.series.push(self.this_round);
         self.this_round = RoundSample::default();
         self.per_node_this_round.fill(0);
-    }
-
-    /// The retained closed-round samples, oldest-retained first. When the
-    /// series window has overflowed this is the **newest**
-    /// [`series_capacity`](Metrics::series_capacity) rounds — check
-    /// [`series_truncated`](Metrics::series_truncated) for evictions.
-    pub fn series(&self) -> Vec<RoundSample> {
-        self.series.to_vec()
-    }
-
-    /// Closed rounds currently retained in the series window.
-    pub fn series_len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// The series window capacity.
-    pub fn series_capacity(&self) -> usize {
-        self.series.capacity()
-    }
-
-    /// Rounds whose samples were evicted because the series window was full.
-    pub fn series_truncated(&self) -> u64 {
-        self.series.dropped()
-    }
-
-    /// Per-message-kind delivery totals, in first-seen order.
-    pub fn kind_stats(&self) -> &[KindStat] {
-        &self.kinds
     }
 
     /// The completed-operation latency distribution: full quantile access
@@ -287,35 +209,6 @@ impl Metrics {
         self.pending_ops.len()
     }
 
-    /// True windowed statistics over the closed rounds `[from_round, rounds)`
-    /// — including correct windowed *maxima*, which snapshot differencing
-    /// cannot provide. Rounds evicted from the series window cannot be
-    /// re-windowed: when `from_round` predates the oldest retained sample
-    /// the window covers only the retained suffix and
-    /// [`RoundWindow::truncated_rounds`] counts the requested rounds that
-    /// were lost, instead of silently re-basing the window.
-    pub fn window(&self, from_round: u64) -> RoundWindow {
-        let from = from_round.min(self.rounds);
-        let first_retained = self.series.dropped();
-        let (skip, truncated) = if from >= first_retained {
-            ((from - first_retained) as usize, 0)
-        } else {
-            (0, first_retained - from)
-        };
-        let mut w = RoundWindow {
-            rounds: (self.series.len().saturating_sub(skip)) as u64,
-            truncated_rounds: truncated,
-            ..Default::default()
-        };
-        for s in self.series.iter().skip(skip) {
-            w.messages += s.messages;
-            w.total_bits += s.bits;
-            w.congestion = w.congestion.max(s.congestion);
-            w.max_msg_bits = w.max_msg_bits.max(s.max_msg_bits);
-        }
-        w
-    }
-
     /// Immutable copy of the current counters. O(buckets) — the latency
     /// summary reads the streaming histogram; nothing is cloned or sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -327,15 +220,6 @@ impl Metrics {
             congestion: self.congestion,
             latency: LatencySummary::from_histogram(&self.latency_hist),
         }
-    }
-
-    /// Forget everything but keep the node count and series window size
-    /// (used to measure a window of a longer run, e.g. one Skeap batch
-    /// cycle after warm-up).
-    pub fn reset(&mut self) {
-        let n = self.per_node_this_round.len();
-        let cap = self.series.capacity();
-        *self = Metrics::with_series_capacity(n, cap);
     }
 }
 
@@ -356,230 +240,37 @@ pub struct MetricsSnapshot {
     pub latency: LatencySummary,
 }
 
-/// Difference of two snapshots of the same run.
-///
-/// Monotone counters subtract exactly; max-type measures (`max_msg_bits`,
-/// `congestion`) are whole-run maxima, so their windowed values are **not
-/// derivable** from two snapshots — they are `Some` only when the earlier
-/// snapshot saw no traffic (the window is the whole run). Callers needing
-/// real windowed maxima should use [`Metrics::window`] (backed by the
-/// per-round series) or [`Metrics::reset`] before the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsDelta {
-    /// Rounds elapsed within the window.
-    pub rounds: u64,
-    /// Messages delivered within the window.
-    pub messages: u64,
-    /// Payload bits delivered within the window.
-    pub total_bits: u64,
-    /// Largest single message in the window — `None` unless derivable.
-    pub max_msg_bits: Option<u64>,
-    /// Window congestion — `None` unless derivable.
-    pub congestion: Option<u64>,
-}
-
-impl MetricsSnapshot {
-    /// Difference of two snapshots of the same run (later minus earlier).
-    /// See [`MetricsDelta`] for why the maxima are `Option`.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsDelta {
-        let whole_run = earlier.messages == 0;
-        MetricsDelta {
-            rounds: self.rounds - earlier.rounds,
-            messages: self.messages - earlier.messages,
-            total_bits: self.total_bits - earlier.total_bits,
-            max_msg_bits: whole_run.then_some(self.max_msg_bits),
-            congestion: whole_run.then_some(self.congestion),
-        }
-    }
-}
-
-/// Windowed run statistics computed from the per-round series — unlike
-/// [`MetricsSnapshot::since`], the maxima here are true window maxima.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundWindow {
-    /// Closed rounds actually covered by the window.
-    pub rounds: u64,
-    /// Requested rounds that could **not** be covered because the series
-    /// window had already evicted them — zero unless `from_round` predates
-    /// the oldest retained sample. Aggregates over a nonzero value are
-    /// partial; callers decide whether that is an error.
-    pub truncated_rounds: u64,
-    /// Messages delivered in the window.
-    pub messages: u64,
-    /// Payload bits delivered in the window.
-    pub total_bits: u64,
-    /// Largest single message in the window, in bits.
-    pub max_msg_bits: u64,
-    /// Max messages handled by one node in one round of the window.
-    pub congestion: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpq_core::NodeId;
 
-    const K: MsgKind = MsgKind("test");
-
     #[test]
     fn congestion_tracks_per_round_maximum() {
         let mut m = Metrics::new(3);
-        m.on_deliver(0, 10, K);
-        m.on_deliver(0, 10, K);
-        m.on_deliver(1, 10, K);
+        m.on_deliver(0, 10);
+        m.on_deliver(0, 10);
+        m.on_deliver(1, 10);
         assert_eq!(m.congestion, 2);
         m.end_round();
         // New round: node 0 handles one message; max stays 2.
-        m.on_deliver(0, 10, K);
+        m.on_deliver(0, 10);
         assert_eq!(m.congestion, 2);
-        m.on_deliver(2, 10, K);
-        m.on_deliver(2, 10, K);
-        m.on_deliver(2, 10, K);
+        m.on_deliver(2, 10);
+        m.on_deliver(2, 10);
+        m.on_deliver(2, 10);
         assert_eq!(m.congestion, 3);
     }
 
     #[test]
     fn totals_accumulate() {
         let mut m = Metrics::new(1);
-        m.on_deliver(0, 5, K);
-        m.on_deliver(0, 7, K);
+        m.on_deliver(0, 5);
+        m.on_deliver(0, 7);
         let s = m.snapshot();
         assert_eq!(s.messages, 2);
         assert_eq!(s.total_bits, 12);
         assert_eq!(s.max_msg_bits, 7);
-    }
-
-    #[test]
-    fn since_diffs_monotone_counters_and_guards_maxima() {
-        let mut m = Metrics::new(1);
-        m.on_deliver(0, 5, K);
-        m.end_round();
-        let early = m.snapshot();
-        m.on_deliver(0, 9, K);
-        m.end_round();
-        let d = m.snapshot().since(&early);
-        assert_eq!(d.rounds, 1);
-        assert_eq!(d.messages, 1);
-        assert_eq!(d.total_bits, 9);
-        // The window starts after traffic, so maxima are not derivable.
-        assert_eq!(d.max_msg_bits, None);
-        assert_eq!(d.congestion, None);
-        // A whole-run window keeps them.
-        let whole = m.snapshot().since(&MetricsSnapshot::default());
-        assert_eq!(whole.max_msg_bits, Some(9));
-        assert_eq!(whole.congestion, Some(1));
-    }
-
-    #[test]
-    fn window_computes_true_windowed_maxima() {
-        let mut m = Metrics::new(2);
-        // Round 0: big traffic.
-        m.on_deliver(0, 100, K);
-        m.on_deliver(0, 100, K);
-        m.end_round();
-        // Rounds 1-2: small traffic.
-        m.on_deliver(1, 7, K);
-        m.end_round();
-        m.on_deliver(0, 3, K);
-        m.end_round();
-        let w = m.window(1);
-        assert_eq!(w.rounds, 2);
-        assert_eq!(w.truncated_rounds, 0);
-        assert_eq!(w.messages, 2);
-        assert_eq!(w.total_bits, 10);
-        assert_eq!(w.max_msg_bits, 7); // NOT the round-0 value 100
-        assert_eq!(w.congestion, 1); // NOT the round-0 value 2
-        let whole = m.window(0);
-        assert_eq!(whole.max_msg_bits, 100);
-        assert_eq!(whole.congestion, 2);
-    }
-
-    #[test]
-    fn window_surfaces_series_truncation() {
-        // Regression for the silent-mis-windowing bug: with the old
-        // oldest-first cap, `window(from)` after truncation quietly
-        // answered over whatever happened to be retained. Now the series
-        // keeps the newest samples and the window reports exactly how many
-        // requested rounds were lost.
-        let mut m = Metrics::with_series_capacity(1, 4);
-        for r in 0..10u64 {
-            m.on_deliver(0, r + 1, K); // round r delivers r+1 bits
-            m.end_round();
-        }
-        assert_eq!(m.rounds, 10);
-        assert_eq!(m.series_len(), 4);
-        assert_eq!(m.series_truncated(), 6);
-        // Rounds 6..10 are retained; asking from round 8 is fully covered.
-        let w = m.window(8);
-        assert_eq!((w.rounds, w.truncated_rounds), (2, 0));
-        assert_eq!(w.total_bits, 9 + 10);
-        // Asking from round 2 can only cover 6..10 and must say so.
-        let w = m.window(2);
-        assert_eq!((w.rounds, w.truncated_rounds), (4, 4));
-        assert_eq!(w.total_bits, 7 + 8 + 9 + 10);
-        assert_eq!(w.max_msg_bits, 10);
-        // A whole-run window reports every evicted round.
-        assert_eq!(m.window(0).truncated_rounds, 6);
-    }
-
-    #[test]
-    fn series_records_each_round() {
-        let mut m = Metrics::new(2);
-        m.on_deliver(0, 4, K);
-        m.end_round();
-        m.end_round(); // empty round
-        m.on_deliver(1, 6, K);
-        m.on_deliver(1, 2, K);
-        m.end_round();
-        let s = m.series();
-        assert_eq!(s.len(), 3);
-        assert_eq!(
-            s[0],
-            RoundSample {
-                messages: 1,
-                bits: 4,
-                congestion: 1,
-                max_msg_bits: 4
-            }
-        );
-        assert_eq!(s[1], RoundSample::default());
-        assert_eq!(
-            s[2],
-            RoundSample {
-                messages: 2,
-                bits: 8,
-                congestion: 2,
-                max_msg_bits: 6
-            }
-        );
-    }
-
-    #[test]
-    fn kind_stats_attribute_traffic() {
-        let a = MsgKind("a");
-        let b = MsgKind("b");
-        let mut m = Metrics::new(1);
-        m.on_deliver(0, 5, a);
-        m.on_deliver(0, 7, b);
-        m.on_deliver(0, 1, a);
-        let stats = m.kind_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(
-            stats[0],
-            KindStat {
-                kind: a,
-                messages: 2,
-                bits: 6
-            }
-        );
-        assert_eq!(
-            stats[1],
-            KindStat {
-                kind: b,
-                messages: 1,
-                bits: 7
-            }
-        );
     }
 
     #[test]
@@ -635,24 +326,5 @@ mod tests {
             m.note_completed(op(i as u64), lat);
         }
         assert_eq!(m.snapshot().latency, LatencySummary::from_samples(&samples));
-    }
-
-    #[test]
-    fn reset_clears_counters_but_keeps_width_and_cap() {
-        let mut m = Metrics::with_series_capacity(2, 8);
-        m.on_deliver(1, 3, K);
-        m.note_injected(
-            OpId {
-                node: NodeId(1),
-                seq: 0,
-            },
-            0,
-        );
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        assert!(m.series().is_empty() && m.kind_stats().is_empty());
-        assert_eq!(m.pending_ops(), 0);
-        assert_eq!(m.series_capacity(), 8);
-        m.on_deliver(1, 3, K); // must not panic: width preserved
     }
 }

@@ -234,17 +234,6 @@ where
         }
     }
 
-    /// Builder form of [`enable_rtt_histogram`](Reliable::enable_rtt_histogram).
-    pub fn with_rtt_histogram(mut self) -> Self {
-        self.enable_rtt_histogram();
-        self
-    }
-
-    /// The ack RTT distribution, when enabled.
-    pub fn rtt_histogram(&self) -> Option<&LogHistogram> {
-        self.rtt.as_deref()
-    }
-
     /// Fold this node's transport activity into a telemetry sink: the
     /// `reliable.*` counters and — when enabled — the ack RTT histogram.
     /// Drivers call this once per node after (or during) a run; counters

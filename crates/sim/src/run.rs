@@ -8,14 +8,14 @@
 //! protocol-agnostic core; [`Run::queue`] adds the history and residual of
 //! a [`QueueNode`] cluster on top of it.
 
-use crate::faults::{FaultPlan, FaultStats};
+use crate::faults::FaultPlan;
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::{history, residual, Protocol, QueueNode};
 use crate::reliable::Reliable;
 use crate::sched_async::AsyncScheduler;
 use crate::sched_sync::SyncScheduler;
 use dpq_core::{Element, History, OpId};
-use dpq_telemetry::{LogHistogram, NullTelemetry, Telemetry};
+use dpq_telemetry::{FaultTotals, LogHistogram, NullTelemetry, Telemetry};
 use dpq_trace::{NullTracer, Tracer};
 
 /// Which execution model drives the run.
@@ -120,7 +120,7 @@ impl<T: Tracer, M: Telemetry> Run<T, M> {
             // can trail the final counters by a partial window; push the
             // end-of-run snapshot (the mirror is an idempotent set, not an
             // add), then fold in each node's transport counters.
-            telemetry.fault_totals(wrapped.faults.totals());
+            telemetry.fault_totals(wrapped.faults);
             for n in &wrapped.nodes {
                 n.export_telemetry(&mut telemetry);
             }
@@ -232,7 +232,7 @@ pub struct Core<P, T = NullTracer, M = NullTelemetry> {
     /// seeds in O(buckets).
     pub latency_hist: LogHistogram,
     /// What the fault layer did to the run (all zero without a plan).
-    pub faults: FaultStats,
+    pub faults: FaultTotals,
     /// Retransmissions the transport performed to beat the drops.
     pub retransmits: u64,
     /// Duplicate deliveries the transport suppressed.
@@ -262,7 +262,7 @@ pub struct Outcome<T = NullTracer, M = NullTelemetry> {
     /// See [`Core::latency_hist`].
     pub latency_hist: LogHistogram,
     /// See [`Core::faults`].
-    pub faults: FaultStats,
+    pub faults: FaultTotals,
     /// See [`Core::retransmits`].
     pub retransmits: u64,
     /// See [`Core::dup_suppressed`].

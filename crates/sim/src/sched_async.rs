@@ -200,11 +200,6 @@ where
         &self.policy
     }
 
-    /// Mutable access to the delivery policy (e.g. to read a decision log).
-    pub fn policy_mut(&mut self) -> &mut D {
-        &mut self.policy
-    }
-
     /// Consume the scheduler, yielding the protocol instances and both
     /// sinks — for drivers that fold node-local state (e.g. transport
     /// counters) into the metrics sink after the run ends.
@@ -364,7 +359,7 @@ where
         telemetry.gauge_set(occ, self.in_flight.len() as u64);
         telemetry.gauge_set(spill, self.in_flight.overflow_len() as u64);
         if self.k.faults.active() {
-            telemetry.fault_totals(self.k.faults.stats.totals());
+            telemetry.fault_totals(self.k.faults.stats);
         }
     }
 

@@ -347,7 +347,7 @@ where
         }
         if M::ENABLED {
             self.k.telemetry.on_window_end(s.messages, s.congestion);
-            self.k.telemetry.fault_totals(self.k.faults.stats.totals());
+            self.k.telemetry.fault_totals(self.k.faults.stats);
         }
         self.k.metrics.end_round();
         self.round += 1;

@@ -2,7 +2,7 @@
 
 use crate::node::{SkeapConfig, SkeapNode};
 use dpq_core::workload::WorkloadSpec;
-use dpq_core::{NodeId, OpId, OpKind};
+use dpq_core::{OpId, OpKind};
 use dpq_overlay::{NodeView, Topology};
 use dpq_sim::{Outcome, Run, Telemetry, Tracer};
 
@@ -60,11 +60,4 @@ pub fn run<T: Tracer, M: Telemetry>(
     let mut nodes = build(spec.n, n_prios, spec.seed);
     let ids = inject_all(&mut nodes, &dpq_core::workload::generate(spec));
     run.queue(nodes, &ids)
-}
-
-/// Convenience: the anchor's node id of a freshly built cluster (used by
-/// tests that want to poke at anchor-specific state).
-pub fn anchor_of(n: usize, seed: u64) -> NodeId {
-    let topo = Topology::new(n, seed);
-    dpq_overlay::tree::anchor_real(&topo)
 }

@@ -183,11 +183,6 @@ impl SkeapNode {
         self.anchor.as_deref().map(AnchorState::total_occupancy)
     }
 
-    /// The anchor's per-priority occupancy. `None` at non-anchor nodes.
-    pub fn anchor_occupancy(&self, prio: u64) -> Option<u64> {
-        self.anchor.as_deref().map(|a| a.occupancy(prio as usize))
-    }
-
     fn dispatch_dht(&mut self, msg: RouteMsg<dpq_dht::DhtReq>, ctx: &mut Ctx<SkeapMsg>) {
         match advance(&self.view, msg) {
             RouteOutcome::Delivered { payload, .. } => {

@@ -103,7 +103,7 @@ proptest! {
         // And the hub observed the run it rode along with.
         prop_assert_eq!(hub.op_latency.count(), inst.latency_hist.count());
         prop_assert_eq!(&hub.op_latency, &inst.latency_hist);
-        prop_assert_eq!(hub.faults, inst.faults.totals());
+        prop_assert_eq!(hub.faults, inst.faults);
         prop_assert_eq!(
             hub.counter_by_name("reliable.retransmits").unwrap_or(0),
             inst.retransmits

@@ -14,9 +14,6 @@
 //!   sink trait the schedulers and transports call, its zero-cost-when-off
 //!   null implementation (the `Tracer` pattern), and the concrete aggregator
 //!   with a handle-based counter/gauge/histogram registry.
-//! * [`RingSeries`] — windowed time series keeping the newest `cap` samples
-//!   and surfacing how many older ones were evicted, replacing the sim's
-//!   silently-truncating series vector.
 //! * [`export`] — Prometheus text exposition (with a parser: writer output
 //!   round-trips byte-for-byte) and a single-line JSON record for the
 //!   `--metrics` JSONL stream.
@@ -29,7 +26,6 @@
 
 pub mod export;
 pub mod hist;
-pub mod series;
 pub mod sink;
 pub mod wire;
 
@@ -38,7 +34,6 @@ pub use export::{
     Family, Sample,
 };
 pub use hist::LogHistogram;
-pub use series::RingSeries;
 pub use sink::{
     CounterId, FaultTotals, GaugeId, HistId, Hub, KindTotals, NullTelemetry, Telemetry,
 };

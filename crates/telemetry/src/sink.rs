@@ -28,9 +28,10 @@ pub struct GaugeId(pub(crate) u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(pub(crate) u32);
 
-/// Absolute fault-injection totals, mirrored from the sim's `FaultStats` at
-/// sweep points. A plain value struct (rather than the sim type) so the
-/// dependency keeps pointing sim → telemetry.
+/// Counters over the faults a run actually injected: the sim's fault layer
+/// counts into one, a run's outcome carries it, and a sink holds the last
+/// one mirrored to it. Defined here (not in the sim) so the dependency keeps
+/// pointing sim → telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTotals {
     /// Messages dropped by the per-link coin at send time.
@@ -47,6 +48,13 @@ pub struct FaultTotals {
     pub crashes: u64,
     /// Recovery transitions fired.
     pub recoveries: u64,
+}
+
+impl FaultTotals {
+    /// Total messages destroyed, over all reasons.
+    pub fn dropped(&self) -> u64 {
+        self.dropped_chance + self.dropped_partition + self.dropped_crash
+    }
 }
 
 /// Statically-dispatched telemetry hooks.
@@ -253,41 +261,12 @@ impl Hub {
         HistId((self.hists.len() - 1) as u32)
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize].value
-    }
-
-    /// `(last, peak)` of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> (u64, u64) {
-        let g = &self.gauges[id.0 as usize];
-        (g.last, g.peak)
-    }
-
-    /// The histogram behind a handle.
-    pub fn hist(&self, id: HistId) -> &LogHistogram {
-        &self.hists[id.0 as usize].hist
-    }
-
     /// Look up a counter's value by name (exposition/tests).
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value)
-    }
-
-    /// Look up a gauge's `(last, peak)` by name.
-    pub fn gauge_by_name(&self, name: &str) -> Option<(u64, u64)> {
-        self.gauges
-            .iter()
-            .find(|g| g.name == name)
-            .map(|g| (g.last, g.peak))
-    }
-
-    /// Look up a registered histogram by name.
-    pub fn hist_by_name(&self, name: &str) -> Option<&LogHistogram> {
-        self.hists.iter().find(|h| h.name == name).map(|h| &h.hist)
     }
 
     /// Per-message-kind delivery totals, in first-seen order.
@@ -430,56 +409,6 @@ impl Telemetry for Hub {
     }
 }
 
-/// `&mut` forwarding so a scheduler can borrow a caller-owned hub.
-impl<M: Telemetry> Telemetry for &mut M {
-    const ENABLED: bool = M::ENABLED;
-
-    #[inline(always)]
-    fn on_deliver(&mut self, kind: MsgKind, bits: u64) {
-        (**self).on_deliver(kind, bits);
-    }
-    #[inline(always)]
-    fn on_window_end(&mut self, messages: u64, congestion: u64) {
-        (**self).on_window_end(messages, congestion);
-    }
-    #[inline(always)]
-    fn on_op_latency(&mut self, latency: u64) {
-        (**self).on_op_latency(latency);
-    }
-    #[inline(always)]
-    fn register_counter(&mut self, name: &'static str) -> CounterId {
-        (**self).register_counter(name)
-    }
-    #[inline(always)]
-    fn register_gauge(&mut self, name: &'static str) -> GaugeId {
-        (**self).register_gauge(name)
-    }
-    #[inline(always)]
-    fn register_histogram(&mut self, name: &'static str) -> HistId {
-        (**self).register_histogram(name)
-    }
-    #[inline(always)]
-    fn gauge_set(&mut self, id: GaugeId, value: u64) {
-        (**self).gauge_set(id, value);
-    }
-    #[inline(always)]
-    fn counter_add(&mut self, id: CounterId, by: u64) {
-        (**self).counter_add(id, by);
-    }
-    #[inline(always)]
-    fn hist_record(&mut self, id: HistId, value: u64) {
-        (**self).hist_record(id, value);
-    }
-    #[inline(always)]
-    fn hist_merge(&mut self, id: HistId, h: &LogHistogram) {
-        (**self).hist_merge(id, h);
-    }
-    #[inline(always)]
-    fn fault_totals(&mut self, totals: FaultTotals) {
-        (**self).fault_totals(totals);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,8 +424,10 @@ mod tests {
         hub.counter_add(a, 3);
         hub.counter_add(b, 1);
         hub.counter_add(a2, 2);
-        assert_eq!(hub.counter_value(a), 5);
-        assert_eq!(hub.counter_by_name("reliable.dup_suppressed"), Some(1));
+        assert_eq!(
+            hub.counters().collect::<Vec<_>>(),
+            [("reliable.retransmits", 5), ("reliable.dup_suppressed", 1)]
+        );
     }
 
     #[test]
@@ -506,7 +437,10 @@ mod tests {
         hub.gauge_set(g, 7);
         hub.gauge_set(g, 40);
         hub.gauge_set(g, 12);
-        assert_eq!(hub.gauge_value(g), (12, 40));
+        assert_eq!(
+            hub.gauges().collect::<Vec<_>>(),
+            [("flightset.occupancy", 12, 40)]
+        );
     }
 
     #[test]
@@ -533,7 +467,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter_by_name("x"), Some(7));
         assert_eq!(a.counter_by_name("y"), Some(7));
-        assert_eq!(a.gauge_by_name("occ"), Some((10, 10)));
+        assert_eq!(a.gauges().collect::<Vec<_>>(), [("occ", 10, 10)]);
         assert_eq!(a.op_latency.count(), 2);
         let kinds = a.kind_totals();
         assert_eq!(kinds.len(), 2);
@@ -544,9 +478,6 @@ mod tests {
     fn null_sink_is_disabled() {
         const { assert!(!NullTelemetry::ENABLED) };
         const { assert!(Hub::ENABLED) };
-        // &mut forwarding preserves the flag.
-        const { assert!(<&mut Hub as Telemetry>::ENABLED) };
-        const { assert!(!<&mut NullTelemetry as Telemetry>::ENABLED) };
     }
 
     #[test]

@@ -252,17 +252,6 @@ impl ChromeTrace {
     }
 }
 
-/// One-shot helper: a single-run Chrome trace file.
-pub fn write_chrome_trace<W: Write>(
-    name: &str,
-    events: &[TraceEvent],
-    w: &mut W,
-) -> io::Result<()> {
-    let mut t = ChromeTrace::new();
-    t.add_run(name, events);
-    t.write(w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,5 +23,5 @@ pub mod export;
 pub mod tracer;
 
 pub use event::{DropReason, EventMask, TraceEvent};
-pub use export::{write_chrome_trace, write_jsonl, ChromeTrace};
+pub use export::{write_jsonl, ChromeTrace};
 pub use tracer::{NullTracer, RingTracer, Tracer, VecTracer};

@@ -154,7 +154,7 @@ fn fault_matrix_exercises_every_fault_kind() {
         Run::sync(200_000).faulty(FaultPlan::none(), SYNC_RTO),
     );
     assert!(clean.completed);
-    let mut agg = dpq::sim::FaultStats::default();
+    let mut agg = dpq::sim::FaultTotals::default();
     let (mut retransmits, mut dup_suppressed) = (0u64, 0u64);
     for cell in fault_matrix(6, 0xD00D, clean.time.max(64), 0.10, 0.10) {
         let run = skeap::cluster::run(&spec, 3, Run::sync(400_000).faulty(cell.plan, SYNC_RTO));

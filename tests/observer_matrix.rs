@@ -66,6 +66,22 @@ fn observers_never_change_a_run() {
                     faulty,
                     "{label}: transport counters folded iff the run was faulty"
                 );
+                // The hub's per-kind, latency and fault accounts are the same
+                // run the always-on totals describe.
+                let hub = &seen.telemetry;
+                let (msgs, bits) = hub
+                    .kind_totals()
+                    .iter()
+                    .fold((0, 0), |(m, b), k| (m + k.msgs, b + k.bits));
+                assert_eq!(msgs, seen.metrics.messages, "{label}: per-kind msgs");
+                assert_eq!(bits, seen.metrics.total_bits, "{label}: per-kind bits");
+                assert_eq!(
+                    hub.msg_bits.max(),
+                    seen.metrics.max_msg_bits,
+                    "{label}: largest message"
+                );
+                assert_eq!(hub.op_latency, seen.latency_hist, "{label}: latency");
+                assert_eq!(hub.faults, seen.faults, "{label}: fault mirror");
             }
         }
     }
