@@ -16,9 +16,13 @@
 //!   with backoff, one reader per inbound connection decodes every frame a
 //!   `read` carried; bounded per-peer send buffers (overflow is message
 //!   loss, which `Reliable` absorbs);
-//! * [`runtime`] — the single-threaded event loop: ticks, deliveries, and
-//!   control requests, one flush per turn with acks riding along, and an
-//!   optional event-sourced [`wal`] for crash-recover;
+//! * [`node`] — the sans-I/O node core: one `Reliable` node driven by
+//!   ticks, deliveries and control requests, handing back the log entries
+//!   it accepted and then the frames it owes, acks riding along; WAL
+//!   replay runs through the same input handling;
+//! * [`runtime`] — the I/O shell around the core: a single-threaded event
+//!   loop on a wall-clock tick, one flush per turn, and an optional
+//!   event-sourced [`wal`] for crash-recover;
 //! * [`ctl`] — the `dpq-ctl` control plane (status, enqueue/dequeue, trace
 //!   dump, Prometheus metrics pull, shutdown);
 //! * [`app`] — the [`NetApp`](app::NetApp) glue binding Skeap, Seap, and
@@ -37,6 +41,7 @@ pub mod codec;
 pub mod config;
 pub mod ctl;
 pub mod frame;
+pub mod node;
 pub mod peers;
 pub mod runtime;
 pub mod trace;
@@ -49,6 +54,7 @@ pub use backoff::Backoff;
 pub use config::{cluster_fingerprint, gossip_fingerprint, NodeConfig};
 pub use ctl::{CtlClient, CtlReq, CtlResp, StatusInfo};
 pub use frame::{ProtoId, MAX_FRAME, WIRE_VERSION};
+pub use node::NodeCore;
 pub use runtime::{Event, NodeRuntime};
 pub use transport::{Addr, Conn, Listener};
 pub use wire::{from_bytes, to_bytes, Wire, WireError};

@@ -1,0 +1,329 @@
+//! The node core: one `Reliable<P>` and every decision the runtime makes
+//! about it, with no I/O.
+//!
+//! Three inputs drive a [`NodeCore`]: a [`tick`](NodeCore::tick) advances
+//! the logical clock and activates the node (dormant or not — the hint is
+//! for schedulers that skip, and a tick never does); a
+//! [`deliver`](NodeCore::deliver) decodes one sender's frames, counting
+//! and dropping undecodable ones as the message loss `Reliable` absorbs;
+//! [`ctl`](NodeCore::ctl) answers status, enqueue and dequeue. After each
+//! call the caller takes the log entries it accepted
+//! ([`take_entries`](NodeCore::take_entries)), then the frames owed to each
+//! destination ([`flush`](NodeCore::flush)), encoded only when taken —
+//! log first, frames after, as [`crate::wal`]'s recovery argument needs.
+//!
+//! Acks ride along: a destination owed nothing but `ReliableMsg::Ack`
+//! frames is not flushed at the end of an ordinary turn, so its acks leave
+//! with the next payload for it or at the next tick — less than a tick
+//! later, far inside the retransmission timeout.
+//!
+//! Recovery is the same code: [`replay`](NodeCore::replay) feeds logged
+//! entries through the input handling the live calls use and drops what
+//! they send unencoded, so a restarted node re-derives everything the live
+//! one derived, op-latency clocks included.
+
+use std::collections::BTreeMap;
+
+use crate::app::NetApp;
+use crate::ctl::{CtlReq, CtlResp, StatusInfo};
+use crate::wal::{CtlOpKind, WalEntry};
+use crate::wire::{from_bytes, RawBytes, Wire};
+use dpq_core::{BitSize, NodeId, OpId};
+use dpq_gossip::{GossipMsg, GossipNode};
+use dpq_sim::{Ctx, CtxEvent, Hub, LogHistogram, Protocol, Reliable, ReliableMsg, Telemetry};
+
+/// Frame lane tags, used only when the gossip sidecar is on: byte 0 of every
+/// peer frame says which state machine it belongs to. With gossip off the
+/// wire format is byte-identical to a sidecar-less build (and the cluster
+/// fingerprint differs, so mixed clusters refuse each other's hellos).
+const LANE_APP: u8 = 0;
+/// Membership lane (see [`LANE_APP`]).
+const LANE_GOSSIP: u8 = 1;
+
+/// A frame owed to a destination, kept as a message until it is taken.
+enum Frame<M> {
+    App(ReliableMsg<M>),
+    Gossip(GossipMsg),
+}
+
+impl<M: Wire> Frame<M> {
+    /// Anything but a bare ack.
+    fn is_payload(&self) -> bool {
+        !matches!(self, Frame::App(ReliableMsg::Ack { .. }))
+    }
+
+    fn encode(&self, lanes: bool) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        match self {
+            Frame::App(msg) => {
+                bytes.extend(lanes.then_some(LANE_APP));
+                msg.encode(&mut bytes);
+            }
+            Frame::Gossip(msg) => {
+                bytes.push(LANE_GOSSIP);
+                msg.encode(&mut bytes);
+            }
+        }
+        bytes
+    }
+}
+
+/// One node and everything that decides what it does. Generic over the
+/// protocol via [`NetApp`].
+pub struct NodeCore<P: NetApp>
+where
+    P::Msg: Clone + Wire,
+{
+    me: NodeId,
+    node: Reliable<P>,
+    /// Logical clock: advances once per tick (not per delivery), so the
+    /// retransmission timeout keeps its "activations since last send"
+    /// meaning from the simulator.
+    now: u64,
+    /// What the current turn owes each destination (`me` included: the
+    /// protocols send to their own node like to any other).
+    out: BTreeMap<u64, Vec<Frame<P::Msg>>>,
+    /// Inputs accepted since the caller last took them.
+    entries: Vec<WalEntry>,
+    /// Every request before this index is complete: where `Status` resumes
+    /// its count.
+    op_prefix: usize,
+    /// `op → issue tick`, for the op-latency histogram.
+    op_issued: BTreeMap<OpId, u64>,
+    op_latency: LogHistogram,
+    rx_decode_errors: u64,
+    /// The membership sidecar. Never logged: membership is soft state a
+    /// restarted node re-learns by gossiping, and replaying stale
+    /// heartbeats would only poison the detector.
+    gossip: Option<Box<GossipNode>>,
+}
+
+impl<P: NetApp> NodeCore<P>
+where
+    P::Msg: Clone + Wire,
+{
+    /// Node `me` running `node` over `Reliable` (timeout `rto_ticks`), with
+    /// the membership sidecar if one is given: frames then carry lane tags.
+    pub fn new(me: u64, node: P, rto_ticks: u64, gossip: Option<GossipNode>) -> Self {
+        let mut node = Reliable::new(node, rto_ticks);
+        node.enable_rtt_histogram();
+        NodeCore {
+            me: NodeId(me),
+            node,
+            now: 0,
+            out: BTreeMap::new(),
+            entries: Vec::new(),
+            op_prefix: 0,
+            op_issued: BTreeMap::new(),
+            op_latency: LogHistogram::new(),
+            rx_decode_errors: 0,
+            gossip: gossip.map(Box::new),
+        }
+    }
+
+    /// Advance the clock and activate the node, then the sidecar.
+    pub fn tick(&mut self) {
+        self.now += 1;
+        self.entries.push(WalEntry::Activate { now: self.now });
+        let sent = self.step(Reliable::on_activate);
+        queue(&mut self.out, sent, Frame::App);
+        if let Some(g) = self.gossip.as_mut() {
+            let mut ctx = Ctx::new(self.me, self.now);
+            g.on_activate(&mut ctx);
+            queue(&mut self.out, ctx, Frame::Gossip);
+        }
+    }
+
+    /// Deliver the frames `from` sent, in order.
+    pub fn deliver(&mut self, from: u64, frames: Vec<Vec<u8>>) {
+        for mut bytes in frames {
+            if self.gossip.is_some() {
+                // Strip the lane tag, so the log keeps storing plain app
+                // frames and replay stays format-compatible.
+                match bytes.first() {
+                    Some(&LANE_APP) => {
+                        bytes.remove(0);
+                    }
+                    Some(&LANE_GOSSIP) => {
+                        self.on_gossip(from, &bytes[1..]);
+                        continue;
+                    }
+                    _ => {
+                        self.rx_decode_errors += 1;
+                        continue;
+                    }
+                }
+            }
+            let Ok(msg) = from_bytes(&bytes) else {
+                self.rx_decode_errors += 1;
+                continue;
+            };
+            self.entries.push(WalEntry::Deliver {
+                now: self.now,
+                from,
+                frame: RawBytes(bytes),
+            });
+            let sent = self.step(|node, ctx| node.on_message(NodeId(from), msg, ctx));
+            queue(&mut self.out, sent, Frame::App);
+        }
+    }
+
+    /// Answer one of the control requests that touch the node — `Status`,
+    /// `Enqueue`, `Dequeue`; the rest are the caller's.
+    pub fn ctl(&mut self, req: CtlReq) -> CtlResp {
+        let op = match req {
+            CtlReq::Status => return CtlResp::Status(self.status()),
+            CtlReq::Enqueue { prio, payload } => CtlOpKind::Insert { prio, payload },
+            CtlReq::Dequeue => CtlOpKind::DeleteMin,
+            other => return CtlResp::Error(format!("{other:?} is not a node request")),
+        };
+        self.entries.push(WalEntry::CtlOp { now: self.now, op });
+        match self.issue(op) {
+            Ok(id) => CtlResp::Issued {
+                node: id.node.0,
+                seq: id.seq,
+            },
+            Err(e) => CtlResp::Error(e),
+        }
+    }
+
+    /// The inputs accepted since the last call, in order: what must be on
+    /// the log before anything they caused leaves the process.
+    pub fn take_entries(&mut self) -> std::vec::Drain<'_, WalEntry> {
+        self.entries.drain(..)
+    }
+
+    /// End of a turn: hand `send` the frames of every destination owed a
+    /// payload — or, at a tick, owed anything — encoded now, in send order.
+    pub fn flush(&mut self, tick: bool, mut send: impl FnMut(u64, Vec<Vec<u8>>)) {
+        let lanes = self.gossip.is_some();
+        for (&dst, frames) in &mut self.out {
+            if (tick && !frames.is_empty()) || frames.iter().any(Frame::is_payload) {
+                send(dst, frames.drain(..).map(|f| f.encode(lanes)).collect());
+            }
+        }
+    }
+
+    /// Re-apply logged inputs to this (fresh) core, through the handling the
+    /// live calls use; what they send is dropped unencoded. Anything the
+    /// original run sent either was acked (so the peer moved on), is still
+    /// unacked after replay (so it retransmits), or was an ack a peer will
+    /// re-earn by retransmitting its data frame.
+    pub fn replay(&mut self, entries: impl IntoIterator<Item = WalEntry>) {
+        for entry in entries {
+            self.now = entry.now();
+            match entry {
+                WalEntry::Activate { .. } => drop(self.step(Reliable::on_activate)),
+                WalEntry::Deliver { from, frame, .. } => {
+                    if let Ok(msg) = from_bytes(&frame.0) {
+                        drop(self.step(|node, ctx| node.on_message(NodeId(from), msg, ctx)));
+                    }
+                }
+                WalEntry::CtlOp { op, .. } => {
+                    let _ = self.issue(op);
+                }
+            }
+        }
+    }
+
+    /// Does the membership detector consider `peer` dead? Never without one.
+    pub(crate) fn considers_dead(&self, peer: u64) -> bool {
+        self.gossip
+            .as_ref()
+            .is_some_and(|g| g.considers_dead(NodeId(peer)))
+    }
+
+    /// The node.
+    pub fn node(&self) -> &Reliable<P> {
+        &self.node
+    }
+
+    /// Ticks from each op's issue to its completion.
+    pub fn op_latency(&self) -> &LogHistogram {
+        &self.op_latency
+    }
+
+    /// Fold the node's counters into `hub`: the transport's, the decode
+    /// errors, op latency and the sidecar's.
+    pub(crate) fn export_telemetry(&self, hub: &mut Hub) {
+        self.node.export_telemetry(hub);
+        let id = hub.register_counter("net.rx_decode_errors");
+        hub.counter_add(id, self.rx_decode_errors);
+        let op = hub.register_histogram("net.op_latency_ticks");
+        hub.hist_merge(op, &self.op_latency);
+        if let Some(g) = &self.gossip {
+            g.export_telemetry(hub);
+        }
+    }
+
+    /// One step of the node at the current tick: close the latency clocks of
+    /// the ops it completed and hand back what it sent.
+    fn step(
+        &mut self,
+        f: impl FnOnce(&mut Reliable<P>, &mut Ctx<ReliableMsg<P::Msg>>),
+    ) -> Ctx<ReliableMsg<P::Msg>> {
+        let mut ctx = Ctx::new(self.me, self.now);
+        f(&mut self.node, &mut ctx);
+        for ev in ctx.drain_events() {
+            if let CtxEvent::OpDone { op } = ev {
+                if let Some(issued) = self.op_issued.remove(&op) {
+                    self.op_latency.record(self.now.saturating_sub(issued));
+                }
+            }
+        }
+        ctx
+    }
+
+    fn issue(&mut self, op: CtlOpKind) -> Result<OpId, String> {
+        let id = match op {
+            CtlOpKind::Insert { prio, payload } => self.node.inner_mut().enqueue(prio, payload),
+            CtlOpKind::DeleteMin => self.node.inner_mut().dequeue(),
+        }?;
+        self.op_issued.insert(id, self.now);
+        Ok(id)
+    }
+
+    /// A membership-lane frame: decode, deliver to the sidecar, queue its
+    /// replies.
+    fn on_gossip(&mut self, from: u64, payload: &[u8]) {
+        let Some(g) = self.gossip.as_mut() else {
+            return;
+        };
+        let Ok(msg) = from_bytes(payload) else {
+            self.rx_decode_errors += 1;
+            return;
+        };
+        let mut ctx = Ctx::new(self.me, self.now);
+        g.on_message(NodeId(from), msg, &mut ctx);
+        queue(&mut self.out, ctx, Frame::Gossip);
+    }
+
+    fn status(&mut self) -> StatusInfo {
+        let inner = self.node.inner();
+        let progress = inner.progress(self.op_prefix);
+        self.op_prefix = progress.prefix;
+        StatusInfo {
+            node: self.me.0,
+            proto: P::PROTO.name().to_string(),
+            issued: inner.issued(),
+            completed: progress.completed,
+            all_complete: progress.all_complete,
+            result: inner.result_key(),
+            ticks: self.now,
+            retransmits: self.node.stats.retransmits,
+            dup_suppressed: self.node.stats.dup_suppressed,
+            unacked: self.node.unacked() as u64,
+        }
+    }
+}
+
+/// Queue what a step sent as frames of the current turn.
+fn queue<M, N: BitSize>(
+    out: &mut BTreeMap<u64, Vec<Frame<M>>>,
+    mut sent: Ctx<N>,
+    frame: fn(N) -> Frame<M>,
+) {
+    for env in sent.drain_outbox() {
+        out.entry(env.dst.0).or_default().push(frame(env.msg));
+    }
+}

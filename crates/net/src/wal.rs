@@ -3,11 +3,12 @@
 //! The protocol nodes keep all state in memory; a SIGKILL would normally
 //! lose it. Instead of snapshotting opaque state, the runtime logs every
 //! *input* — activations, delivered raw frames, control-plane operations —
-//! to an append-only file **before** acting on it, and flushes its own
-//! outbound frames only **after** the append. On restart the runtime
-//! replays the log through a fresh node (outputs suppressed) and resumes
-//! from the recorded tick. That ordering makes the recovery argument purely
-//! a transport argument:
+//! to an append-only file **before** anything the input caused leaves the
+//! process: its ctl reply and its outbound frames go out only **after** the
+//! append. On restart the log replays through a fresh
+//! [`NodeCore`](crate::node::NodeCore) — the same input handling, outputs
+//! dropped — and the runtime resumes from the recorded tick. That ordering
+//! makes the recovery argument purely a transport argument:
 //!
 //! * any frame a peer sent that we processed is in the log → replay
 //!   re-derives its effects (and its acks are re-sent on demand, because
@@ -185,7 +186,8 @@ impl Wal {
     }
 
     /// Append one entry and push it to the OS (durable against process
-    /// kill). Callers act on the input only after this returns.
+    /// kill). Nothing the input caused leaves the process before this
+    /// returns.
     pub fn append(&mut self, entry: &WalEntry) -> std::io::Result<()> {
         let payload = to_bytes(entry);
         let mut rec = Vec::with_capacity(payload.len() + 4);

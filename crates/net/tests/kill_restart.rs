@@ -13,6 +13,7 @@ mod harness;
 
 use std::time::Duration;
 
+use dpq_net::ctl::{CtlReq, CtlResp};
 use dpq_net::ProtoId;
 use dpq_semantics::{check_local_consistency, replay, ReplayMode};
 use harness::{
@@ -58,6 +59,18 @@ fn run_kill_restart(name: &'static str, transport: Transport, seed: u64) {
     assert_eq!(
         restarted.issued, ops as u64,
         "restarted node lost issued ops across the kill"
+    );
+    // Replay re-runs the live input path, so the ops issued before the kill
+    // keep their latency clocks too.
+    let text = match cluster.client(victim).request(&CtlReq::Metrics) {
+        Ok(CtlResp::Metrics(t)) => t,
+        other => panic!("metrics: {other:?}"),
+    };
+    let doc = dpq_telemetry::parse_prometheus(&text).expect("exposition parses");
+    assert_eq!(
+        doc.value("dpq_net_op_latency_ticks_count"),
+        Some(ops as u64),
+        "restarted node lost the latency clock of ops issued before the kill"
     );
 
     let (history, residual) = cluster.collect_history();

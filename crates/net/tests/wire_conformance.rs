@@ -128,7 +128,7 @@ fn metrics_exposition_is_served_over_the_wire() {
         "dpq_reliable_acks_sent",
         "dpq_net_tx_frames_total",
         "dpq_net_rx_frames_total",
-        "dpq_net_ack_rtt_ticks",
+        "dpq_reliable_ack_rtt",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }

@@ -5,9 +5,9 @@
 //! counter per peer" for a cluster size known only at runtime. This module
 //! adds the missing shape: [`WireMetrics`] holds one [`PeerWire`] record per
 //! remote node — frame/byte counters for both directions, reconnect and
-//! send-drop counts, and an ack round-trip [`LogHistogram`] — and renders
-//! them as *labelled* Prometheus families (`dpq_net_tx_frames_total{peer="3"}`),
-//! the per-peer detail the aggregate exposition cannot carry.
+//! send-drop counts — and renders them as *labelled* Prometheus families
+//! (`dpq_net_tx_frames_total{peer="3"}`), the per-peer detail the aggregate
+//! exposition cannot carry.
 //!
 //! Like every sink in this crate it is a pure observer with deterministic
 //! iteration (peers in `BTreeMap` order), an exact associative
@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::LogHistogram;
 use crate::sink::Telemetry;
 
 /// Wire counters for one direction-pair with a single remote peer.
@@ -40,13 +39,10 @@ pub struct PeerWire {
     /// queue full — the reliable layer retransmits, so these are lossage
     /// accounting, not lost messages.
     pub send_drops: u64,
-    /// Ack round-trip times on this link, in runtime ticks: last
-    /// transmission of a data frame to arrival of its ack.
-    pub ack_rtt: LogHistogram,
 }
 
 impl PeerWire {
-    /// Fold `other` into `self` (counters add, histograms merge).
+    /// Fold `other` into `self` (counters add).
     pub fn merge(&mut self, other: &PeerWire) {
         self.tx_frames += other.tx_frames;
         self.tx_bytes += other.tx_bytes;
@@ -54,7 +50,6 @@ impl PeerWire {
         self.rx_bytes += other.rx_bytes;
         self.reconnects += other.reconnects;
         self.send_drops += other.send_drops;
-        self.ack_rtt.merge(&other.ack_rtt);
     }
 }
 
@@ -85,15 +80,15 @@ impl WireMetrics {
         self.peers.iter().map(|(&p, w)| (p, w))
     }
 
-    /// Exact merge: peer-wise counter addition and histogram merge.
-    /// Associative and commutative, like [`LogHistogram::merge`].
+    /// Exact merge: peer-wise counter addition. Associative and
+    /// commutative.
     pub fn merge(&mut self, other: &WireMetrics) {
         for (&peer, w) in &other.peers {
             self.peers.entry(peer).or_default().merge(w);
         }
     }
 
-    /// Aggregate over all peers (histograms merged into one).
+    /// Aggregate over all peers.
     pub fn totals(&self) -> PeerWire {
         let mut t = PeerWire::default();
         for w in self.peers.values() {
@@ -104,9 +99,8 @@ impl WireMetrics {
 
     /// Collapse the per-peer detail into aggregate `net.*` instruments of an
     /// ordinary sink: `net.tx_frames`, `net.tx_bytes`, `net.rx_frames`,
-    /// `net.rx_bytes`, `net.reconnects`, `net.send_drops` counters and the
-    /// `net.ack_rtt_ticks` histogram. Counters are cumulative — call once
-    /// per sink per run, like
+    /// `net.rx_bytes`, `net.reconnects` and `net.send_drops` counters.
+    /// Counters are cumulative — call once per sink per run, like
     /// [`Reliable::export_telemetry`](../dpq_sim/struct.Reliable.html).
     pub fn fold_into<T: Telemetry>(&self, sink: &mut T) {
         if !T::ENABLED {
@@ -123,10 +117,6 @@ impl WireMetrics {
         ] {
             let id = sink.register_counter(name);
             sink.counter_add(id, v);
-        }
-        if !t.ack_rtt.is_empty() {
-            let id = sink.register_histogram("net.ack_rtt_ticks");
-            sink.hist_merge(id, &t.ack_rtt);
         }
     }
 }
@@ -151,33 +141,6 @@ pub fn prometheus_wire_text(w: &WireMetrics) -> String {
             let _ = writeln!(out, "dpq_{name}{{peer=\"{peer}\"}} {}", get(pw));
         }
     }
-    let _ = writeln!(out, "# TYPE dpq_net_ack_rtt_ticks histogram");
-    for (peer, pw) in w.peers() {
-        let h = &pw.ack_rtt;
-        let mut cum = 0u64;
-        for (_, hi, c) in h.nonzero_buckets() {
-            cum += c;
-            let _ = writeln!(
-                out,
-                "dpq_net_ack_rtt_ticks_bucket{{peer=\"{peer}\",le=\"{hi}\"}} {cum}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "dpq_net_ack_rtt_ticks_bucket{{peer=\"{peer}\",le=\"+Inf\"}} {}",
-            h.count()
-        );
-        let _ = writeln!(
-            out,
-            "dpq_net_ack_rtt_ticks_sum{{peer=\"{peer}\"}} {}",
-            h.sum()
-        );
-        let _ = writeln!(
-            out,
-            "dpq_net_ack_rtt_ticks_count{{peer=\"{peer}\"}} {}",
-            h.count()
-        );
-    }
     out
 }
 
@@ -192,8 +155,6 @@ mod tests {
         let p1 = w.peer_mut(1);
         p1.tx_frames = 10;
         p1.tx_bytes = 900;
-        p1.ack_rtt.record(4);
-        p1.ack_rtt.record(9);
         let p3 = w.peer_mut(3);
         p3.rx_frames = 7;
         p3.rx_bytes = 512;
@@ -230,7 +191,6 @@ mod tests {
         assert_eq!(t.rx_frames, 7);
         assert_eq!(t.reconnects, 2);
         assert_eq!(t.send_drops, 1);
-        assert_eq!(t.ack_rtt.count(), 2);
     }
 
     #[test]
@@ -241,9 +201,6 @@ mod tests {
         assert_eq!(counters["net.tx_frames"], 10);
         assert_eq!(counters["net.rx_bytes"], 512);
         assert_eq!(counters["net.send_drops"], 1);
-        let (name, h) = hub.hists().next().unwrap();
-        assert_eq!(name, "net.ack_rtt_ticks");
-        assert_eq!(h.count(), 2);
     }
 
     #[test]
@@ -251,9 +208,8 @@ mod tests {
         let text = prometheus_wire_text(&sample());
         assert!(text.contains("dpq_net_tx_frames_total{peer=\"1\"} 10"));
         assert!(text.contains("dpq_net_reconnects_total{peer=\"3\"} 2"));
-        assert!(text.contains("dpq_net_ack_rtt_ticks_count{peer=\"1\"} 2"));
         let doc = parse_prometheus(&text).expect("writer output parses");
         assert_eq!(render_exposition(&doc), text, "parse ∘ render round-trips");
-        assert_eq!(doc.families.len(), 7);
+        assert_eq!(doc.families.len(), 6);
     }
 }

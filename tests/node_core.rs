@@ -1,0 +1,337 @@
+//! `NodeCore`s in one process on a virtual clock: the socket runtime's turn
+//! with the sockets, threads and wall clock taken out, so the root package's
+//! tests exercise `dpq-net` without spawning a process.
+//!
+//! Batches travel as real bytes — each frame encoded when its core flushes,
+//! joined with `append_frame` the way one `write` carries them, split again
+//! by a `FrameDecoder` and decoded by the receiving core — and every turn
+//! ends as the runtime's does: log entries first, then frames. Three
+//! claims, each judged by an oracle that already exists:
+//!
+//! * **lock-step ≡ simulator.** Every frame produced in tick t is delivered
+//!   at tick t + 1, each destination taking its senders in index order and
+//!   each sender's frames in send order; then every node ticks. That is the
+//!   synchronous model, so merged history, residual and clock must equal
+//!   `Run::sync(..).faulty(FaultPlan::none(), RTO)`'s on the same cluster,
+//!   and KSelect's key and clock `driver::run`'s.
+//! * **replay ≡ live.** At every tick boundary of a lock-step run one
+//!   node's core is rebuilt from the entries it has handed back so far; the
+//!   rebuilt `Reliable<P>` must hash like the live one and hold as many
+//!   op-latency samples.
+//! * **seeded interleavings.** `RandomAdversary` picks every step:
+//!   `Deliver(k)` hands the k-th batch in flight to its destination,
+//!   `Activate(i)` ticks core i. A delivery ends its turn without a tick, so
+//!   held acks wait for the next one. Histories must pass witness replay,
+//!   conservation, the Seap phase checker and rank error 0; KSelect must
+//!   select the sequential answer.
+
+use dpq::core::workload::{generate, WorkloadSpec};
+use dpq::core::{state_digest, Element, History, Key, OpId, OpKind, OpRecord, StateHash};
+use dpq::semantics::{
+    check_conservation, check_local_consistency, rank_error, replay, RankOrder, ReplayMode,
+};
+use dpq::sim::{
+    AsyncConfig, DeliveryPolicy, FaultPlan, QueueNode, RandomAdversary, Run, StepChoice,
+};
+use dpq_net::frame::{append_frame, FrameDecoder};
+use dpq_net::wal::WalEntry;
+use dpq_net::{CtlReq, CtlResp, NetApp, NodeCore, Wire};
+use kselect::{KSelectConfig, KSelectNode};
+
+const N: usize = 5;
+const OPS: usize = 4;
+const N_PRIOS: usize = 4;
+const RTO: u64 = 8;
+/// Lock-step ticks a run may take.
+const TICKS: u64 = 20_000;
+/// Adversary steps an interleaved run may take.
+const STEPS: u64 = 2_000_000;
+
+/// `n` cores, the log each has handed back, and the batches in flight.
+struct Cluster<P: NetApp>
+where
+    P::Msg: Clone + Wire,
+{
+    cores: Vec<NodeCore<P>>,
+    logs: Vec<Vec<WalEntry>>,
+    /// `(sender, destination, bytes)`, in send order.
+    flight: Vec<(usize, usize, Vec<u8>)>,
+}
+
+impl<P: NetApp> Cluster<P>
+where
+    P::Msg: Clone + Wire,
+{
+    fn new(nodes: Vec<P>) -> Self {
+        let cores: Vec<_> = nodes.into_iter().enumerate().map(core).collect();
+        Cluster {
+            logs: vec![Vec::new(); cores.len()],
+            cores,
+            flight: Vec::new(),
+        }
+    }
+
+    /// Issue `scripts[i]` at core i through the control plane.
+    fn issue(&mut self, scripts: &[Vec<OpKind>]) {
+        for (i, script) in scripts.iter().enumerate() {
+            for op in script {
+                let req = match op {
+                    OpKind::Insert(e) => CtlReq::Enqueue {
+                        prio: e.prio.0,
+                        payload: e.payload,
+                    },
+                    OpKind::DeleteMin => CtlReq::Dequeue,
+                };
+                let resp = self.cores[i].ctl(req);
+                assert!(matches!(resp, CtlResp::Issued { .. }), "{resp:?}");
+            }
+            self.end_turn(i, false);
+        }
+    }
+
+    /// What the runtime does after each input: log, then write.
+    fn end_turn(&mut self, i: usize, tick: bool) {
+        self.logs[i].extend(self.cores[i].take_entries());
+        let flight = &mut self.flight;
+        self.cores[i].flush(tick, |dst, frames| {
+            let mut bytes = Vec::new();
+            for frame in &frames {
+                append_frame(&mut bytes, frame).expect("frame fits");
+            }
+            flight.push((i, dst as usize, bytes));
+        });
+    }
+
+    /// Deliver the `k`-th batch in flight; returns its destination.
+    fn deliver(&mut self, k: usize) -> usize {
+        let (src, dst, bytes) = self.flight.remove(k);
+        let (mut decoder, mut frames, mut stream) = (FrameDecoder::default(), vec![], &bytes[..]);
+        while decoder
+            .read_from(&mut stream, &mut frames)
+            .expect("whole frames")
+        {}
+        self.cores[dst].deliver(src as u64, frames);
+        dst
+    }
+
+    /// One synchronous round.
+    fn lockstep(&mut self) {
+        self.flight.sort_by_key(|&(src, dst, _)| (dst, src));
+        while !self.flight.is_empty() {
+            self.deliver(0);
+        }
+        self.cores.iter_mut().for_each(NodeCore::tick);
+        (0..self.cores.len()).for_each(|i| self.end_turn(i, true));
+    }
+
+    /// Lock-step rounds until `done`; returns how many.
+    fn run_lockstep(&mut self, done: impl Fn(&P) -> bool) -> u64 {
+        let mut ticks = 0;
+        while !self.cores.iter().all(|c| done(c.node().inner())) {
+            assert!(ticks < TICKS, "lock-step run stalled");
+            self.lockstep();
+            ticks += 1;
+        }
+        ticks
+    }
+
+    /// Steps drawn by the adversary until `done`.
+    fn interleave(&mut self, seed: u64, done: impl Fn(&P) -> bool) {
+        let mut adversary = RandomAdversary::new(seed);
+        let cfg = AsyncConfig::default();
+        let mut steps = 0;
+        while !self.cores.iter().all(|c| done(c.node().inner())) {
+            assert!(steps < STEPS, "seed {seed}: interleaved run stalled");
+            steps += 1;
+            match adversary.decide(self.flight.len(), self.cores.len(), &cfg) {
+                StepChoice::Deliver(k) => {
+                    let dst = self.deliver(k);
+                    self.end_turn(dst, false);
+                }
+                StepChoice::Activate(i) => {
+                    self.cores[i].tick();
+                    self.end_turn(i, true);
+                }
+            }
+        }
+    }
+}
+
+fn core<P: NetApp>((i, node): (usize, P)) -> NodeCore<P>
+where
+    P::Msg: Clone + Wire,
+{
+    NodeCore::new(i as u64, node, RTO, None)
+}
+
+/// Merged history and residual, as `Run::queue` reports them.
+fn outcome<Q: NetApp + QueueNode>(cores: &[NodeCore<Q>]) -> (History, Vec<Element>)
+where
+    Q::Msg: Clone + Wire,
+{
+    let nodes = cores.iter().map(|c| c.node().node_history().clone());
+    let mut residual = Vec::new();
+    cores.iter().for_each(|c| c.node().resident(&mut residual));
+    residual.sort_unstable_by_key(|e| (e.prio, e.id));
+    (History::merge(nodes.collect()), residual)
+}
+
+fn records(h: &History) -> Vec<OpRecord> {
+    h.records().copied().collect()
+}
+
+fn judge_skeap(h: &History, residual: &[Element]) {
+    check_local_consistency(h).expect("local consistency");
+    replay(h, ReplayMode::Fifo).expect("witness replay");
+    check_conservation(h, residual).expect("conservation");
+    assert_eq!(rank_error(h, RankOrder::Fifo).expect("rank error").max, 0);
+}
+
+fn judge_seap(h: &History, residual: &[Element]) {
+    seap::check_seap_history(h).expect("seap phase order");
+    check_conservation(h, residual).expect("conservation");
+    let refined = seap::refine_witnesses(h).expect("seap witnesses");
+    let errors = rank_error(&refined, RankOrder::KeyOrder).expect("rank error");
+    assert_eq!(errors.max, 0);
+}
+
+fn scripts(seed: u64, n_prios: u64) -> Vec<Vec<OpKind>> {
+    generate(&WorkloadSpec::balanced(N, OPS, n_prios, seed))
+}
+
+fn skeap_nodes(seed: u64) -> Vec<skeap::SkeapNode> {
+    skeap::cluster::build(N, N_PRIOS, seed)
+}
+
+fn seap_nodes(seed: u64) -> Vec<seap::SeapNode> {
+    seap::cluster::build(N, seed)
+}
+
+/// KSelect's candidates for `seed` and the rank to select.
+fn kselect_input(seed: u64) -> (Vec<Vec<Key>>, u64) {
+    (kselect::driver::random_candidates(N, 48, 1 << 16, seed), 13)
+}
+
+fn kselect_nodes(seed: u64) -> Vec<KSelectNode> {
+    let (cands, k) = kselect_input(seed);
+    kselect::driver::build(N, cands, k, KSelectConfig::default(), seed)
+}
+
+/// The completion predicate of a queue node.
+fn complete<Q: QueueNode>(q: &Q) -> bool {
+    q.all_complete()
+}
+
+/// The same queue cluster, ops issued by the same `QueueNode` calls,
+/// through the synchronous simulator and through lock-step cores.
+fn lockstep_matches_sync<Q: NetApp + QueueNode>(build: impl Fn() -> (Vec<Q>, Vec<OpId>))
+where
+    Q::Msg: Clone + Wire,
+{
+    let (nodes, ids) = build();
+    let sim = Run::sync(TICKS)
+        .faulty(FaultPlan::none(), RTO)
+        .queue(nodes, &ids);
+    assert!(sim.completed);
+    let mut cluster = Cluster::new(build().0);
+    let ticks = cluster.run_lockstep(complete);
+    let (history, residual) = outcome(&cluster.cores);
+    assert_eq!(records(&history), records(&sim.history));
+    assert_eq!(residual, sim.residual);
+    assert_eq!(ticks, sim.time);
+}
+
+#[test]
+fn lockstep_cores_equal_the_synchronous_simulator() {
+    for seed in [1, 2] {
+        let specs = scripts(seed, N_PRIOS as u64);
+        lockstep_matches_sync(|| {
+            let mut nodes = skeap_nodes(seed);
+            let ids = skeap::cluster::inject_all(&mut nodes, &specs);
+            (nodes, ids)
+        });
+        let specs = scripts(seed, 1 << 20);
+        lockstep_matches_sync(|| {
+            let mut nodes = seap_nodes(seed);
+            let ids = seap::cluster::inject_all(&mut nodes, &specs);
+            (nodes, ids)
+        });
+        let (cands, k) = kselect_input(seed);
+        let run = Run::sync(TICKS).faulty(FaultPlan::none(), RTO);
+        let sim = kselect::driver::run(N, cands, k, KSelectConfig::default(), seed, run);
+        let mut cluster = Cluster::new(kselect_nodes(seed));
+        let ticks = cluster.run_lockstep(kselect::driver::decided);
+        assert!(sim.completed);
+        assert_eq!(cluster.cores[0].node().inner().result, sim.result);
+        assert_eq!(ticks, sim.rounds);
+    }
+}
+
+/// Rebuild node `V` from its log at every tick boundary of a lock-step run.
+fn replay_matches_live<P: NetApp + StateHash>(
+    build: impl Fn() -> Vec<P>,
+    scripts: &[Vec<OpKind>],
+    done: impl Fn(&P) -> bool,
+) where
+    P::Msg: Clone + Wire,
+{
+    const V: usize = 1;
+    let mut cluster = Cluster::new(build());
+    cluster.issue(scripts);
+    for tick in 0.. {
+        let live = &cluster.cores[V];
+        let mut rebuilt = core((V, build().swap_remove(V)));
+        rebuilt.replay(cluster.logs[V].iter().cloned());
+        assert_eq!(
+            state_digest(rebuilt.node()),
+            state_digest(live.node()),
+            "tick {tick}: the rebuilt node diverged"
+        );
+        assert_eq!(
+            rebuilt.op_latency().count(),
+            live.op_latency().count(),
+            "tick {tick}: the rebuilt node lost latency clocks"
+        );
+        if cluster.cores.iter().all(|c| done(c.node().inner())) {
+            break;
+        }
+        assert!(tick < TICKS, "lock-step run stalled");
+        cluster.lockstep();
+    }
+    let completed = scripts.get(V).map_or(0, Vec::len) as u64;
+    assert_eq!(cluster.cores[V].op_latency().count(), completed);
+}
+
+#[test]
+fn a_core_rebuilt_from_its_log_equals_the_live_one() {
+    let seed = 3;
+    let specs = scripts(seed, N_PRIOS as u64);
+    replay_matches_live(|| skeap_nodes(seed), &specs, complete);
+    replay_matches_live(|| seap_nodes(seed), &scripts(seed, 1 << 20), complete);
+    replay_matches_live(|| kselect_nodes(seed), &[], kselect::driver::decided);
+}
+
+#[test]
+fn seeded_interleavings_pass_the_oracles() {
+    for seed in 0..8 {
+        let mut skeap = Cluster::new(skeap_nodes(seed));
+        skeap.issue(&scripts(seed, N_PRIOS as u64));
+        skeap.interleave(seed, complete);
+        let (history, residual) = outcome(&skeap.cores);
+        judge_skeap(&history, &residual);
+
+        let mut seap = Cluster::new(seap_nodes(seed));
+        seap.issue(&scripts(seed, 1 << 20));
+        seap.interleave(seed, complete);
+        let (history, residual) = outcome(&seap.cores);
+        judge_seap(&history, &residual);
+
+        let (cands, k) = kselect_input(seed);
+        let key = kselect::driver::sequential_select(&cands, k);
+        let mut kselect = Cluster::new(kselect_nodes(seed));
+        kselect.interleave(seed, kselect::driver::decided);
+        for c in &kselect.cores {
+            assert_eq!(c.node().inner().result, Some(key), "seed {seed}");
+        }
+    }
+}
