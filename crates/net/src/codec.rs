@@ -1,15 +1,18 @@
-//! [`Wire`] implementations for every type that crosses a socket.
+//! The wire layout of every protocol type that crosses a socket.
 //!
-//! One impl per aggregate, in dependency order: core ids and elements, the
-//! interval algebra, overlay routing envelopes, DHT requests, then the three
-//! protocol alphabets (`SkeapMsg`, `SeapMsg`, `KMsg`) and the reliable
-//! transport's framing. Enum variants carry an explicit one-byte tag in
-//! declaration order; unknown tags decode to [`WireError::BadTag`], never a
-//! panic — the property `tests/codec_props.rs` fuzzes.
+//! One `wire!` declaration per aggregate, in dependency order: core ids and
+//! elements, the interval algebra, overlay routing envelopes, DHT requests,
+//! then the three protocol alphabets (`SkeapMsg`, `SeapMsg`, `KMsg`), the
+//! gossip sidecar's, and the reliable transport's framing. Each lists the
+//! fields in wire order and each enum variant's one-byte tag; the macro
+//! derives both directions from that one list. Unknown tags decode to
+//! [`WireError::BadTag`](crate::WireError::BadTag), never a panic — the
+//! property `tests/codec_props.rs` fuzzes, and `tests/wire_golden.rs` at the
+//! repository root pins the exact bytes.
 
-use crate::wire::{put_bool, put_f64, put_varint, Reader, Wire, WireError};
+use crate::wire::wire;
 use dpq_agg::{Interval, Segments};
-use dpq_core::{ElemId, Element, Key, NodeId, OpId, OpKind, OpRecord, OpReturn, Priority};
+use dpq_core::{ElemId, Element, Key, NodeId, Priority};
 use dpq_dht::{DhtReq, DhtResp};
 use dpq_gossip::{DigestEntry, GossipMsg, NodeDelta};
 use dpq_overlay::routing::{HopMsg, RouteMsg};
@@ -20,869 +23,83 @@ use kselect::{Cmd, KMsg, Rsp};
 use seap::SeapMsg;
 use skeap::{Batch, BatchEntry, EntryAssign, SkeapMsg};
 
-impl Wire for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(r.varint()?))
-    }
-}
+wire!(struct NodeId(v));
+wire!(struct ElemId(v));
+wire!(struct Priority(v));
+wire!(struct Key { prio, elem });
+wire!(struct Element { id, prio, payload });
 
-impl Wire for ElemId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ElemId(r.varint()?))
-    }
-}
+wire!(struct Interval { lo, hi });
+wire!(struct Segments { parts });
 
-impl Wire for Priority {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Priority(r.varint()?))
-    }
-}
+wire!(enum VirtKind { 0 => Left {}, 1 => Middle {}, 2 => Right {} });
+wire!(struct VirtId { real, kind });
+wire!(struct RouteMsg<M> { target, at, steps_done, walk_back, payload });
+wire!(struct HopMsg<M> { at, walk_back, payload });
 
-impl Wire for Key {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prio.encode(out);
-        self.elem.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Key {
-            prio: Priority::decode(r)?,
-            elem: ElemId::decode(r)?,
-        })
-    }
-}
+wire!(enum DhtReq {
+    0 => Put { logical, elem, reply_to, id },
+    1 => Get { logical, reply_to, id },
+});
+wire!(enum DhtResp { 0 => PutAck { id }, 1 => GetOk { id, elem } });
 
-impl Wire for Element {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.prio.encode(out);
-        put_varint(out, self.payload);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Element {
-            id: ElemId::decode(r)?,
-            prio: Priority::decode(r)?,
-            payload: r.varint()?,
-        })
-    }
-}
+wire!(struct BatchEntry { ins, del });
+wire!(struct Batch { n_prios, entries });
+wire!(struct EntryAssign { ins, ins_seq, del, bottom, del_seq, lifo });
+wire!(enum SkeapMsg {
+    0 => BatchUp { cycle, batch },
+    1 => Down { cycle, assigns },
+    2 => Dht(m),
+    3 => Resp(m),
+});
 
-impl Wire for OpId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        put_varint(out, self.seq);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OpId {
-            node: NodeId::decode(r)?,
-            seq: r.varint()?,
-        })
-    }
-}
+wire!(enum Cmd {
+    0 => P1Bounds { k, n },
+    1 => P1Prune { pmin, pmax },
+    2 => Sample { epoch, prune, prob },
+    3 => Positions { epoch, lo, hi, first, last, n_prime },
+    4 => WindowCount { cl, cr },
+    5 => Announce { result },
+});
+wire!(enum Rsp {
+    0 => MinMax { pmin, pmax },
+    1 => Counts { below, above },
+    2 => SampleCount { count },
+    3 => Hits { lo, hi },
+});
+wire!(struct Place { epoch, pos, key, origin, n_prime });
+wire!(struct Split { epoch, cand, key, a, b, parent, parent_copy });
+wire!(struct Compare { epoch, cand, copy, key, back });
+wire!(enum KMsg {
+    0 => Down(c),
+    1 => Up(rsp),
+    2 => Place(m),
+    3 => Split(m),
+    4 => Compare(m),
+    5 => CmpResult { epoch, cand, copy, smaller, larger },
+    6 => CopyAgg { epoch, cand, parent_copy, smaller, larger },
+    7 => Order { epoch, key, order },
+});
 
-impl Wire for OpKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OpKind::Insert(e) => {
-                out.push(0);
-                e.encode(out);
-            }
-            OpKind::DeleteMin => out.push(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(OpKind::Insert(Element::decode(r)?)),
-            1 => Ok(OpKind::DeleteMin),
-            tag => Err(WireError::BadTag {
-                what: "OpKind",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum SeapMsg {
+    0 => Begin { phase },
+    1 => CountUp { phase, count },
+    2 => StartInserts { phase, wit },
+    3 => CountBelow { phase, key_k },
+    4 => StoreCountUp { phase, count },
+    5 => Assign { phase, key_k, store, del, wit },
+    6 => DoneUp { phase },
+    7 => K(m),
+    8 => Dht(m),
+    9 => Resp(m),
+});
 
-impl Wire for OpReturn {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OpReturn::Inserted => out.push(0),
-            OpReturn::Removed(e) => {
-                out.push(1);
-                e.encode(out);
-            }
-            OpReturn::Bottom => out.push(2),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(OpReturn::Inserted),
-            1 => Ok(OpReturn::Removed(Element::decode(r)?)),
-            2 => Ok(OpReturn::Bottom),
-            tag => Err(WireError::BadTag {
-                what: "OpReturn",
-                tag,
-            }),
-        }
-    }
-}
+wire!(struct DigestEntry { node, incarnation, max_version });
+wire!(struct NodeDelta { node, incarnation, entries });
+wire!(enum GossipMsg {
+    0 => Syn { window },
+    1 => SynAck { delta, want },
+    2 => Ack { delta },
+});
 
-impl Wire for OpRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.kind.encode(out);
-        self.ret.encode(out);
-        self.witness.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OpRecord {
-            id: OpId::decode(r)?,
-            kind: OpKind::decode(r)?,
-            ret: Option::<OpReturn>::decode(r)?,
-            witness: Option::<u64>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Interval {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.lo);
-        put_varint(out, self.hi);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Interval {
-            lo: r.varint()?,
-            hi: r.varint()?,
-        })
-    }
-}
-
-impl Wire for Segments {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.parts.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Segments {
-            parts: dpq_arena::SmallVec::decode(r)?,
-        })
-    }
-}
-
-impl Wire for VirtKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.index() as u8);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(VirtKind::Left),
-            1 => Ok(VirtKind::Middle),
-            2 => Ok(VirtKind::Right),
-            tag => Err(WireError::BadTag {
-                what: "VirtKind",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for VirtId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.real.encode(out);
-        self.kind.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VirtId {
-            real: NodeId::decode(r)?,
-            kind: VirtKind::decode(r)?,
-        })
-    }
-}
-
-impl<M: Wire> Wire for RouteMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_f64(out, self.target);
-        self.at.encode(out);
-        put_varint(out, self.steps_done as u64);
-        put_bool(out, self.walk_back);
-        self.payload.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let target = r.f64()?;
-        let at = VirtId::decode(r)?;
-        let steps = r.varint()?;
-        let steps_done = u32::try_from(steps)
-            .map_err(|_| WireError::Frame("RouteMsg.steps_done exceeds u32".into()))?;
-        Ok(RouteMsg {
-            target,
-            at,
-            steps_done,
-            walk_back: r.bool()?,
-            payload: M::decode(r)?,
-        })
-    }
-}
-
-impl<M: Wire> Wire for HopMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-        put_bool(out, self.walk_back);
-        self.payload.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HopMsg {
-            at: VirtId::decode(r)?,
-            walk_back: r.bool()?,
-            payload: M::decode(r)?,
-        })
-    }
-}
-
-impl Wire for DhtReq {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DhtReq::Put {
-                logical,
-                elem,
-                reply_to,
-                id,
-            } => {
-                out.push(0);
-                put_varint(out, *logical);
-                elem.encode(out);
-                reply_to.encode(out);
-                put_varint(out, *id);
-            }
-            DhtReq::Get {
-                logical,
-                reply_to,
-                id,
-            } => {
-                out.push(1);
-                put_varint(out, *logical);
-                reply_to.encode(out);
-                put_varint(out, *id);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(DhtReq::Put {
-                logical: r.varint()?,
-                elem: Element::decode(r)?,
-                reply_to: NodeId::decode(r)?,
-                id: r.varint()?,
-            }),
-            1 => Ok(DhtReq::Get {
-                logical: r.varint()?,
-                reply_to: NodeId::decode(r)?,
-                id: r.varint()?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "DhtReq",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for DhtResp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DhtResp::PutAck { id } => {
-                out.push(0);
-                put_varint(out, *id);
-            }
-            DhtResp::GetOk { id, elem } => {
-                out.push(1);
-                put_varint(out, *id);
-                elem.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(DhtResp::PutAck { id: r.varint()? }),
-            1 => Ok(DhtResp::GetOk {
-                id: r.varint()?,
-                elem: Element::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "DhtResp",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for BatchEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ins.encode(out);
-        put_varint(out, self.del);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BatchEntry {
-            ins: dpq_arena::SmallVec::decode(r)?,
-            del: r.varint()?,
-        })
-    }
-}
-
-impl Wire for Batch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.n_prios as u64);
-        self.entries.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n_prios = usize::try_from(r.varint()?)
-            .map_err(|_| WireError::Frame("Batch.n_prios exceeds usize".into()))?;
-        Ok(Batch {
-            n_prios,
-            entries: Vec::<BatchEntry>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for EntryAssign {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ins.encode(out);
-        self.ins_seq.encode(out);
-        self.del.encode(out);
-        put_varint(out, self.bottom);
-        self.del_seq.encode(out);
-        put_bool(out, self.lifo);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EntryAssign {
-            ins: dpq_arena::SmallVec::decode(r)?,
-            ins_seq: Interval::decode(r)?,
-            del: Segments::decode(r)?,
-            bottom: r.varint()?,
-            del_seq: Interval::decode(r)?,
-            lifo: r.bool()?,
-        })
-    }
-}
-
-impl Wire for SkeapMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SkeapMsg::BatchUp { cycle, batch } => {
-                out.push(0);
-                put_varint(out, *cycle);
-                batch.encode(out);
-            }
-            SkeapMsg::Down { cycle, assigns } => {
-                out.push(1);
-                put_varint(out, *cycle);
-                assigns.encode(out);
-            }
-            SkeapMsg::Dht(m) => {
-                out.push(2);
-                m.encode(out);
-            }
-            SkeapMsg::Resp(m) => {
-                out.push(3);
-                m.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SkeapMsg::BatchUp {
-                cycle: r.varint()?,
-                batch: Batch::decode(r)?,
-            }),
-            1 => Ok(SkeapMsg::Down {
-                cycle: r.varint()?,
-                assigns: Vec::<EntryAssign>::decode(r)?,
-            }),
-            2 => Ok(SkeapMsg::Dht(RouteMsg::<DhtReq>::decode(r)?)),
-            3 => Ok(SkeapMsg::Resp(DhtResp::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "SkeapMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for Cmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Cmd::P1Bounds { k, n } => {
-                out.push(0);
-                put_varint(out, *k);
-                put_varint(out, *n);
-            }
-            Cmd::P1Prune { pmin, pmax } => {
-                out.push(1);
-                pmin.encode(out);
-                pmax.encode(out);
-            }
-            Cmd::Sample { epoch, prune, prob } => {
-                out.push(2);
-                put_varint(out, *epoch);
-                prune.encode(out);
-                put_f64(out, *prob);
-            }
-            Cmd::Positions {
-                epoch,
-                lo,
-                hi,
-                first,
-                last,
-                n_prime,
-            } => {
-                out.push(3);
-                put_varint(out, *epoch);
-                put_varint(out, *lo);
-                put_varint(out, *hi);
-                put_varint(out, *first);
-                put_varint(out, *last);
-                put_varint(out, *n_prime);
-            }
-            Cmd::WindowCount { cl, cr } => {
-                out.push(4);
-                cl.encode(out);
-                cr.encode(out);
-            }
-            Cmd::Announce { result } => {
-                out.push(5);
-                result.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Cmd::P1Bounds {
-                k: r.varint()?,
-                n: r.varint()?,
-            }),
-            1 => Ok(Cmd::P1Prune {
-                pmin: Key::decode(r)?,
-                pmax: Key::decode(r)?,
-            }),
-            2 => Ok(Cmd::Sample {
-                epoch: r.varint()?,
-                prune: Option::<(Key, Key)>::decode(r)?,
-                prob: r.f64()?,
-            }),
-            3 => Ok(Cmd::Positions {
-                epoch: r.varint()?,
-                lo: r.varint()?,
-                hi: r.varint()?,
-                first: r.varint()?,
-                last: r.varint()?,
-                n_prime: r.varint()?,
-            }),
-            4 => Ok(Cmd::WindowCount {
-                cl: Key::decode(r)?,
-                cr: Key::decode(r)?,
-            }),
-            5 => Ok(Cmd::Announce {
-                result: Key::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Cmd", tag }),
-        }
-    }
-}
-
-impl Wire for Rsp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Rsp::MinMax { pmin, pmax } => {
-                out.push(0);
-                pmin.encode(out);
-                pmax.encode(out);
-            }
-            Rsp::Counts { below, above } => {
-                out.push(1);
-                put_varint(out, *below);
-                put_varint(out, *above);
-            }
-            Rsp::SampleCount { count } => {
-                out.push(2);
-                put_varint(out, *count);
-            }
-            Rsp::Hits { lo, hi } => {
-                out.push(3);
-                lo.encode(out);
-                hi.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Rsp::MinMax {
-                pmin: Key::decode(r)?,
-                pmax: Key::decode(r)?,
-            }),
-            1 => Ok(Rsp::Counts {
-                below: r.varint()?,
-                above: r.varint()?,
-            }),
-            2 => Ok(Rsp::SampleCount { count: r.varint()? }),
-            3 => Ok(Rsp::Hits {
-                lo: Option::<Key>::decode(r)?,
-                hi: Option::<Key>::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Rsp", tag }),
-        }
-    }
-}
-
-impl Wire for Place {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.epoch);
-        put_varint(out, self.pos);
-        self.key.encode(out);
-        self.origin.encode(out);
-        put_varint(out, self.n_prime);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Place {
-            epoch: r.varint()?,
-            pos: r.varint()?,
-            key: Key::decode(r)?,
-            origin: NodeId::decode(r)?,
-            n_prime: r.varint()?,
-        })
-    }
-}
-
-impl Wire for Split {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.epoch);
-        put_varint(out, self.cand);
-        self.key.encode(out);
-        put_varint(out, self.a);
-        put_varint(out, self.b);
-        self.parent.encode(out);
-        put_varint(out, self.parent_copy);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Split {
-            epoch: r.varint()?,
-            cand: r.varint()?,
-            key: Key::decode(r)?,
-            a: r.varint()?,
-            b: r.varint()?,
-            parent: NodeId::decode(r)?,
-            parent_copy: r.varint()?,
-        })
-    }
-}
-
-impl Wire for Compare {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.epoch);
-        put_varint(out, self.cand);
-        put_varint(out, self.copy);
-        self.key.encode(out);
-        self.back.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Compare {
-            epoch: r.varint()?,
-            cand: r.varint()?,
-            copy: r.varint()?,
-            key: Key::decode(r)?,
-            back: NodeId::decode(r)?,
-        })
-    }
-}
-
-impl Wire for KMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KMsg::Down(c) => {
-                out.push(0);
-                c.encode(out);
-            }
-            KMsg::Up(rsp) => {
-                out.push(1);
-                rsp.encode(out);
-            }
-            KMsg::Place(m) => {
-                out.push(2);
-                m.encode(out);
-            }
-            KMsg::Split(m) => {
-                out.push(3);
-                m.encode(out);
-            }
-            KMsg::Compare(m) => {
-                out.push(4);
-                m.encode(out);
-            }
-            KMsg::CmpResult {
-                epoch,
-                cand,
-                copy,
-                smaller,
-                larger,
-            } => {
-                out.push(5);
-                put_varint(out, *epoch);
-                put_varint(out, *cand);
-                put_varint(out, *copy);
-                put_varint(out, *smaller);
-                put_varint(out, *larger);
-            }
-            KMsg::CopyAgg {
-                epoch,
-                cand,
-                parent_copy,
-                smaller,
-                larger,
-            } => {
-                out.push(6);
-                put_varint(out, *epoch);
-                put_varint(out, *cand);
-                put_varint(out, *parent_copy);
-                put_varint(out, *smaller);
-                put_varint(out, *larger);
-            }
-            KMsg::Order { epoch, key, order } => {
-                out.push(7);
-                put_varint(out, *epoch);
-                key.encode(out);
-                put_varint(out, *order);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(KMsg::Down(Cmd::decode(r)?)),
-            1 => Ok(KMsg::Up(Rsp::decode(r)?)),
-            2 => Ok(KMsg::Place(RouteMsg::<Place>::decode(r)?)),
-            3 => Ok(KMsg::Split(HopMsg::<Split>::decode(r)?)),
-            4 => Ok(KMsg::Compare(RouteMsg::<Compare>::decode(r)?)),
-            5 => Ok(KMsg::CmpResult {
-                epoch: r.varint()?,
-                cand: r.varint()?,
-                copy: r.varint()?,
-                smaller: r.varint()?,
-                larger: r.varint()?,
-            }),
-            6 => Ok(KMsg::CopyAgg {
-                epoch: r.varint()?,
-                cand: r.varint()?,
-                parent_copy: r.varint()?,
-                smaller: r.varint()?,
-                larger: r.varint()?,
-            }),
-            7 => Ok(KMsg::Order {
-                epoch: r.varint()?,
-                key: Key::decode(r)?,
-                order: r.varint()?,
-            }),
-            tag => Err(WireError::BadTag { what: "KMsg", tag }),
-        }
-    }
-}
-
-impl Wire for SeapMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SeapMsg::Begin { phase } => {
-                out.push(0);
-                put_varint(out, *phase);
-            }
-            SeapMsg::CountUp { phase, count } => {
-                out.push(1);
-                put_varint(out, *phase);
-                put_varint(out, *count);
-            }
-            SeapMsg::StartInserts { phase, wit } => {
-                out.push(2);
-                put_varint(out, *phase);
-                wit.encode(out);
-            }
-            SeapMsg::CountBelow { phase, key_k } => {
-                out.push(3);
-                put_varint(out, *phase);
-                key_k.encode(out);
-            }
-            SeapMsg::StoreCountUp { phase, count } => {
-                out.push(4);
-                put_varint(out, *phase);
-                put_varint(out, *count);
-            }
-            SeapMsg::Assign {
-                phase,
-                key_k,
-                store,
-                del,
-                wit,
-            } => {
-                out.push(5);
-                put_varint(out, *phase);
-                key_k.encode(out);
-                store.encode(out);
-                del.encode(out);
-                wit.encode(out);
-            }
-            SeapMsg::DoneUp { phase } => {
-                out.push(6);
-                put_varint(out, *phase);
-            }
-            SeapMsg::K(m) => {
-                out.push(7);
-                m.encode(out);
-            }
-            SeapMsg::Dht(m) => {
-                out.push(8);
-                m.encode(out);
-            }
-            SeapMsg::Resp(m) => {
-                out.push(9);
-                m.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SeapMsg::Begin { phase: r.varint()? }),
-            1 => Ok(SeapMsg::CountUp {
-                phase: r.varint()?,
-                count: r.varint()?,
-            }),
-            2 => Ok(SeapMsg::StartInserts {
-                phase: r.varint()?,
-                wit: Interval::decode(r)?,
-            }),
-            3 => Ok(SeapMsg::CountBelow {
-                phase: r.varint()?,
-                key_k: Key::decode(r)?,
-            }),
-            4 => Ok(SeapMsg::StoreCountUp {
-                phase: r.varint()?,
-                count: r.varint()?,
-            }),
-            5 => Ok(SeapMsg::Assign {
-                phase: r.varint()?,
-                key_k: Option::<Key>::decode(r)?,
-                store: Interval::decode(r)?,
-                del: Interval::decode(r)?,
-                wit: Interval::decode(r)?,
-            }),
-            6 => Ok(SeapMsg::DoneUp { phase: r.varint()? }),
-            7 => Ok(SeapMsg::K(KMsg::decode(r)?)),
-            8 => Ok(SeapMsg::Dht(RouteMsg::<DhtReq>::decode(r)?)),
-            9 => Ok(SeapMsg::Resp(DhtResp::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "SeapMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for DigestEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        put_varint(out, self.incarnation);
-        put_varint(out, self.max_version);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DigestEntry {
-            node: NodeId::decode(r)?,
-            incarnation: r.varint()?,
-            max_version: r.varint()?,
-        })
-    }
-}
-
-impl Wire for NodeDelta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        put_varint(out, self.incarnation);
-        self.entries.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeDelta {
-            node: NodeId::decode(r)?,
-            incarnation: r.varint()?,
-            entries: Vec::<(u64, u64, u64)>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for GossipMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GossipMsg::Syn { window } => {
-                out.push(0);
-                window.encode(out);
-            }
-            GossipMsg::SynAck { delta, want } => {
-                out.push(1);
-                delta.encode(out);
-                want.encode(out);
-            }
-            GossipMsg::Ack { delta } => {
-                out.push(2);
-                delta.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(GossipMsg::Syn {
-                window: Vec::<DigestEntry>::decode(r)?,
-            }),
-            1 => Ok(GossipMsg::SynAck {
-                delta: Vec::<NodeDelta>::decode(r)?,
-                want: Vec::<DigestEntry>::decode(r)?,
-            }),
-            2 => Ok(GossipMsg::Ack {
-                delta: Vec::<NodeDelta>::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "GossipMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<M: Wire> Wire for ReliableMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReliableMsg::Data { seq, msg } => {
-                out.push(0);
-                put_varint(out, *seq);
-                msg.encode(out);
-            }
-            ReliableMsg::Ack { seq, cum } => {
-                out.push(1);
-                put_varint(out, *seq);
-                put_varint(out, *cum);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ReliableMsg::Data {
-                seq: r.varint()?,
-                msg: M::decode(r)?,
-            }),
-            1 => Ok(ReliableMsg::Ack {
-                seq: r.varint()?,
-                cum: r.varint()?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "ReliableMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum ReliableMsg<M> { 0 => Data { seq, msg }, 1 => Ack { seq, cum } });

@@ -13,7 +13,7 @@ use crate::frame::{
     read_frame, read_hello, write_frame, write_hello, Hello, ProtoId, WIRE_VERSION,
 };
 use crate::transport::{Addr, Conn};
-use crate::wire::{from_bytes, put_bool, put_varint, to_bytes, Reader, Wire, WireError};
+use crate::wire::{from_bytes, to_bytes, wire};
 use dpq_core::Key;
 
 /// A control request.
@@ -39,39 +39,14 @@ pub enum CtlReq {
     Shutdown,
 }
 
-impl Wire for CtlReq {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtlReq::Status => out.push(0),
-            CtlReq::Enqueue { prio, payload } => {
-                out.push(1);
-                put_varint(out, *prio);
-                put_varint(out, *payload);
-            }
-            CtlReq::Dequeue => out.push(2),
-            CtlReq::Dump => out.push(3),
-            CtlReq::Metrics => out.push(4),
-            CtlReq::Shutdown => out.push(5),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CtlReq::Status),
-            1 => Ok(CtlReq::Enqueue {
-                prio: r.varint()?,
-                payload: r.varint()?,
-            }),
-            2 => Ok(CtlReq::Dequeue),
-            3 => Ok(CtlReq::Dump),
-            4 => Ok(CtlReq::Metrics),
-            5 => Ok(CtlReq::Shutdown),
-            tag => Err(WireError::BadTag {
-                what: "CtlReq",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum CtlReq {
+    0 => Status {},
+    1 => Enqueue { prio, payload },
+    2 => Dequeue {},
+    3 => Dump {},
+    4 => Metrics {},
+    5 => Shutdown {},
+});
 
 /// A node's progress snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,34 +73,18 @@ pub struct StatusInfo {
     pub unacked: u64,
 }
 
-impl Wire for StatusInfo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.node);
-        self.proto.encode(out);
-        put_varint(out, self.issued);
-        put_varint(out, self.completed);
-        put_bool(out, self.all_complete);
-        self.result.encode(out);
-        put_varint(out, self.ticks);
-        put_varint(out, self.retransmits);
-        put_varint(out, self.dup_suppressed);
-        put_varint(out, self.unacked);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StatusInfo {
-            node: r.varint()?,
-            proto: String::decode(r)?,
-            issued: r.varint()?,
-            completed: r.varint()?,
-            all_complete: r.bool()?,
-            result: Option::<Key>::decode(r)?,
-            ticks: r.varint()?,
-            retransmits: r.varint()?,
-            dup_suppressed: r.varint()?,
-            unacked: r.varint()?,
-        })
-    }
-}
+wire!(struct StatusInfo {
+    node,
+    proto,
+    issued,
+    completed,
+    all_complete,
+    result,
+    ticks,
+    retransmits,
+    dup_suppressed,
+    unacked,
+});
 
 /// A control response.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,53 +111,14 @@ pub enum CtlResp {
     Bye,
 }
 
-impl Wire for CtlResp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtlResp::Status(s) => {
-                out.push(0);
-                s.encode(out);
-            }
-            CtlResp::Issued { node, seq } => {
-                out.push(1);
-                put_varint(out, *node);
-                put_varint(out, *seq);
-            }
-            CtlResp::Dumped { records } => {
-                out.push(2);
-                put_varint(out, *records);
-            }
-            CtlResp::Metrics(text) => {
-                out.push(3);
-                text.encode(out);
-            }
-            CtlResp::Error(why) => {
-                out.push(4);
-                why.encode(out);
-            }
-            CtlResp::Bye => out.push(5),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CtlResp::Status(StatusInfo::decode(r)?)),
-            1 => Ok(CtlResp::Issued {
-                node: r.varint()?,
-                seq: r.varint()?,
-            }),
-            2 => Ok(CtlResp::Dumped {
-                records: r.varint()?,
-            }),
-            3 => Ok(CtlResp::Metrics(String::decode(r)?)),
-            4 => Ok(CtlResp::Error(String::decode(r)?)),
-            5 => Ok(CtlResp::Bye),
-            tag => Err(WireError::BadTag {
-                what: "CtlResp",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum CtlResp {
+    0 => Status(s),
+    1 => Issued { node, seq },
+    2 => Dumped { records },
+    3 => Metrics(text),
+    4 => Error(why),
+    5 => Bye {},
+});
 
 /// Sender id a ctl client announces in its hello (not a cluster node).
 pub const CTL_SENDER: u64 = u64::MAX;

@@ -11,7 +11,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::wire::{from_bytes, put_varint, to_bytes, Reader, Wire, WireError};
+use crate::wire::{from_bytes, to_bytes, wire, Reader, Wire, WireError};
 
 /// First bytes of every connection.
 pub const MAGIC: [u8; 4] = *b"DPQW";
@@ -61,28 +61,7 @@ impl ProtoId {
     }
 }
 
-impl Wire for ProtoId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ProtoId::Skeap => 0,
-            ProtoId::Seap => 1,
-            ProtoId::KSelect => 2,
-            ProtoId::Ctl => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ProtoId::Skeap),
-            1 => Ok(ProtoId::Seap),
-            2 => Ok(ProtoId::KSelect),
-            3 => Ok(ProtoId::Ctl),
-            tag => Err(WireError::BadTag {
-                what: "ProtoId",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum ProtoId { 0 => Skeap {}, 1 => Seap {}, 2 => KSelect {}, 3 => Ctl {} });
 
 /// The handshake frame opening every connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,27 +77,32 @@ pub struct Hello {
     pub sender: u64,
 }
 
+/// The magic, then the fields in order. Written by hand: the magic is not
+/// a field.
 impl Wire for Hello {
     fn encode(&self, out: &mut Vec<u8>) {
+        let Hello {
+            version,
+            proto,
+            cluster,
+            sender,
+        } = self;
         out.extend_from_slice(&MAGIC);
-        put_varint(out, self.version);
-        self.proto.encode(out);
-        put_varint(out, self.cluster);
-        put_varint(out, self.sender);
+        version.encode(out);
+        proto.encode(out);
+        cluster.encode(out);
+        sender.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut magic = [0u8; 4];
-        for b in &mut magic {
-            *b = r.u8()?;
-        }
+        let magic = r.bytes(MAGIC.len())?;
         if magic != MAGIC {
             return Err(WireError::Frame(format!("bad magic {magic:02x?}")));
         }
         Ok(Hello {
-            version: r.varint()?,
-            proto: ProtoId::decode(r)?,
-            cluster: r.varint()?,
-            sender: r.varint()?,
+            version: Wire::decode(r)?,
+            proto: Wire::decode(r)?,
+            cluster: Wire::decode(r)?,
+            sender: Wire::decode(r)?,
         })
     }
 }

@@ -5,8 +5,10 @@
 //! exactly-once layer are driven unmodified. This crate supplies what the
 //! simulator faked:
 //!
-//! * [`wire`]/[`codec`] — a hand-rolled, panic-free binary codec for every
-//!   protocol message enum (LEB128 varints, one-byte tags);
+//! * [`wire`] — a hand-rolled, panic-free binary codec (LEB128 varints,
+//!   one-byte tags) and the `wire!` macro that derives a type's encode and
+//!   decode from its field list; [`codec`] — one such declaration per
+//!   protocol message type;
 //! * [`frame`] — length-prefixed framing with a versioned handshake, so two
 //!   clusters on one host cannot cross-connect;
 //! * [`transport`] — Unix-domain-socket and TCP listeners/connections

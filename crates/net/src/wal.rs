@@ -27,7 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::wire::{from_bytes, put_varint, to_bytes, RawBytes, Reader, Wire, WireError};
+use crate::wire::{from_bytes, to_bytes, wire, RawBytes};
 
 /// One logged input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,31 +70,7 @@ pub enum CtlOpKind {
     DeleteMin,
 }
 
-impl Wire for CtlOpKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtlOpKind::Insert { prio, payload } => {
-                out.push(0);
-                put_varint(out, *prio);
-                put_varint(out, *payload);
-            }
-            CtlOpKind::DeleteMin => out.push(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CtlOpKind::Insert {
-                prio: r.varint()?,
-                payload: r.varint()?,
-            }),
-            1 => Ok(CtlOpKind::DeleteMin),
-            tag => Err(WireError::BadTag {
-                what: "CtlOpKind",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum CtlOpKind { 0 => Insert { prio, payload }, 1 => DeleteMin {} });
 
 impl WalEntry {
     /// The logical tick this entry was logged at.
@@ -107,45 +83,11 @@ impl WalEntry {
     }
 }
 
-impl Wire for WalEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalEntry::Activate { now } => {
-                out.push(0);
-                put_varint(out, *now);
-            }
-            WalEntry::Deliver { now, from, frame } => {
-                out.push(1);
-                put_varint(out, *now);
-                put_varint(out, *from);
-                frame.encode(out);
-            }
-            WalEntry::CtlOp { now, op } => {
-                out.push(2);
-                put_varint(out, *now);
-                op.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(WalEntry::Activate { now: r.varint()? }),
-            1 => Ok(WalEntry::Deliver {
-                now: r.varint()?,
-                from: r.varint()?,
-                frame: RawBytes::decode(r)?,
-            }),
-            2 => Ok(WalEntry::CtlOp {
-                now: r.varint()?,
-                op: CtlOpKind::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "WalEntry",
-                tag,
-            }),
-        }
-    }
-}
+wire!(enum WalEntry {
+    0 => Activate { now },
+    1 => Deliver { now, from, frame },
+    2 => CtlOp { now, op },
+});
 
 /// An open write-ahead log, positioned for appending.
 pub struct Wal {

@@ -4,14 +4,19 @@
 //! `BitSize` trait only *costs* messages, it does not encode them), so the
 //! socket runtime defines its own: LEB128 varints for integers, IEEE-754
 //! bits for the routing targets, explicit one-byte tags for enums, and
-//! length-guarded vectors. Two properties are load-bearing and tested:
+//! length-guarded vectors. Primitives and containers are implemented here by
+//! hand; a message type declares its layout once with `wire!`, which derives
+//! both directions. Three properties are load-bearing and tested:
 //!
 //! * **round-trip** — `decode(encode(m)) == m` for every message type
 //!   ([`to_bytes`]/[`from_bytes`]);
 //! * **panic-free decode** — a decoder consuming attacker-controlled bytes
 //!   (truncated, oversized, garbage) returns [`WireError`], never panics
 //!   and never allocates proportionally to a length it has not yet seen
-//!   bytes for (`tests/codec_props.rs`).
+//!   bytes for (`tests/codec_props.rs`);
+//! * **fixed bytes** — every type's exact encoding is pinned
+//!   (`tests/wire_golden.rs` at the repository root); changing one means
+//!   bumping [`WIRE_VERSION`](crate::WIRE_VERSION).
 
 use std::fmt;
 
@@ -116,22 +121,11 @@ impl<'a> Reader<'a> {
         Err(WireError::VarintOverflow)
     }
 
-    /// Read a bool encoded as a 0/1 byte; anything else is an error.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::BadTag { what: "bool", tag }),
-        }
-    }
-
-    /// Read an f64 from its little-endian IEEE-754 bits.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        let mut raw = [0u8; 8];
-        for b in &mut raw {
-            *b = self.u8()?;
-        }
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
+    /// Read the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let bytes = self.buf[self.pos..].get(..n).ok_or(WireError::Truncated)?;
+        self.pos += n;
+        Ok(bytes)
     }
 
     /// Read a declared element count and reject it if even one byte per
@@ -164,18 +158,8 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Append a bool as a 0/1 byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-/// Append an f64 as little-endian IEEE-754 bits.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// A type with a wire encoding. Implementations live in
-/// [`codec`](crate::codec), one per message/aggregate type.
+/// A type with a wire encoding. Message types get theirs from a `wire!`
+/// declaration, most of them in [`codec`](crate::codec).
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -210,6 +194,50 @@ impl Wire for u64 {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.varint()
+    }
+}
+
+impl Wire for u32 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        u32::try_from(r.varint()?).map_err(|_| WireError::Frame("varint exceeds u32".into()))
+    }
+}
+
+impl Wire for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::try_from(r.varint()?).map_err(|_| WireError::Frame("varint exceeds usize".into()))
+    }
+}
+
+/// One byte, 0 or 1; anything else is an error.
+impl Wire for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
+        }
+    }
+}
+
+/// The little-endian IEEE-754 bits.
+impl Wire for f64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(r.bytes(8)?);
+        Ok(f64::from_le_bytes(raw))
     }
 }
 
@@ -299,11 +327,8 @@ impl Wire for String {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len("String")?;
-        let mut bytes = Vec::with_capacity(n);
-        for _ in 0..n {
-            bytes.push(r.u8()?);
-        }
-        String::from_utf8(bytes).map_err(|_| WireError::Frame("invalid utf-8".into()))
+        String::from_utf8(r.bytes(n)?.to_vec())
+            .map_err(|_| WireError::Frame("invalid utf-8".into()))
     }
 }
 
@@ -319,13 +344,73 @@ impl Wire for RawBytes {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len("RawBytes")?;
-        let mut bytes = Vec::with_capacity(n);
-        for _ in 0..n {
-            bytes.push(r.u8()?);
-        }
-        Ok(RawBytes(bytes))
+        Ok(RawBytes(r.bytes(n)?.to_vec()))
     }
 }
+
+/// Implement [`Wire`] from a layout written once: the fields in wire order
+/// and, for an enum, the one-byte tag of each variant. Unit variants are
+/// written `Name {}`; generic parameters must themselves be `Wire`.
+///
+/// ```text
+/// wire!(struct NodeId(v));
+/// wire!(struct RouteMsg<M> { target, at, steps_done, walk_back, payload });
+/// wire!(enum DhtResp { 0 => PutAck { id }, 1 => GetOk { id, elem } });
+/// ```
+///
+/// `encode` destructures the value, so a field the layout leaves out is a
+/// compile error, then writes the tag and each field in order. `decode`
+/// reads them back in the same order; an unknown tag is
+/// [`WireError::BadTag`].
+macro_rules! wire {
+    (struct $T:ident $fields:tt) => { $crate::wire::wire!(struct $T<> $fields); };
+    (struct $T:ident <$($g:ident),*> $fields:tt) => {
+        impl<$($g: $crate::wire::Wire),*> $crate::wire::Wire for $T<$($g),*> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $crate::wire::wire!(@pat $T $fields) = self;
+                $crate::wire::wire!(@put out $fields);
+            }
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                $crate::wire::wire!(@get r $fields);
+                Ok($crate::wire::wire!(@pat $T $fields))
+            }
+        }
+    };
+    (enum $T:ident $(<$($g:ident),+>)? { $($tag:literal => $V:ident $fields:tt),+ $(,)? }) => {
+        impl$(<$($g: $crate::wire::Wire),+>)? $crate::wire::Wire for $T$(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($crate::wire::wire!(@pat $T::$V $fields) => {
+                        out.push($tag);
+                        $crate::wire::wire!(@put out $fields);
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $crate::wire::wire!(@get r $fields);
+                        Ok($crate::wire::wire!(@pat $T::$V $fields))
+                    })+
+                    tag => Err($crate::wire::WireError::BadTag { what: stringify!($T), tag }),
+                }
+            }
+        }
+    };
+    // The value as a pattern or an expression: both have the same shape.
+    (@pat $($p:ident)::+ {}) => { $($p)::+ };
+    (@pat $($p:ident)::+ { $($f:ident),+ $(,)? }) => { $($p)::+ { $($f),+ } };
+    (@pat $($p:ident)::+ ( $($f:ident),+ )) => { $($p)::+ ( $($f),+ ) };
+    (@put $out:ident { $($f:ident),* $(,)? }) => { $($crate::wire::Wire::encode($f, $out);)* };
+    (@put $out:ident ( $($f:ident),+ )) => { $crate::wire::wire!(@put $out { $($f),+ }) };
+    (@get $r:ident { $($f:ident),* $(,)? }) => { $(let $f = $crate::wire::Wire::decode($r)?;)* };
+    (@get $r:ident ( $($f:ident),+ )) => { $crate::wire::wire!(@get $r { $($f),+ }) };
+}
+pub(crate) use wire;
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 
 use dpq_core::{DetRng, ElemId, Element, Key, NodeId, Priority};
 use dpq_dht::{DhtReq, DhtResp};
+use dpq_gossip::{DigestEntry, GossipMsg, NodeDelta};
 use dpq_net::ctl::{CtlReq, CtlResp, StatusInfo};
 use dpq_net::wal::{CtlOpKind, WalEntry};
 use dpq_net::wire::RawBytes;
@@ -303,6 +304,39 @@ fn reliable<M>(rng: &mut DetRng, msg: M) -> ReliableMsg<M> {
     }
 }
 
+fn digest(rng: &mut DetRng) -> DigestEntry {
+    DigestEntry {
+        node: NodeId(rng.below(64)),
+        incarnation: rng.below(10),
+        max_version: rng.next_u64_inline(),
+    }
+}
+
+fn delta(rng: &mut DetRng) -> NodeDelta {
+    NodeDelta {
+        node: NodeId(rng.below(64)),
+        incarnation: rng.below(10),
+        entries: (0..rng.below(4))
+            .map(|_| (rng.below(8), rng.next_u64_inline(), rng.below(1000)))
+            .collect(),
+    }
+}
+
+fn gossip_msg(rng: &mut DetRng) -> GossipMsg {
+    match rng.below(3) {
+        0 => GossipMsg::Syn {
+            window: (0..rng.below(5)).map(|_| digest(rng)).collect(),
+        },
+        1 => GossipMsg::SynAck {
+            delta: (0..rng.below(3)).map(|_| delta(rng)).collect(),
+            want: (0..rng.below(3)).map(|_| digest(rng)).collect(),
+        },
+        _ => GossipMsg::Ack {
+            delta: (0..rng.below(3)).map(|_| delta(rng)).collect(),
+        },
+    }
+}
+
 // ------------------------------------------------------------------ helpers
 
 /// Round-trip via debug rendering (the protocol enums do not derive
@@ -401,6 +435,17 @@ fn kselect_messages_round_trip_and_survive_fuzz() {
     }
     check_no_panic::<KMsg>(&mut rng, 2000);
     check_no_panic::<ReliableMsg<KMsg>>(&mut rng, 2000);
+}
+
+#[test]
+fn gossip_messages_round_trip_and_survive_fuzz() {
+    let mut rng = DetRng::new(5);
+    for _ in 0..CASES {
+        let msg = gossip_msg(&mut rng);
+        check_round_trip(&msg);
+        check_mutations(&mut rng, &msg);
+    }
+    check_no_panic::<GossipMsg>(&mut rng, 2000);
 }
 
 #[test]

@@ -17,9 +17,11 @@
 //! convention [`crate::batch::Batch::combine`] callers use on the way up, so
 //! the two traversals agree.
 
+use std::collections::VecDeque;
+
 use crate::batch::{Batch, BatchEntry};
 use dpq_agg::{Interval, Segments};
-use dpq_arena::{LinkedDeques, SmallVec};
+use dpq_arena::SmallVec;
 use dpq_core::bitsize::vlq_bits;
 use dpq_core::BitSize;
 
@@ -93,10 +95,9 @@ pub struct AnchorState {
     discipline: Discipline,
     /// Next fresh position per priority (1-based, monotone).
     next: Vec<u64>,
-    /// Live position intervals per priority, ascending and disjoint: one
-    /// logical deque per priority, all sharing one slot arena (a
-    /// `Vec<VecDeque<Interval>>` would pay a heap block per priority).
-    live: LinkedDeques<Interval>,
+    /// Live position intervals per priority, ascending and disjoint. One
+    /// heap block per non-empty priority, at one anchor per cluster.
+    live: Vec<VecDeque<Interval>>,
     /// The `count` variable of §3.3, incremented per processed request.
     witness: u64,
 }
@@ -112,7 +113,7 @@ impl AnchorState {
         AnchorState {
             discipline,
             next: vec![1; n_prios],
-            live: LinkedDeques::with_queues(n_prios),
+            live: vec![VecDeque::new(); n_prios],
             witness: 1,
         }
     }
@@ -124,7 +125,7 @@ impl AnchorState {
 
     /// Elements currently in the heap at priority `p` (anchor's view).
     pub fn occupancy(&self, p: usize) -> u64 {
-        self.live.iter(p).map(Interval::cardinality).sum()
+        self.live[p].iter().map(Interval::cardinality).sum()
     }
 
     /// Elements currently in the heap, all priorities.
@@ -160,9 +161,9 @@ impl AnchorState {
                 let iv = Interval::new(self.next[p], self.next[p] + cnt - 1);
                 if cnt > 0 {
                     self.next[p] += cnt;
-                    match self.live.back_mut(p) {
+                    match self.live[p].back_mut() {
                         Some(back) if back.hi + 1 == iv.lo => back.hi = iv.hi,
-                        _ => self.live.push_back(p, iv),
+                        _ => self.live[p].push_back(iv),
                     }
                 }
                 iv
@@ -177,12 +178,12 @@ impl AnchorState {
         // end (FIFO) or the newest (LIFO).
         let mut pieces: SmallVec<(u64, Interval), 4> = SmallVec::new();
         let mut need = entry.del;
-        for p in 0..self.next.len() {
+        for (p, live) in self.live.iter_mut().enumerate() {
             while need > 0 {
                 let Some(edge) = (if lifo {
-                    self.live.back_mut(p)
+                    live.back_mut()
                 } else {
-                    self.live.front_mut(p)
+                    live.front_mut()
                 }) else {
                     break;
                 };
@@ -199,9 +200,9 @@ impl AnchorState {
                 };
                 if edge.is_empty() {
                     if lifo {
-                        self.live.pop_back(p);
+                        live.pop_back();
                     } else {
-                        self.live.pop_front(p);
+                        live.pop_front();
                     }
                 }
                 pieces.push((p as u64, piece));
@@ -315,15 +316,7 @@ impl dpq_core::StateHash for AnchorState {
             Discipline::Lifo => 1,
         });
         self.next.state_hash(h);
-        // Byte-identical to the former `Vec<VecDeque<Interval>>` hash:
-        // queue count, then per queue its length and intervals in order.
-        h.write_u64(self.live.num_queues() as u64);
-        for p in 0..self.live.num_queues() {
-            h.write_u64(self.live.len(p) as u64);
-            for iv in self.live.iter(p) {
-                iv.state_hash(h);
-            }
-        }
+        self.live.state_hash(h);
         h.write_u64(self.witness);
     }
 }
