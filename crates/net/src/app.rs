@@ -46,6 +46,14 @@ where
         None
     }
 
+    /// A hint: `true` when nothing waits on this node's self-addressed
+    /// messages, so the runtime may hold them a moment (an idle Seap
+    /// anchor's next empty phase). Holding is a delivery delay, which the
+    /// asynchronous model allows; the node sends the same either way.
+    fn idle(&self) -> bool {
+        false
+    }
+
     /// Requests issued at this node.
     fn issued(&self) -> u64;
 
@@ -92,6 +100,11 @@ pub trait QueueApp: QueueNode + Sized {
     fn admit(&self, _prio: u64) -> Result<(), String> {
         Ok(())
     }
+
+    /// See [`NetApp::idle`].
+    fn idle(&self) -> bool {
+        false
+    }
 }
 
 impl QueueApp for SkeapNode {
@@ -121,6 +134,10 @@ impl QueueApp for SeapNode {
     fn build(cfg: &NodeConfig) -> Result<Self, String> {
         Ok(seap::cluster::build(cfg.n, cfg.seed).swap_remove(cfg.me as usize))
     }
+
+    fn idle(&self) -> bool {
+        self.anchor_idle()
+    }
 }
 
 impl<Q: QueueApp> NetApp for Q
@@ -140,6 +157,10 @@ where
 
     fn dequeue(&mut self) -> Result<OpId, String> {
         Ok(self.issue(OpKind::DeleteMin))
+    }
+
+    fn idle(&self) -> bool {
+        QueueApp::idle(self)
     }
 
     fn records(&self) -> Vec<OpRecord> {

@@ -4,14 +4,17 @@
 //! Same framing and handshake as the data plane, under [`ProtoId::Ctl`];
 //! one request frame, one response frame, repeat. The client half here is a
 //! plain library so the conformance harness drives clusters without shelling
-//! out to the `dpq-ctl` binary.
+//! out to the `dpq-ctl` binary. The daemon's half has no thread of its own:
+//! the runtime's poll loop reads the ctl connections beside the peer links
+//! and answers each request between node inputs.
 
 use std::io::{self, Write as _};
 use std::time::{Duration, Instant};
 
 use crate::frame::{
-    read_frame, read_hello, write_frame, write_hello, Hello, ProtoId, WIRE_VERSION,
+    append_frame, read_frame, write_frame, write_hello, Hello, ProtoId, WIRE_VERSION,
 };
+use crate::poll::Server;
 use crate::transport::{Addr, Conn};
 use crate::wire::{from_bytes, to_bytes, wire};
 use dpq_core::Key;
@@ -172,67 +175,42 @@ impl CtlClient {
     }
 }
 
-/// Accept ctl connections on `listener` and forward each request into the
-/// runtime's event queue together with a reply channel. One thread per
-/// connection; requests across connections serialize through the queue.
-pub fn serve_ctl(
-    listener: crate::transport::Listener,
-    cluster: u64,
-    events: std::sync::mpsc::Sender<crate::runtime::Event>,
-) {
+/// How long an accepted ctl connection may take to say hello.
+const HELLO_WAIT: Duration = Duration::from_secs(10);
+
+/// Bind the daemon's ctl listener at `addr`, for clients of deployment
+/// `cluster`. The runtime's loop polls it; a connection's requests are
+/// answered in order, and only while nothing of an earlier reply waits to
+/// be written, so a client that sends and never reads holds one read of
+/// requests and one reply.
+pub(crate) fn listen(addr: &Addr, cluster: u64) -> io::Result<Server> {
+    Server::bind(addr, ProtoId::Ctl, cluster, HELLO_WAIT)
+}
+
+/// The next request to answer, with its connection. An undecodable
+/// request is answered here, with an error.
+pub(crate) fn next_request(ctl: &mut Server) -> Option<(usize, CtlReq)> {
     loop {
-        let Ok(conn) = listener.accept() else {
-            return;
-        };
-        let events = events.clone();
-        let _ = std::thread::Builder::new()
-            .name("dpq-ctl-conn".into())
-            .spawn(move || ctl_conn(conn, cluster, events));
+        let i = ctl
+            .conns
+            .iter()
+            .position(|c| c.out.is_empty() && !c.inbox.is_empty())?;
+        match from_bytes(&ctl.conns[i].inbox.remove(0)) {
+            Ok(req) => return Some((i, req)),
+            Err(e) => reply(ctl, i, &CtlResp::Error(format!("bad request: {e}"))),
+        }
     }
 }
 
-fn ctl_conn(mut conn: Conn, cluster: u64, events: std::sync::mpsc::Sender<crate::runtime::Event>) {
-    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
-    if read_hello(&mut conn, ProtoId::Ctl, cluster).is_err() {
-        return;
-    }
-    let _ = conn.set_read_timeout(None);
-    loop {
-        let frame = match read_frame(&mut conn) {
-            Ok(Some(f)) => f,
-            _ => return,
-        };
-        let req: CtlReq = match from_bytes(&frame) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = CtlResp::Error(format!("bad request: {e}"));
-                if write_frame(&mut conn, &to_bytes(&resp)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let shutdown = req == CtlReq::Shutdown;
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        // Dropped once the response is on the socket (or abandoned): a
-        // runtime that is about to exit waits on the other end for that.
-        let (_written, written_rx) = std::sync::mpsc::channel();
-        if events
-            .send(crate::runtime::Event::Ctl(req, reply_tx, written_rx))
-            .is_err()
-        {
-            return;
-        }
-        let resp = match reply_rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(r) => r,
-            Err(_) => CtlResp::Error("runtime did not answer".into()),
-        };
-        if write_frame(&mut conn, &to_bytes(&resp)).is_err() || conn.flush().is_err() {
-            return;
-        }
-        if shutdown {
-            return;
-        }
+/// Queue `resp` on connection `conn` and write what the socket takes.
+pub(crate) fn reply(ctl: &mut Server, conn: usize, resp: &CtlResp) {
+    let c = &mut ctl.conns[conn];
+    // A reply above `MAX_FRAME` is not sent; its client times out.
+    let _ = append_frame(&mut c.out, &to_bytes(resp));
+    if !c.flush() {
+        // Dropped by the next poll.
+        c.inbox.clear();
+        c.out.clear();
     }
 }
 

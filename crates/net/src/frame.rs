@@ -108,6 +108,13 @@ impl Wire for Hello {
 }
 
 impl Hello {
+    /// Decode a connection's first frame and [`check`](Hello::check) it.
+    pub fn accept(frame: &[u8], proto: ProtoId, cluster: u64) -> Result<Hello, WireError> {
+        let hello: Hello = from_bytes(frame)?;
+        hello.check(proto, cluster)?;
+        Ok(hello)
+    }
+
     /// Validate an inbound hello against what this endpoint expects.
     pub fn check(&self, proto: ProtoId, cluster: u64) -> Result<(), WireError> {
         if self.version != WIRE_VERSION {
@@ -198,10 +205,12 @@ const DECODE_WINDOW: usize = 4096;
 /// Turns each `read` on a stream into every complete frame it carried.
 ///
 /// Equivalent to calling [`read_frame`] in a loop, at one `read` per batch
-/// of frames instead of two per frame. The window starts at
-/// [`DECODE_WINDOW`] bytes and grows only to hold a single larger frame,
-/// whose length is checked against [`MAX_FRAME`] first. A read that times
-/// out loses nothing: the partial frame stays in the window.
+/// of frames instead of two per frame. The window is [`DECODE_WINDOW`]
+/// bytes; it grows only to hold a single larger frame, whose length is
+/// checked against [`MAX_FRAME`] first, and returns to that size once the
+/// frame is consumed, so a decoder that lives as long as its connection
+/// keeps no high-water mark. A read that would block or times out loses
+/// nothing: the partial frame stays in the window.
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// `buf[..len]` is received and not yet decoded; it starts at a frame
@@ -235,15 +244,13 @@ impl FrameDecoder {
             };
         }
         self.len += n;
-        let mut at = 0;
+        let (mut at, mut window) = (0, DECODE_WINDOW);
         while let Some(prefix) = self.buf[at..self.len].first_chunk::<4>() {
             let end = at + 4 + checked_len(*prefix)?;
             if end > self.len {
                 // Keep room for the rest of this frame, or the next
                 // `read` would be handed an empty slice.
-                if end - at > self.buf.len() {
-                    self.buf.resize(end - at, 0);
-                }
+                window = window.max(end - at);
                 break;
             }
             out.push(self.buf[at + 4..end].to_vec());
@@ -251,6 +258,11 @@ impl FrameDecoder {
         }
         self.buf.copy_within(at..self.len, 0);
         self.len -= at;
+        if window < self.buf.len() {
+            self.buf.truncate(window);
+            self.buf.shrink_to_fit();
+        }
+        self.buf.resize(window, 0);
         Ok(true)
     }
 }
@@ -258,18 +270,6 @@ impl FrameDecoder {
 /// Write a hello as the connection's first frame.
 pub fn write_hello(w: &mut impl Write, hello: &Hello) -> io::Result<()> {
     write_frame(w, &to_bytes(hello))
-}
-
-/// Read and validate the connection-opening hello.
-pub fn read_hello(r: &mut impl Read, proto: ProtoId, cluster: u64) -> io::Result<Hello> {
-    let frame = read_frame(r)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before the handshake"))?;
-    let hello: Hello = from_bytes(&frame)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    hello
-        .check(proto, cluster)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(hello)
 }
 
 #[cfg(test)]
@@ -326,14 +326,30 @@ mod tests {
 
         let mut buf = Vec::new();
         write_hello(&mut buf, &hello).unwrap();
-        let got = read_hello(&mut Cursor::new(buf), ProtoId::Skeap, 42).unwrap();
+        let frame = read_frame(&mut Cursor::new(buf)).unwrap().unwrap();
+        let got = Hello::accept(&frame, ProtoId::Skeap, 42).unwrap();
         assert_eq!(got, hello);
     }
 
     #[test]
+    fn the_window_returns_to_its_size_after_a_large_frame() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &vec![7; 200 << 10]).unwrap();
+        for i in 0..50u8 {
+            write_frame(&mut stream, &[i; 20]).unwrap();
+        }
+        let mut cur = Cursor::new(stream);
+        let (mut decoder, mut frames) = (FrameDecoder::default(), Vec::new());
+        while decoder.read_from(&mut cur, &mut frames).unwrap() {}
+        assert_eq!(frames.len(), 51);
+        assert_eq!(frames[0].len(), 200 << 10);
+        assert_eq!(frames[50], [49; 20]);
+        assert_eq!(decoder.buf.len(), DECODE_WINDOW);
+        assert_eq!(decoder.buf.capacity(), DECODE_WINDOW);
+    }
+
+    #[test]
     fn garbage_handshake_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"NOPE****").unwrap();
-        assert!(read_hello(&mut Cursor::new(buf), ProtoId::Skeap, 0).is_err());
+        assert!(Hello::accept(b"NOPE****", ProtoId::Skeap, 0).is_err());
     }
 }

@@ -15,18 +15,20 @@
 //!   behind one [`Addr`](transport::Addr) type;
 //! * [`peers`] — the links: whoever sends writes the peer's non-blocking
 //!   socket itself, a whole batch per `write`; one dialer thread reconnects
-//!   with backoff, one reader per inbound connection decodes every frame a
-//!   `read` carried; bounded per-peer send buffers (overflow is message
-//!   loss, which `Reliable` absorbs);
+//!   with backoff; inbound connections are polled, not given threads, and
+//!   each `read` yields every frame it carried; bounded per-peer send
+//!   buffers (overflow is message loss, which `Reliable` absorbs);
 //! * [`node`] — the sans-I/O node core: one `Reliable` node driven by
 //!   ticks, deliveries and control requests, handing back the log entries
 //!   it accepted and then the frames it owes, acks riding along; WAL
 //!   replay runs through the same input handling;
-//! * [`runtime`] — the I/O shell around the core: a single-threaded event
-//!   loop on a wall-clock tick, one flush per turn, and an optional
-//!   event-sourced [`wal`] for crash-recover;
+//! * [`runtime`] — the I/O shell around the core: one thread waiting in
+//!   `ppoll(2)` on every socket (the crate's one `unsafe` block, in a
+//!   private module), a wall-clock tick, one flush per turn, pacing for an
+//!   idle node, and an optional event-sourced [`wal`] for crash-recover;
 //! * [`ctl`] — the `dpq-ctl` control plane (status, enqueue/dequeue, trace
-//!   dump, Prometheus metrics pull, shutdown);
+//!   dump, Prometheus metrics pull, shutdown): a blocking client, and the
+//!   daemon's non-blocking server half that the runtime's loop polls;
 //! * [`app`] — the [`NetApp`](app::NetApp) glue binding Skeap, Seap, and
 //!   KSelect nodes to the runtime;
 //! * [`trace`] — JSONL op-record traces the wire-conformance harness feeds
@@ -36,6 +38,7 @@
 //! over these modules.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod app;
 pub mod backoff;
@@ -45,6 +48,7 @@ pub mod ctl;
 pub mod frame;
 pub mod node;
 pub mod peers;
+mod poll;
 pub mod runtime;
 pub mod trace;
 pub mod transport;
@@ -57,6 +61,6 @@ pub use config::{cluster_fingerprint, gossip_fingerprint, NodeConfig};
 pub use ctl::{CtlClient, CtlReq, CtlResp, StatusInfo};
 pub use frame::{ProtoId, MAX_FRAME, WIRE_VERSION};
 pub use node::NodeCore;
-pub use runtime::{Event, NodeRuntime};
+pub use runtime::NodeRuntime;
 pub use transport::{Addr, Conn, Listener};
 pub use wire::{from_bytes, to_bytes, Wire, WireError};

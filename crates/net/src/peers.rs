@@ -1,7 +1,8 @@
 //! Peer connection manager: the caller of [`PeerManager::send_batch`] writes
-//! the peer's socket itself, one dialer thread brings links up, and one
-//! reader per inbound connection hands decoded frames to the runtime in
-//! batches.
+//! the peer's socket itself, one dialer thread brings links up, and the
+//! inbound connections are polled by the runtime's loop (or, for
+//! [`PeerManager::start`], by one helper thread running the same poller) —
+//! no thread per connection.
 //!
 //! Connections are *unidirectional*: node `i` dials node `j` for its `i → j`
 //! traffic, so each ordered pair owns exactly one stream and there is no
@@ -17,6 +18,12 @@
 //! [`PeerWire::send_drops`](dpq_telemetry::PeerWire) — the `Reliable` layer
 //! above retransmits, which is exactly the fault model it was built for.
 //! Nothing here blocks the sending thread.
+//!
+//! An inbound connection is non-blocking from its `accept` on and owns one
+//! [`FrameDecoder`](crate::frame::FrameDecoder) for its lifetime: its first
+//! frame must be a valid hello within five seconds, after which every
+//! `read` yields the complete frames it carried, so a peer that stalls
+//! mid-frame holds only its own partial frame.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write as _};
@@ -26,10 +33,9 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
-use crate::frame::{
-    append_frame, read_hello, write_hello, FrameDecoder, Hello, ProtoId, WIRE_VERSION,
-};
-use crate::transport::{Addr, Conn, Listener};
+use crate::frame::{append_frame, write_hello, Hello, ProtoId, WIRE_VERSION};
+use crate::poll::{PollSet, Server};
+use crate::transport::{Addr, Conn};
 use dpq_telemetry::WireMetrics;
 
 /// Per-peer bound on bytes accepted but not yet written: frames sent while
@@ -44,6 +50,11 @@ const BACKOFF_MIN: Duration = Duration::from_millis(10);
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
 /// Longest the dialer waits on one TCP address before trying the others.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long an accepted connection may take to say hello.
+const HELLO_WAIT: Duration = Duration::from_secs(5);
+/// Longest wait of [`PeerManager::start`]'s poller before it looks at the
+/// shutdown flag again.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(200);
 
 /// One configured peer: counters for both directions and the outbound
 /// half of the link.
@@ -141,9 +152,9 @@ struct Shared {
     links: BTreeMap<u64, Link>,
 }
 
-/// Runs the socket threads for one node — one dialer, an accept loop, one
-/// reader per inbound connection — and writes outbound frames on the
-/// caller's thread.
+/// One node's links: frames are written on the caller's thread, one dialer
+/// thread brings links up, and inbound frames are read by whoever polls
+/// the listener.
 pub struct PeerManager {
     shared: Arc<Shared>,
     /// Parked while every link is up (or retired); unparked to redial.
@@ -151,8 +162,10 @@ pub struct PeerManager {
 }
 
 impl PeerManager {
-    /// [`PeerManager::start_batched`] for a consumer that wants one
-    /// `(sender, payload)` message per frame.
+    /// Bind `listen` and start dialing every entry of `peers`; a helper
+    /// thread polls the inbound connections and passes on one
+    /// `(sender, payload)` message per frame, in stream order, until the
+    /// receiver is dropped. The runtime instead polls them in its own loop.
     pub fn start(
         me: u64,
         proto: ProtoId,
@@ -161,35 +174,46 @@ impl PeerManager {
         peers: &BTreeMap<u64, Addr>,
         inbox: mpsc::Sender<(u64, Vec<u8>)>,
     ) -> std::io::Result<PeerManager> {
-        Self::start_batched(me, proto, cluster, listen, peers, move |from, frames| {
-            frames.into_iter().all(|f| inbox.send((from, f)).is_ok())
-        })
+        let (manager, mut inbound) = Self::listen(me, proto, cluster, listen, peers)?;
+        let rx = PeerManager {
+            shared: Arc::clone(&manager.shared),
+            dialer: manager.dialer.clone(),
+        };
+        let (mut set, mut consumer) = (PollSet::default(), true);
+        thread::Builder::new()
+            .name("dpq-rx".into())
+            .spawn(move || {
+                while consumer && !rx.shared.shutdown.load(Ordering::SeqCst) {
+                    set.clear();
+                    inbound.register(&mut set);
+                    if set.wait(SHUTDOWN_POLL).is_err() {
+                        return;
+                    }
+                    rx.read(&mut inbound, &set, Instant::now(), |from, frames| {
+                        for frame in frames {
+                            consumer &= inbox.send((from, frame)).is_ok();
+                        }
+                    });
+                }
+            })?;
+        Ok(manager)
     }
 
-    /// Bind `listen`, start the accept loop, and start dialing every entry
-    /// of `peers`. Each reader calls `sink(sender, frames)` with everything
-    /// one `read` completed, in stream order; `false` means the consumer is
-    /// gone and ends that reader.
-    pub fn start_batched(
+    /// Bind `listen` and start dialing every entry of `peers`; the caller
+    /// polls the inbound connections and reads them with
+    /// [`PeerManager::read`].
+    pub(crate) fn listen(
         me: u64,
         proto: ProtoId,
         cluster: u64,
         listen: &Addr,
         peers: &BTreeMap<u64, Addr>,
-        sink: impl Fn(u64, Vec<Vec<u8>>) -> bool + Send + Sync + 'static,
-    ) -> std::io::Result<PeerManager> {
+    ) -> std::io::Result<(PeerManager, Server)> {
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             links: peers.keys().map(|&p| (p, Link::default())).collect(),
         });
-
-        let listener = Listener::bind(listen)?;
-        {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("dpq-accept".into())
-                .spawn(move || accept_loop(listener, proto, cluster, shared, Arc::new(sink)))?;
-        }
+        let inbound = Server::bind(listen, proto, cluster, HELLO_WAIT)?;
 
         let hello = Hello {
             version: WIRE_VERSION,
@@ -222,7 +246,31 @@ impl PeerManager {
                 .clone()
         };
 
-        Ok(PeerManager { shared, dialer })
+        Ok((PeerManager { shared, dialer }, inbound))
+    }
+
+    /// Poll `inbound` (see [`Server::poll`]) and hand `deliver` every frame
+    /// it read, with its sender, in stream order.
+    pub(crate) fn read(
+        &self,
+        inbound: &mut Server,
+        set: &PollSet,
+        now: Instant,
+        mut deliver: impl FnMut(u64, Vec<Vec<u8>>),
+    ) {
+        inbound.poll(set, now);
+        for c in &mut inbound.conns {
+            let (Some(from), false) = (c.from, c.inbox.is_empty()) else {
+                continue;
+            };
+            if let Some(link) = self.shared.links.get(&from) {
+                let bytes: usize = c.inbox.iter().map(Vec::len).sum();
+                link.rx_frames
+                    .fetch_add(c.inbox.len() as u64, Ordering::Relaxed);
+                link.rx_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            }
+            deliver(from, std::mem::take(&mut c.inbox));
+        }
     }
 
     /// Send one frame to `dst`; see [`PeerManager::send_batch`].
@@ -288,8 +336,7 @@ impl PeerManager {
             .is_some_and(|l| l.retired.load(Ordering::SeqCst))
     }
 
-    /// Snapshot the per-peer counters (ack-RTT histograms are recorded by
-    /// the runtime, not here).
+    /// Snapshot the per-peer counters.
     pub fn wire_metrics(&self) -> WireMetrics {
         let mut w = WireMetrics::new();
         for (&peer, link) in &self.shared.links {
@@ -304,9 +351,9 @@ impl PeerManager {
         w
     }
 
-    /// Ask every thread to wind down. The dialer leaves at once, readers
-    /// within one read-timeout interval; process exit reaps whatever is
-    /// left.
+    /// Ask every thread to wind down. The dialer leaves at once,
+    /// [`PeerManager::start`]'s poller within one wait; process exit reaps
+    /// whatever is left.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.dialer.unpark();
@@ -377,63 +424,6 @@ fn dial_loop(mut dials: Vec<Dial>, hello: Hello, shared: Arc<Shared>) {
         match wake {
             Some(at) => thread::park_timeout(at.saturating_duration_since(Instant::now())),
             None => thread::park(),
-        }
-    }
-}
-
-/// Where a reader delivers `(sender, frames)`; `false` ends the reader.
-type Sink = Arc<dyn Fn(u64, Vec<Vec<u8>>) -> bool + Send + Sync>;
-
-fn accept_loop(listener: Listener, proto: ProtoId, cluster: u64, shared: Arc<Shared>, sink: Sink) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let Ok(mut conn) = listener.accept() else {
-            continue;
-        };
-        let (shared, sink) = (Arc::clone(&shared), Arc::clone(&sink));
-        // The reader's name carries the sender, known only after the hello;
-        // a short-lived thread waits for it (five seconds at most) so a
-        // silent connection can neither hold up the accept loop nor pin a
-        // thread.
-        let _ = thread::Builder::new()
-            .name("dpq-hello".into())
-            .spawn(move || {
-                let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
-                if let Ok(hello) = read_hello(&mut conn, proto, cluster) {
-                    let from = hello.sender;
-                    let _ = thread::Builder::new()
-                        .name(format!("dpq-rx-{from}"))
-                        .spawn(move || reader_loop(conn, from, shared, sink));
-                }
-            });
-    }
-}
-
-fn reader_loop(mut conn: Conn, from: u64, shared: Arc<Shared>, sink: Sink) {
-    // Reads block with a timeout so shutdown is noticed.
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut decoder = FrameDecoder::default();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let mut frames = Vec::new();
-        match decoder.read_from(&mut conn, &mut frames) {
-            Ok(true) if frames.is_empty() => {}
-            Ok(true) => {
-                if let Some(link) = shared.links.get(&from) {
-                    let bytes: usize = frames.iter().map(Vec::len).sum();
-                    let n = frames.len() as u64;
-                    link.rx_frames.fetch_add(n, Ordering::Relaxed);
-                    link.rx_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                }
-                if !sink(from, frames) {
-                    return;
-                }
-            }
-            Ok(false) => return,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
         }
     }
 }

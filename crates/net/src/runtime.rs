@@ -1,34 +1,43 @@
 //! The node runtime: the I/O shell around one [`NodeCore`].
 //!
 //! Everything that decides is the core's ([`crate::node`]); this module
-//! owns what touches the outside: the peer links, the event queue, the
-//! wall clock, the ctl thread, the write-ahead log file and the trace file.
+//! owns what touches the outside: the sockets, the wall clock, the
+//! write-ahead log file and the trace file.
 //!
-//! A single event loop owns the core. Peer reader threads and control
-//! connections feed one queue — a reader pushes everything one `read`
-//! carried as one event — and the loop takes *turns*: it hands the core
-//! whatever is already queued, then writes what the node produced, one
-//! `write` per peer, on this thread (see [`crate::peers`]). Every `tick_ms`,
-//! on a fixed grid, the core ticks and every destination is flushed, held
-//! acks included. A control request runs between node inputs, so the
-//! control plane never observes a half-applied protocol step.
+//! One thread does all of it. Each *turn* it waits in one `ppoll(2)` on the
+//! peer and ctl listeners and every accepted connection, until a socket is
+//! ready, the next tick is due or held frames are released; then it hands
+//! the core the self-addressed frames of the previous turn, does one read
+//! per ready socket — peer frames go to the core as they are decoded, ctl
+//! requests are answered in arrival order — and ends the turn with one
+//! write per destination ([`crate::peers`], decision 14's single flush).
+//! Every `tick_ms`, on a fixed grid, the core ticks and every destination
+//! is flushed, held acks included. A control request runs between node
+//! inputs, so the control plane never observes a half-applied protocol
+//! step. The only other thread is the peer dialer, which keeps blocking
+//! connects off the loop.
 //!
 //! With `--wal` the entries a core call accepted are appended before its
-//! ctl reply is sent and before the turn's frames are written (see
+//! ctl reply is queued and before the turn's frames are written (see
 //! [`crate::wal`]). On restart the core replays the log and the loop
 //! resumes at the recorded tick.
+//!
+//! An idle node is paced: while [`NetApp::idle`] holds after a turn, that
+//! turn's self-addressed frames wait `PACE` before they are delivered, or
+//! less if an `Enqueue` or `Dequeue` arrives. Delivery in the protocols'
+//! asynchronous model may be delayed by any finite time, so this is a
+//! schedule the simulator's oracles already cover.
 
 use std::io;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use crate::app::NetApp;
 use crate::config::NodeConfig;
-use crate::ctl::{serve_ctl, CtlReq, CtlResp};
+use crate::ctl::{self, CtlReq, CtlResp};
 use crate::node::NodeCore;
 use crate::peers::PeerManager;
+use crate::poll::{PollSet, Server};
 use crate::trace::render_trace;
-use crate::transport::Listener;
 use crate::wal::Wal;
 use crate::wire::Wire;
 use dpq_core::NodeId;
@@ -36,23 +45,10 @@ use dpq_gossip::{DetectorConfig, GossipConfig, GossipNode};
 use dpq_sim::{Hub, Telemetry};
 use dpq_telemetry::{prometheus_text, prometheus_wire_text};
 
-/// Most queued events one turn handles before it writes and looks at the
-/// clock again, so a flood of input can neither starve the tick nor hold
-/// back replies.
-const TURN_EVENTS: usize = 256;
-
-/// How long a `Shutdown` waits for the ctl thread to put `Bye` on the wire.
-const BYE_WAIT: Duration = Duration::from_millis(100);
-
-/// One unit of work for the runtime's event loop.
-pub enum Event {
-    /// Inbound peer frames, everything one `read` carried:
-    /// `(sender, payloads)`.
-    Net(u64, Vec<Vec<u8>>),
-    /// A control request, where to send its response, and a channel the
-    /// ctl thread closes once that response is on the socket.
-    Ctl(CtlReq, mpsc::Sender<CtlResp>, mpsc::Receiver<()>),
-}
+/// How long an idle node holds its self-addressed frames: long enough that
+/// an idle Seap anchor's empty phases stop spinning, short against the
+/// default 2 ms tick.
+const PACE: Duration = Duration::from_micros(200);
 
 /// The runtime driving one node. Generic over the protocol via [`NetApp`].
 pub struct NodeRuntime<P: NetApp>
@@ -63,10 +59,17 @@ where
     core: NodeCore<P>,
     wal: Option<Wal>,
     peers: PeerManager,
-    events: mpsc::Receiver<Event>,
-    /// Where self-addressed frames re-enter the event queue: no peer
-    /// connection exists for `me`.
-    loopback: mpsc::Sender<Event>,
+    /// The peer listener and the connections it accepted.
+    inbound: Server,
+    /// The ctl listener and the clients' connections.
+    ctl: Server,
+    /// Self-addressed frames, delivered at the start of the next turn: no
+    /// peer connection exists for `me`.
+    loopback: Vec<Vec<u8>>,
+    /// While `Some`, `loopback` is held until then (see [`PACE`]).
+    release_at: Option<Instant>,
+    /// Turns whose self-addressed frames were held.
+    paced_holds: u64,
     /// Peers the detector made us retire / later revive at the peer manager.
     detector_retires: u64,
     /// See [`Self::detector_retires`].
@@ -104,35 +107,21 @@ where
             }
         };
 
-        let (events_tx, events_rx) = mpsc::channel::<Event>();
         let fingerprint = cfg.fingerprint();
-        let peers = {
-            let events_tx = events_tx.clone();
-            PeerManager::start_batched(
-                cfg.me,
-                P::PROTO,
-                fingerprint,
-                &cfg.listen,
-                &cfg.peers,
-                move |from, frames| events_tx.send(Event::Net(from, frames)).is_ok(),
-            )?
-        };
-
-        let ctl_listener = Listener::bind(&cfg.ctl)?;
-        {
-            let events_tx = events_tx.clone();
-            std::thread::Builder::new()
-                .name("dpq-ctl".into())
-                .spawn(move || serve_ctl(ctl_listener, fingerprint, events_tx))?;
-        }
+        let (peers, inbound) =
+            PeerManager::listen(cfg.me, P::PROTO, fingerprint, &cfg.listen, &cfg.peers)?;
+        let ctl = ctl::listen(&cfg.ctl, fingerprint)?;
 
         Ok(NodeRuntime {
             cfg,
             core,
             wal,
             peers,
-            events: events_rx,
-            loopback: events_tx,
+            inbound,
+            ctl,
+            loopback: Vec::new(),
+            release_at: None,
+            paced_holds: 0,
             detector_retires: 0,
             detector_revives: 0,
         })
@@ -142,6 +131,7 @@ where
     pub fn run(mut self) -> io::Result<()> {
         let tick = Duration::from_millis(self.cfg.tick_ms.max(1));
         let mut next_tick = Instant::now() + tick;
+        let mut set = PollSet::default();
         loop {
             let now = Instant::now();
             if now >= next_tick {
@@ -157,39 +147,46 @@ where
                     next_tick = now + tick;
                 }
             }
-            let wait = next_tick.saturating_duration_since(Instant::now());
-            let mut next = match self.events.recv_timeout(wait) {
-                Ok(event) => Some(event),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+            let wake = match self.release_at {
+                _ if self.loopback.is_empty() => next_tick,
+                Some(at) => at.min(next_tick),
+                None => now,
             };
-            let mut budget = TURN_EVENTS;
-            while let Some(event) = next {
-                match event {
-                    Event::Net(from, frames) => {
-                        self.core.deliver(from, frames);
-                        self.log()?;
-                    }
-                    Event::Ctl(CtlReq::Shutdown, reply, written) => {
-                        let _ = reply.send(CtlResp::Bye);
-                        // Exiting closes the socket under the ctl thread;
-                        // give it the moment it needs to write `Bye`.
-                        let _ = written.recv_timeout(BYE_WAIT);
+            set.clear();
+            self.inbound.register(&mut set);
+            self.ctl.register(&mut set);
+            set.wait(wake.saturating_duration_since(Instant::now()))?;
+
+            let now = Instant::now();
+            if self.release_at.is_none_or(|at| now >= at) {
+                self.release_at = None;
+                let frames = std::mem::take(&mut self.loopback);
+                if !frames.is_empty() {
+                    self.core.deliver(self.cfg.me, frames);
+                }
+            }
+            let core = &mut self.core;
+            let deliver = |from, frames| core.deliver(from, frames);
+            self.peers.read(&mut self.inbound, &set, now, deliver);
+            self.log()?;
+            self.ctl.poll(&set, now);
+            while let Some((conn, req)) = ctl::next_request(&mut self.ctl) {
+                let resp = match req {
+                    CtlReq::Shutdown => {
+                        ctl::reply(&mut self.ctl, conn, &CtlResp::Bye);
                         self.peers.shutdown();
                         return Ok(());
                     }
-                    Event::Ctl(req, reply, _) => {
-                        let resp = match req {
-                            CtlReq::Dump => self.dump(),
-                            CtlReq::Metrics => CtlResp::Metrics(self.metrics_text()),
-                            req => self.core.ctl(req),
-                        };
-                        self.log()?;
-                        let _ = reply.send(resp);
-                    }
+                    CtlReq::Dump => self.dump(),
+                    CtlReq::Metrics => CtlResp::Metrics(self.metrics_text()),
+                    req => self.core.ctl(req),
+                };
+                if matches!(resp, CtlResp::Issued { .. }) {
+                    // Work arrived: whatever was paced leaves this turn.
+                    self.release_at = None;
                 }
-                budget -= 1;
-                next = (budget > 0).then(|| self.events.try_recv().ok()).flatten();
+                self.log()?;
+                ctl::reply(&mut self.ctl, conn, &resp);
             }
             self.flush(false);
         }
@@ -227,16 +224,22 @@ where
     }
 
     /// End of a turn: one write per destination the core releases;
-    /// self-addressed frames re-enter the event queue.
+    /// self-addressed frames wait for the next turn, or for [`PACE`] if the
+    /// node is idle.
     fn flush(&mut self, tick: bool) {
-        let (me, peers, loopback) = (self.cfg.me, &self.peers, &self.loopback);
+        let (me, peers, loopback) = (self.cfg.me, &self.peers, &mut self.loopback);
         self.core.flush(tick, |dst, frames| {
             if dst == me {
-                let _ = loopback.send(Event::Net(dst, frames));
+                loopback.extend(frames);
             } else {
                 peers.send_batch(dst, &frames);
             }
         });
+        if self.release_at.is_none() && !self.loopback.is_empty() && self.core.node().inner().idle()
+        {
+            self.release_at = Some(Instant::now() + PACE);
+            self.paced_holds += 1;
+        }
     }
 
     fn dump(&self) -> CtlResp {
@@ -256,6 +259,8 @@ where
     fn metrics_text(&self) -> String {
         let mut hub = Hub::new();
         self.core.export_telemetry(&mut hub);
+        let paced = hub.register_counter("net.paced_holds");
+        hub.counter_add(paced, self.paced_holds);
         if self.cfg.gossip {
             let r = hub.register_counter("net.detector_retires");
             hub.counter_add(r, self.detector_retires);

@@ -4,6 +4,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -63,6 +64,15 @@ impl Listener {
                 Ok(Listener::Uds(UnixListener::bind(path)?))
             }
             Addr::Tcp(hp) => Ok(Listener::Tcp(TcpListener::bind(hp.as_str())?)),
+        }
+    }
+
+    /// Switch non-blocking mode: an `accept` with no connection waiting
+    /// returns `WouldBlock` instead.
+    pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        match self {
+            Listener::Uds(l) => l.set_nonblocking(on),
+            Listener::Tcp(l) => l.set_nonblocking(on),
         }
     }
 
@@ -129,6 +139,24 @@ impl Conn {
         match self {
             Conn::Uds(s) => s.set_read_timeout(d),
             Conn::Tcp(s) => s.set_read_timeout(d),
+        }
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Uds(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+}
+
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Conn::Uds(s) => s.as_raw_fd(),
+            Conn::Tcp(s) => s.as_raw_fd(),
         }
     }
 }

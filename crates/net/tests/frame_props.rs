@@ -34,7 +34,7 @@ impl Read for Chopped<'_> {
     }
 }
 
-/// Drive a decoder to the end of `stream`, as a reader thread does.
+/// Drive a decoder to the end of `stream`, as the poll loop does.
 fn decode_chopped(stream: &[u8], seed: u64) -> (Vec<Vec<u8>>, io::Result<()>) {
     let mut src = Chopped {
         rest: stream,

@@ -185,6 +185,11 @@ impl Cluster {
         }
     }
 
+    /// The process id of every running daemon, by node.
+    pub fn pids(&self) -> Vec<u32> {
+        self.procs.iter().flatten().map(Child::id).collect()
+    }
+
     /// SIGKILL node `i` — no grace, no flush; the WAL is the only survivor.
     pub fn kill(&mut self, i: usize) {
         if let Some(mut child) = self.procs[i].take() {

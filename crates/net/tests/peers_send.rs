@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dpq_net::frame::{read_frame, read_hello};
+use dpq_net::frame::{read_frame, Hello};
 use dpq_net::peers::PeerManager;
 use dpq_net::{Addr, Listener, ProtoId};
 
@@ -81,7 +81,8 @@ fn a_stalled_reader_never_blocks_the_sender_or_tears_the_stream() {
     let listener = Listener::bind(&peer_addr).unwrap();
     let (a, _a_rx) = manager(0, 7, &a_addr, 1, &peer_addr);
     let mut conn = listener.accept().unwrap();
-    read_hello(&mut conn, ProtoId::Skeap, 7).unwrap();
+    let hello = read_frame(&mut conn).unwrap().expect("the dialer's hello");
+    Hello::accept(&hello, ProtoId::Skeap, 7).unwrap();
 
     // Frame `i` is its index followed by a filler derived from it, so a
     // torn or misaligned stream cannot decode to valid frames.

@@ -104,6 +104,9 @@ struct SeapAnchor {
     k_del: u64,
     k_eff: u64,
     key_k: Option<Key>,
+    /// The last request count wave aggregated zero. Read only by
+    /// [`SeapNode::anchor_idle`], and not part of the state hash.
+    counted_none: bool,
 }
 
 /// One Seap node.
@@ -155,6 +158,7 @@ impl SeapNode {
             k_del: 0,
             k_eff: 0,
             key_k: None,
+            counted_none: false,
         });
         let rng = DetRng::new(cfg.seed ^ 0x5EA9).split(view.me().0);
         SeapNode {
@@ -232,6 +236,19 @@ impl SeapNode {
     /// non-anchor nodes.
     pub fn anchor_heap_size(&self) -> Option<u64> {
         self.anchor.as_ref().map(|a| a.m)
+    }
+
+    /// Is this the anchor between two phases, after a phase that counted
+    /// no requests, with none buffered here? Then nothing waits on the
+    /// `Begin` it sent itself for the next phase. Reads state only; what
+    /// the node sends does not depend on it.
+    pub fn anchor_idle(&self) -> bool {
+        self.anchor.as_ref().is_some_and(|a| {
+            a.counted_none
+                && matches!(a.stage, AStage::InsCount | AStage::DelCount)
+                && self.own_count.is_none()
+        }) && self.ins_buf.is_empty()
+            && self.del_buf.is_empty()
     }
 
     // ---- DHT plumbing ---------------------------------------------------
@@ -583,6 +600,7 @@ impl SeapNode {
             );
             return;
         }
+        a.counted_none = total == 0;
         if phase.is_multiple_of(2) {
             assert_eq!(a.stage, AStage::InsCount);
             a.stage = AStage::InsWork;

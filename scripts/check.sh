@@ -119,7 +119,9 @@ fi
 # daemons on Unix sockets, driven through the control plane, traces replayed
 # through the sim oracles — plus the two tests that pin the send path: a
 # peer that stops reading must never block or tear the sender's stream, and
-# a held ack must leave within a tick (no retransmission at --rto 4). A hard
+# a held ack must leave within a tick (no retransmission at --rto 4) — and
+# the poll loop's own: misbehaving peer and ctl clients pin no thread and
+# stall no one, and only an idle Seap anchor is paced. A hard
 # timeout guards against a wedged cluster or a blocked send (a live-locked
 # retransmit loop would otherwise hang CI), and the trap reaps any dpq-node
 # orphans the timeout may strand: the harness kills its children on drop,
@@ -133,6 +135,8 @@ if [ "$TIER" = "net" ]; then
     cargo test -q -p dpq-net --test peers_send a_stalled_reader
   timeout --signal=KILL 180 \
     cargo test -q -p dpq-net --test ack_hold
+  timeout --signal=KILL 180 \
+    cargo test -q -p dpq-net --test reactor
   cleanup_net
   trap - EXIT
 fi
