@@ -175,17 +175,6 @@ impl Segments {
             (taken, rest)
         }
     }
-
-    /// The next `(tag, position)` to consume under the given direction:
-    /// the first stored position for ascending consumption, the last for
-    /// descending.
-    pub fn next_position_dir(&self, desc: bool) -> Option<(u64, u64)> {
-        if !desc {
-            self.iter_positions().next()
-        } else {
-            self.parts.last().map(|&(tag, iv)| (tag, iv.hi))
-        }
-    }
 }
 
 impl BitSize for Segments {
@@ -304,16 +293,6 @@ mod tests {
         let (taken, rest) = s.take_prefix_dir(99, true);
         assert_eq!(taken.total(), 5);
         assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn next_position_dir_matches_consumption_order() {
-        let mut s = Segments::new();
-        s.push(1, Interval::new(4, 6));
-        s.push(3, Interval::new(9, 9));
-        assert_eq!(s.next_position_dir(false), Some((1, 4)));
-        assert_eq!(s.next_position_dir(true), Some((3, 9)));
-        assert_eq!(Segments::new().next_position_dir(true), None);
     }
 
     #[test]

@@ -17,10 +17,8 @@
 
 #![warn(missing_docs)]
 
-pub mod census;
 pub mod collector;
 pub mod intervals;
 
-pub use census::{CensusNode, CensusUp};
 pub use collector::Collector;
 pub use intervals::{Interval, Segments};

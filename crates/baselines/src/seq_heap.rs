@@ -104,15 +104,6 @@ impl KeyHeap {
     pub fn new() -> Self {
         KeyHeap::default()
     }
-
-    /// The k-th smallest element (1-based) without removing anything —
-    /// the sequential answer KSelect must reproduce.
-    pub fn kth_smallest(&self, k: u64) -> Option<&Element> {
-        if k == 0 {
-            return None;
-        }
-        self.by_key.values().nth(k as usize - 1)
-    }
 }
 
 impl ReferenceHeap for KeyHeap {
@@ -191,20 +182,6 @@ mod tests {
         h.insert(elem(0, 0, 2));
         assert_eq!(h.delete_min().unwrap().id, ElemId::compose(NodeId(0), 0));
         assert_eq!(h.delete_min().unwrap().id, ElemId::compose(NodeId(1), 0));
-    }
-
-    #[test]
-    fn kth_smallest_matches_sorted_order() {
-        let mut h = KeyHeap::new();
-        for (i, p) in [7u64, 3, 9, 1, 5].iter().enumerate() {
-            h.insert(elem(0, i as u64, *p));
-        }
-        assert_eq!(h.kth_smallest(1).unwrap().prio, Priority(1));
-        assert_eq!(h.kth_smallest(3).unwrap().prio, Priority(5));
-        assert_eq!(h.kth_smallest(5).unwrap().prio, Priority(9));
-        assert!(h.kth_smallest(6).is_none());
-        assert!(h.kth_smallest(0).is_none());
-        assert_eq!(h.len(), 5, "kth_smallest must not remove");
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub mod domains {
     pub const SKEAP_KEY: u64 = 2;
     /// Seap random insert keys (§5.1).
     pub const SEAP_INSERT: u64 = 3;
-    /// Seap DeleteMin position keys h(pos) (§5.2).
-    pub const SEAP_POS: u64 = 4;
     /// KSelect representative position owner (§4.3).
     pub const KSELECT_POS: u64 = 5;
     /// KSelect symmetric comparison rendezvous h(i,j) (§4.3).

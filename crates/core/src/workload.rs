@@ -62,13 +62,6 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<Vec<OpKind>> {
         .collect()
 }
 
-/// Generate a script of only inserts (Seap's Insert phase, heap pre-fill).
-pub fn inserts_only(spec: &WorkloadSpec) -> Vec<Vec<OpKind>> {
-    let mut s = *spec;
-    s.insert_ratio = 1.0;
-    generate(&s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +117,5 @@ mod tests {
     fn generation_is_deterministic() {
         let spec = WorkloadSpec::balanced(2, 50, 3, 5);
         assert_eq!(generate(&spec), generate(&spec));
-    }
-
-    #[test]
-    fn inserts_only_has_no_deletes() {
-        let spec = WorkloadSpec::balanced(2, 50, 3, 6);
-        for script in inserts_only(&spec) {
-            assert!(script.iter().all(OpKind::is_insert));
-        }
     }
 }

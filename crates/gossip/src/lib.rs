@@ -32,4 +32,4 @@ pub use detector::{DetectorConfig, DetectorStats, FailureDetector, Health, Verdi
 pub use phi::ArrivalWindow;
 pub use proto::{GossipConfig, GossipMsg, GossipNode, GossipStats};
 pub use state::{DigestEntry, GossipState, NodeDelta, K_HEARTBEAT};
-pub use storm::{run_storm, ChurnKind, HomeNode, Restoration, StormConfig, StormReport, XferMsg};
+pub use storm::{run_storm, StormConfig, StormReport};

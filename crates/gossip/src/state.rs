@@ -168,11 +168,6 @@ impl GossipState {
         self.idx(node).is_some()
     }
 
-    /// Node ids in the view, ascending.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().map(|e| e.0)
-    }
-
     /// The id at sorted position `i` — the rotation cursor of the digest
     /// window walks these positions.
     pub fn node_at(&self, i: usize) -> NodeId {

@@ -30,7 +30,7 @@
 //! settle, and every element must sit in exactly the shard the final
 //! topology assigns it.
 
-use crate::combine::{SidecarMsg, WithGossip};
+use crate::combine::WithGossip;
 use crate::proto::{GossipConfig, GossipNode};
 use dpq_core::bitsize::tag_bits;
 use dpq_core::{
@@ -38,14 +38,14 @@ use dpq_core::{
 };
 use dpq_dht::DhtShard;
 use dpq_overlay::{membership, Topology};
-use dpq_sim::{Ctx, FaultPlan, Protocol, Reliable, ReliableMsg, SyncScheduler};
+use dpq_sim::{Ctx, FaultPlan, Protocol, Reliable, SyncScheduler};
 
 /// Hash domain for element placement points.
 const ELEM_DOMAIN: u64 = 0xE1E0;
 
 /// Element-handover traffic between homes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XferMsg {
+enum XferMsg {
     /// Re-home a batch of `(logical key, element)` pairs.
     Move {
         /// Sender-unique transfer id.
@@ -80,14 +80,14 @@ impl BitSize for XferMsg {
 /// One node's element home: a DHT shard plus move bookkeeping. Runs under
 /// [`Reliable`], so moves are exactly-once and survive drops and pauses.
 #[derive(Debug, Clone, Default)]
-pub struct HomeNode {
+struct HomeNode {
     /// The stored elements.
-    pub shard: DhtShard,
+    shard: DhtShard,
     /// Moves queued by the membership layer, sent on next activation.
     outgoing: Vec<(NodeId, XferMsg)>,
     /// Unacked moves `(id, pairs)` — the conservation copy until the new
     /// home acknowledges.
-    pub pending: Vec<(u64, Vec<(u64, Element)>)>,
+    pending: Vec<(u64, Vec<(u64, Element)>)>,
     next_id: u64,
 }
 
@@ -95,7 +95,7 @@ impl HomeNode {
     /// Queue `pairs` for transfer to `dst`. The pairs must already be out of
     /// the shard (extracted by the caller); a copy stays in `pending` until
     /// the ack lands, so the element is never unaccounted for.
-    pub fn start_move(&mut self, dst: NodeId, pairs: Vec<(u64, Element)>) -> u64 {
+    fn start_move(&mut self, dst: NodeId, pairs: Vec<(u64, Element)>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.pending.push((id, pairs.clone()));
@@ -104,7 +104,7 @@ impl HomeNode {
     }
 
     /// Is transfer `id` still unacked?
-    pub fn move_in_flight(&self, id: u64) -> bool {
+    fn move_in_flight(&self, id: u64) -> bool {
         self.pending.iter().any(|p| p.0 == id)
     }
 
@@ -143,10 +143,7 @@ impl Protocol for HomeNode {
 }
 
 /// The full storm node: gossip membership beside a reliable element home.
-pub type StormNode = WithGossip<Reliable<HomeNode>>;
-
-/// Message alphabet of a [`StormNode`].
-pub type StormMsg = SidecarMsg<ReliableMsg<XferMsg>>;
+type StormNode = WithGossip<Reliable<HomeNode>>;
 
 /// Churn event flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +163,6 @@ pub struct Restoration {
     pub node: u64,
     /// Round the event fired.
     pub at: u64,
-    /// Members in the topology when it fired.
-    pub members_then: usize,
     /// Crash: first live member considered the victim dead. Join: first
     /// live member discovered the joiner.
     pub detect: Option<u64>,
@@ -260,8 +255,6 @@ pub struct StormReport {
     pub rescinded: u64,
     /// Per-event timelines.
     pub restorations: Vec<Restoration>,
-    /// Conservation scans performed.
-    pub oracle_scans: u64,
     /// Sum over nodes of detector suspicions.
     pub suspicions: u64,
     /// Sum over nodes of detector confirmations.
@@ -569,7 +562,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
                 kind: ev.kind,
                 node: ev.node,
                 at: ev.round,
-                members_then: driver.members.len(),
                 detect: None,
                 quorum: None,
                 spliced: None,
@@ -727,7 +719,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         //    after the splice whose rebalance would have moved them).
         if r.is_multiple_of(cfg.oracle_every) {
             conservation_scan(&sched, &expected, r);
-            report.oracle_scans += 1;
             rebalance(&mut sched, &driver);
         }
 
@@ -768,7 +759,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         }
     }
     conservation_scan(&sched, &expected, r);
-    report.oracle_scans += 1;
     for key in 0..m as u64 {
         let owner = driver.owner_of(elem_point(key));
         let held = sched

@@ -30,4 +30,4 @@ pub mod node;
 
 pub use ctl::{AnchorCtl, KSelectConfig, KStats};
 pub use msgs::{Cmd, KMsg, Rsp};
-pub use node::{KOut, KSelectNode, WrapOut};
+pub use node::KSelectNode;

@@ -12,61 +12,21 @@
 //! * **rendezvous** `w_{i,j}`: matches the two copies of the unordered pair
 //!   {i, j} and returns the comparison verdicts;
 //! * **tree node**: combines wave responses from its children.
+//!
+//! Every send goes through a [`Ctx`] whose message type embeds [`KMsg`]
+//! (`M: From<KMsg>`): standalone that is `Ctx<KMsg>` itself, and inside
+//! Seap's DeleteMin phase (§5.2) it is Seap's own context, whose `K`
+//! variant wraps each message. The protocol logic exists exactly once.
 
 use crate::ctl::{AnchorCtl, KSelectConfig};
 use crate::msgs::{Cmd, Compare, KMsg, Place, Rsp, Split, ROOT_PARENT};
 use dpq_agg::Collector;
 use dpq_core::hashing::{domains, hash_pair_unit, hash_to_unit, split_mix64};
-use dpq_core::{DetRng, Key, NodeId};
+use dpq_core::{BitSize, DetRng, Key, NodeId};
 use dpq_overlay::routing::{advance, hop_advance, hop_start, HopOutcome, RouteMsg, RouteOutcome};
 use dpq_overlay::NodeView;
 use dpq_sim::{Ctx, Protocol};
 use std::collections::HashMap;
-
-/// Outbound message sink.
-///
-/// KSelect runs either standalone (messages go straight into a simulator
-/// [`Ctx`]) or *embedded* inside Seap's DeleteMin phase (§5.2), where every
-/// `KMsg` is wrapped into Seap's message enum. The sink abstracts over the
-/// two, so the protocol logic exists exactly once.
-pub trait KOut {
-    /// Emit one protocol message to `dst`.
-    fn send_k(&mut self, dst: NodeId, msg: KMsg);
-
-    /// Note a named phase boundary (forwarded to the simulator's tracer by
-    /// both sink implementations; a no-op by default so bare test sinks
-    /// don't have to care).
-    fn mark(&mut self, _label: &'static str, _value: u64) {}
-}
-
-impl KOut for Ctx<KMsg> {
-    fn send_k(&mut self, dst: NodeId, msg: KMsg) {
-        self.send(dst, msg);
-    }
-
-    fn mark(&mut self, label: &'static str, value: u64) {
-        self.phase_mark(label, value);
-    }
-}
-
-/// Adapter embedding KSelect traffic into an outer message type.
-pub struct WrapOut<'a, M: dpq_core::BitSize, F: FnMut(KMsg) -> M> {
-    /// The enclosing protocol's send context.
-    pub ctx: &'a mut Ctx<M>,
-    /// How a `KMsg` embeds into the outer message type.
-    pub wrap: F,
-}
-
-impl<M: dpq_core::BitSize, F: FnMut(KMsg) -> M> KOut for WrapOut<'_, M, F> {
-    fn send_k(&mut self, dst: NodeId, msg: KMsg) {
-        let wrapped = (self.wrap)(msg);
-        self.ctx.send(dst, wrapped);
-    }
-
-    fn mark(&mut self, label: &'static str, value: u64) {
-        self.ctx.phase_mark(label, value);
-    }
-}
 
 /// Rendezvous point for the pair {i, j} in a given epoch.
 fn pair_point(epoch: u64, i: u64, j: u64) -> f64 {
@@ -198,7 +158,13 @@ impl KSelectNode {
     /// Kick off a selection of rank `k` among `m` total candidates. Must be
     /// called on the anchor node; `m` and `n` are what a real deployment
     /// would obtain with one counting aggregation (§2.2).
-    pub fn start_select(&mut self, m: u64, k: u64, cfg: KSelectConfig, out: &mut impl KOut) {
+    pub fn start_select(
+        &mut self,
+        m: u64,
+        k: u64,
+        cfg: KSelectConfig,
+        ctx: &mut Ctx<impl BitSize + From<KMsg>>,
+    ) {
         assert!(self.view.is_anchor(), "start_select on a non-anchor node");
         if self.view.n() == 1 {
             // Degenerate single-node instance: select locally.
@@ -209,12 +175,12 @@ impl KSelectNode {
         self.announce = cfg.announce;
         let (ctl, first) = AnchorCtl::start(self.view.n() as u64, m, k, cfg);
         self.ctl = Some(ctl);
-        self.process_cmd(first, out);
+        self.process_cmd(first, ctx);
     }
 
     // ---- wave plumbing -------------------------------------------------
 
-    fn process_cmd(&mut self, cmd: Cmd, out: &mut impl KOut) {
+    fn process_cmd(&mut self, cmd: Cmd, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         // The anchor originates every wave: one mark per wave, named after
         // the algorithm phase the command opens (§4's phase structure).
         if self.view.is_anchor() {
@@ -227,7 +193,7 @@ impl KSelectNode {
                 Cmd::WindowCount { .. } => ("kselect.window", 0),
                 Cmd::Announce { .. } => ("kselect.done", 0),
             };
-            out.mark(label, value);
+            ctx.phase_mark(label, value);
         }
         // Waves are strictly sequential per node, so one collector serves
         // them all; reset it for commands that expect an up-response.
@@ -253,16 +219,16 @@ impl KSelectNode {
                     Key::MAX
                 };
                 self.own_rsp = Some(Rsp::MinMax { pmin, pmax });
-                self.forward_down(Cmd::P1Bounds { k, n }, out);
-                self.try_send_up(out);
+                self.forward_down(Cmd::P1Bounds { k, n }, ctx);
+                self.try_send_up(ctx);
             }
             Cmd::P1Prune { pmin, pmax } => {
                 let below = self.cands.iter().filter(|&&c| c < pmin).count() as u64;
                 let above = self.cands.iter().filter(|&&c| c > pmax).count() as u64;
                 self.cands.retain(|c| pmin <= *c && *c <= pmax);
                 self.own_rsp = Some(Rsp::Counts { below, above });
-                self.forward_down(Cmd::P1Prune { pmin, pmax }, out);
-                self.try_send_up(out);
+                self.forward_down(Cmd::P1Prune { pmin, pmax }, ctx);
+                self.try_send_up(ctx);
             }
             Cmd::Sample { epoch, prune, prob } => {
                 if let Some((cl, cr)) = prune {
@@ -284,8 +250,8 @@ impl KSelectNode {
                 self.own_rsp = Some(Rsp::SampleCount {
                     count: self.own_samples.len() as u64,
                 });
-                self.forward_down(Cmd::Sample { epoch, prune, prob }, out);
-                self.try_send_up(out);
+                self.forward_down(Cmd::Sample { epoch, prune, prob }, ctx);
+                self.try_send_up(ctx);
             }
             Cmd::Positions {
                 epoch,
@@ -313,14 +279,14 @@ impl KSelectNode {
                         n_prime,
                     };
                     let msg = RouteMsg::start(self.view.me(), pos_point(epoch, cursor), place);
-                    self.dispatch_place(msg, out);
+                    self.dispatch_place(msg, ctx);
                     cursor += 1;
                 }
                 self.own_samples = own_samples;
                 let children: Vec<NodeId> = self.collector.expected().to_vec();
                 let counts = self.child_samples.clone();
                 for (child, cnt) in children.into_iter().zip(counts) {
-                    out.send_k(
+                    ctx.send(
                         child,
                         KMsg::Down(Cmd::Positions {
                             epoch,
@@ -329,32 +295,33 @@ impl KSelectNode {
                             first: cursor,
                             last: cursor + cnt - 1,
                             n_prime,
-                        }),
+                        })
+                        .into(),
                     );
                     cursor += cnt;
                 }
                 debug_assert_eq!(cursor, last + 1, "position decomposition mismatch");
-                self.try_send_hits(out);
+                self.try_send_hits(ctx);
             }
             Cmd::WindowCount { cl, cr } => {
                 let below = self.cands.iter().filter(|&&c| c < cl).count() as u64;
                 let above = self.cands.iter().filter(|&&c| c > cr).count() as u64;
                 self.own_rsp = Some(Rsp::Counts { below, above });
-                self.forward_down(Cmd::WindowCount { cl, cr }, out);
-                self.try_send_up(out);
+                self.forward_down(Cmd::WindowCount { cl, cr }, ctx);
+                self.try_send_up(ctx);
             }
             Cmd::Announce { result } => {
                 self.result = Some(result);
                 if self.announce {
-                    self.forward_down(Cmd::Announce { result }, out);
+                    self.forward_down(Cmd::Announce { result }, ctx);
                 }
             }
         }
     }
 
-    fn forward_down(&mut self, cmd: Cmd, out: &mut impl KOut) {
+    fn forward_down(&mut self, cmd: Cmd, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         for child in self.view.children() {
-            out.send_k(child, KMsg::Down(cmd.clone()));
+            ctx.send(child, KMsg::Down(cmd.clone()).into());
         }
     }
 
@@ -395,7 +362,7 @@ impl KSelectNode {
     /// Combine and propagate an up-wave once own contribution and all
     /// children's are in (not used for the Hits wave, which has its own
     /// gating on pending orders).
-    fn try_send_up(&mut self, out: &mut impl KOut) {
+    fn try_send_up(&mut self, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         if self.own_rsp.is_none() || !self.collector.is_complete() {
             return;
         }
@@ -414,26 +381,26 @@ impl KSelectNode {
         for (_, r) in &contributions {
             combined = Self::combine(combined, r);
         }
-        self.send_or_turn(combined, out);
+        self.send_or_turn(combined, ctx);
     }
 
-    fn send_or_turn(&mut self, combined: Rsp, out: &mut impl KOut) {
+    fn send_or_turn(&mut self, combined: Rsp, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         match self.view.parent() {
-            Some(p) => out.send_k(p, KMsg::Up(combined)),
+            Some(p) => ctx.send(p, KMsg::Up(combined).into()),
             None => {
                 let next = self
                     .ctl
                     .as_mut()
                     .expect("anchor has a controller")
                     .on_up(combined);
-                self.process_cmd(next, out);
+                self.process_cmd(next, ctx);
             }
         }
     }
 
     /// The Hits wave completes when the node knows its l/r targets, every
     /// sampled candidate's order came back, and the children reported.
-    fn try_send_hits(&mut self, out: &mut impl KOut) {
+    fn try_send_hits(&mut self, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         if !self.awaiting_hits || self.pending_orders > 0 || !self.collector.is_complete() {
             return;
         }
@@ -446,21 +413,21 @@ impl KSelectNode {
         for (_, r) in &contributions {
             combined = Self::combine(combined, r);
         }
-        self.send_or_turn(combined, out);
+        self.send_or_turn(combined, ctx);
     }
 
     // ---- sorting sub-protocol ------------------------------------------
 
-    fn dispatch_place(&mut self, msg: RouteMsg<Place>, out: &mut impl KOut) {
+    fn dispatch_place(&mut self, msg: RouteMsg<Place>, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         match advance(&self.view, msg) {
-            RouteOutcome::Delivered { payload, .. } => self.on_placed(payload, out),
-            RouteOutcome::Forward { to, msg } => out.send_k(to, KMsg::Place(msg)),
+            RouteOutcome::Delivered { payload, .. } => self.on_placed(payload, ctx),
+            RouteOutcome::Forward { to, msg } => ctx.send(to, KMsg::Place(msg).into()),
         }
     }
 
     /// This node is v_i for the placed candidate: remember the origin and
     /// start distributing the n' copies.
-    fn on_placed(&mut self, p: Place, out: &mut impl KOut) {
+    fn on_placed(&mut self, p: Place, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         self.placed.insert((p.epoch, p.pos), (p.key, p.origin));
         self.hold_copy_range(
             Split {
@@ -472,14 +439,14 @@ impl KSelectNode {
                 parent: self.view.me(),
                 parent_copy: ROOT_PARENT,
             },
-            out,
+            ctx,
         );
     }
 
     /// Become the holder of copy range [a,b] of a candidate: keep the
     /// middle index, spawn the halves over de Bruijn hops, send our copy to
     /// its rendezvous.
-    fn hold_copy_range(&mut self, s: Split, out: &mut impl KOut) {
+    fn hold_copy_range(&mut self, s: Split, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         debug_assert!(s.a <= s.b);
         let j = (s.a + s.b) / 2;
         self.tree_memberships
@@ -502,8 +469,8 @@ impl KSelectNode {
                 parent_copy: j,
             };
             match hop_start(&self.view, bit, child) {
-                HopOutcome::Arrived { payload } => self.hold_copy_range(payload, out),
-                HopOutcome::Forward { to, msg } => out.send_k(to, KMsg::Split(msg)),
+                HopOutcome::Arrived { payload } => self.hold_copy_range(payload, ctx),
+                HopOutcome::Forward { to, msg } => ctx.send(to, KMsg::Split(msg).into()),
             }
         }
         let prev = self.copies.insert(
@@ -527,21 +494,25 @@ impl KSelectNode {
             back: self.view.me(),
         };
         let msg = RouteMsg::start(self.view.me(), pair_point(s.epoch, s.cand, j), cmp);
-        self.dispatch_compare(msg, out);
+        self.dispatch_compare(msg, ctx);
     }
 
-    fn dispatch_compare(&mut self, msg: RouteMsg<Compare>, out: &mut impl KOut) {
+    fn dispatch_compare(
+        &mut self,
+        msg: RouteMsg<Compare>,
+        ctx: &mut Ctx<impl BitSize + From<KMsg>>,
+    ) {
         match advance(&self.view, msg) {
-            RouteOutcome::Delivered { payload, .. } => self.on_rendezvous(payload, out),
-            RouteOutcome::Forward { to, msg } => out.send_k(to, KMsg::Compare(msg)),
+            RouteOutcome::Delivered { payload, .. } => self.on_rendezvous(payload, ctx),
+            RouteOutcome::Forward { to, msg } => ctx.send(to, KMsg::Compare(msg).into()),
         }
     }
 
     /// This node is w_{i,j}: match the two copies of the unordered pair.
-    fn on_rendezvous(&mut self, c: Compare, out: &mut impl KOut) {
+    fn on_rendezvous(&mut self, c: Compare, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         if c.cand == c.copy {
             // A candidate's own copy: contributes (0,0).
-            out.send_k(
+            ctx.send(
                 c.back,
                 KMsg::CmpResult {
                     epoch: c.epoch,
@@ -549,7 +520,8 @@ impl KSelectNode {
                     copy: c.copy,
                     smaller: 0,
                     larger: 0,
-                },
+                }
+                .into(),
             );
             return;
         }
@@ -576,7 +548,7 @@ impl KSelectNode {
                 } else {
                     (1, 0)
                 };
-                out.send_k(
+                ctx.send(
                     c.back,
                     KMsg::CmpResult {
                         epoch: c.epoch,
@@ -584,9 +556,10 @@ impl KSelectNode {
                         copy: c.copy,
                         smaller: c_smaller,
                         larger: 1 - c_smaller,
-                    },
+                    }
+                    .into(),
                 );
-                out.send_k(
+                ctx.send(
                     first.back,
                     KMsg::CmpResult {
                         epoch: c.epoch,
@@ -594,13 +567,14 @@ impl KSelectNode {
                         copy: first.copy,
                         smaller: first_smaller,
                         larger: 1 - first_smaller,
-                    },
+                    }
+                    .into(),
                 );
             }
         }
     }
 
-    fn on_copy_progress(&mut self, key: (u64, u64, u64), out: &mut impl KOut) {
+    fn on_copy_progress(&mut self, key: (u64, u64, u64), ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         let state = self.copies.get(&key).expect("copy state exists");
         if !state.complete() {
             return;
@@ -614,16 +588,17 @@ impl KSelectNode {
                 .placed
                 .remove(&(epoch, cand))
                 .expect("root holds the placement record");
-            out.send_k(
+            ctx.send(
                 origin,
                 KMsg::Order {
                     epoch,
                     key: ckey,
                     order: smaller + 1,
-                },
+                }
+                .into(),
             );
         } else {
-            out.send_k(
+            ctx.send(
                 state.parent,
                 KMsg::CopyAgg {
                     epoch,
@@ -631,36 +606,43 @@ impl KSelectNode {
                     parent_copy: state.parent_copy,
                     smaller,
                     larger,
-                },
+                }
+                .into(),
             );
         }
     }
 }
 
 impl KSelectNode {
-    /// Activation hook (usable standalone or embedded): fires a queued
-    /// selection at the anchor.
-    pub fn handle_activate(&mut self, out: &mut impl KOut) {
+    /// Activation hook: fires a queued selection at the anchor. Standalone
+    /// through [`Protocol::on_activate`], or from an enclosing protocol.
+    pub fn handle_activate(&mut self, ctx: &mut Ctx<impl BitSize + From<KMsg>>) {
         if let Some((m, k, cfg)) = self.pending_start.take() {
-            self.start_select(m, k, cfg, out);
+            self.start_select(m, k, cfg, ctx);
         }
     }
 
-    /// Message hook (usable standalone or embedded).
-    pub fn handle_message(&mut self, from: NodeId, msg: KMsg, out: &mut impl KOut) {
+    /// Message hook: standalone through [`Protocol::on_message`], or from
+    /// an enclosing protocol that unwrapped `msg` from its own alphabet.
+    pub fn handle_message(
+        &mut self,
+        from: NodeId,
+        msg: KMsg,
+        ctx: &mut Ctx<impl BitSize + From<KMsg>>,
+    ) {
         match msg {
-            KMsg::Down(cmd) => self.process_cmd(cmd, out),
+            KMsg::Down(cmd) => self.process_cmd(cmd, ctx),
             KMsg::Up(rsp) => {
                 self.collector.insert(from, rsp);
-                self.try_send_up(out);
-                self.try_send_hits(out);
+                self.try_send_up(ctx);
+                self.try_send_hits(ctx);
             }
-            KMsg::Place(m) => self.dispatch_place(m, out),
+            KMsg::Place(m) => self.dispatch_place(m, ctx),
             KMsg::Split(m) => match hop_advance(&self.view, m) {
-                HopOutcome::Arrived { payload } => self.hold_copy_range(payload, out),
-                HopOutcome::Forward { to, msg } => out.send_k(to, KMsg::Split(msg)),
+                HopOutcome::Arrived { payload } => self.hold_copy_range(payload, ctx),
+                HopOutcome::Forward { to, msg } => ctx.send(to, KMsg::Split(msg).into()),
             },
-            KMsg::Compare(m) => self.dispatch_compare(m, out),
+            KMsg::Compare(m) => self.dispatch_compare(m, ctx),
             KMsg::CmpResult {
                 epoch,
                 cand,
@@ -672,7 +654,7 @@ impl KSelectNode {
                 let state = self.copies.get_mut(&key).expect("result for unknown copy");
                 debug_assert!(state.own.is_none());
                 state.own = Some((smaller, larger));
-                self.on_copy_progress(key, out);
+                self.on_copy_progress(key, ctx);
             }
             KMsg::CopyAgg {
                 epoch,
@@ -687,7 +669,7 @@ impl KSelectNode {
                 state.acc_larger += larger;
                 state.got_children += 1;
                 debug_assert!(state.got_children <= state.expected_children);
-                self.on_copy_progress(key, out);
+                self.on_copy_progress(key, ctx);
             }
             KMsg::Order { epoch, key, order } => {
                 assert_eq!(epoch, self.epoch, "order for a stale epoch");
@@ -700,7 +682,7 @@ impl KSelectNode {
                     debug_assert!(self.hit_hi.is_none());
                     self.hit_hi = Some(key);
                 }
-                self.try_send_hits(out);
+                self.try_send_hits(ctx);
             }
         }
     }

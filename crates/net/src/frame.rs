@@ -149,9 +149,31 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
+    push_prefixed(out, payload);
+    Ok(())
+}
+
+/// Append `payload` to `out` behind its little-endian `u32` length prefix,
+/// unchecked: [`append_frame`] refuses payloads above [`MAX_FRAME`] for the
+/// wire, while a WAL entry logging a maximal frame is a few bytes over it.
+pub(crate) fn push_prefixed(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(4 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    Ok(())
+}
+
+/// The complete length-prefixed frames at the start of `buf`, in order, up
+/// to the first incomplete one: each frame's payload and the offset in
+/// `buf` just past it. No [`MAX_FRAME`] check: the bytes are already in
+/// memory.
+pub(crate) fn complete_frames(buf: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        let (prefix, tail) = rest.split_first_chunk::<4>()?;
+        let (payload, after) = tail.split_at_checked(u32::from_le_bytes(*prefix) as usize)?;
+        rest = after;
+        Some((payload, buf.len() - after.len()))
+    })
 }
 
 /// Write one length-prefixed frame (prefix and payload in one `write`).

@@ -33,7 +33,7 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
-use crate::frame::{append_frame, write_hello, Hello, ProtoId, WIRE_VERSION};
+use crate::frame::{append_frame, complete_frames, write_hello, Hello, ProtoId, WIRE_VERSION};
 use crate::poll::{PollSet, Server};
 use crate::transport::{Addr, Conn};
 use dpq_telemetry::WireMetrics;
@@ -134,14 +134,10 @@ impl Outbox {
 /// boundary: `(bytes they span, how many, their payload bytes)`.
 fn frames_within(buf: &[u8], limit: usize) -> (usize, u64, u64) {
     let (mut at, mut frames, mut payload) = (0, 0, 0);
-    while let Some(prefix) = buf[at..limit].first_chunk::<4>() {
-        let len = u32::from_le_bytes(*prefix) as usize;
-        if at + 4 + len > limit {
-            break;
-        }
-        at += 4 + len;
+    for (p, end) in complete_frames(&buf[..limit]) {
+        at = end;
         frames += 1;
-        payload += len as u64;
+        payload += p.len() as u64;
     }
     (at, frames, payload)
 }

@@ -27,6 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::frame::{complete_frames, push_prefixed};
 use crate::wire::{from_bytes, to_bytes, wire, RawBytes};
 
 /// One logged input.
@@ -107,20 +108,16 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
+        // The walk stops at a torn tail (length written, payload
+        // incomplete); a payload that does not decode stops it too.
         let mut entries = Vec::new();
         let mut pos = 0usize;
-        while bytes.len() - pos >= 4 {
-            let len =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-                    as usize;
-            if bytes.len() - pos - 4 < len {
-                break; // torn tail: length written, payload incomplete
-            }
-            match from_bytes::<WalEntry>(&bytes[pos + 4..pos + 4 + len]) {
+        for (payload, end) in complete_frames(&bytes) {
+            match from_bytes::<WalEntry>(payload) {
                 Ok(e) => entries.push(e),
-                Err(_) => break, // torn or corrupt payload: stop here
+                Err(_) => break,
             }
-            pos += 4 + len;
+            pos = end;
         }
         file.set_len(pos as u64)?;
         file.seek(SeekFrom::Start(pos as u64))?;
@@ -131,10 +128,8 @@ impl Wal {
     /// kill). Nothing the input caused leaves the process before this
     /// returns.
     pub fn append(&mut self, entry: &WalEntry) -> std::io::Result<()> {
-        let payload = to_bytes(entry);
-        let mut rec = Vec::with_capacity(payload.len() + 4);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&payload);
+        let mut rec = Vec::new();
+        push_prefixed(&mut rec, &to_bytes(entry));
         self.file.write_all(&rec)?;
         self.file.flush()
     }

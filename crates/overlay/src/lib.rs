@@ -13,16 +13,14 @@
 //! * [`tree`] derives the aggregation tree: `p(m(v)) = l(v)`,
 //!   `p(r(v)) = m(v)`, `p(l(v)) = pred(l(v))`, contracted to a binary tree
 //!   over real nodes of height O(log n) w.h.p. (Corollary A.4);
-//! * [`routing`] emulates de Bruijn bit-prepending over the cycle, reaching
-//!   the manager of any point of [0,1) in O(log n) hops w.h.p. (Lemma A.2);
+//! * [`routing`] emulates de Bruijn bit-prepending (Definition 2.1) over the
+//!   cycle, reaching the manager of any point of [0,1) in O(log n) hops
+//!   w.h.p. (Lemma A.2);
 //! * [`membership`] splices nodes in and out of the cycle (Join/Leave,
-//!   §1.4(4));
-//! * [`debruijn`] is the classical static de Bruijn graph (Definition 2.1),
-//!   kept as the reference object the LDB emulates.
+//!   §1.4(4)).
 
 #![warn(missing_docs)]
 
-pub mod debruijn;
 pub mod ldb;
 pub mod membership;
 pub mod routing;

@@ -101,15 +101,6 @@ pub fn real_height(topo: &Topology) -> u32 {
     real_depths(topo).into_iter().max().unwrap_or(0)
 }
 
-/// Nodes ordered root-first so that `order[i]`'s parent appears before it —
-/// the order in which down-waves reach nodes.
-pub fn topo_order(topo: &Topology) -> Vec<NodeId> {
-    let depths = real_depths(topo);
-    let mut order: Vec<NodeId> = (0..topo.n() as u64).map(NodeId).collect();
-    order.sort_by_key(|v| depths[v.index()]);
-    order
-}
-
 /// Structural validation used by tests and by membership changes: every
 /// non-anchor real node has a parent that lists it as a child, child counts
 /// are ≤ 2, and all nodes are reachable from the anchor.
@@ -237,19 +228,6 @@ mod tests {
         assert!(h1024 > h64, "height should grow with n");
         // And clearly sublinear:
         assert!(h1024 < 200.0);
-    }
-
-    #[test]
-    fn topo_order_puts_parents_first() {
-        let t = Topology::new(50, 9);
-        let order = topo_order(&t);
-        let rank: std::collections::HashMap<_, _> =
-            order.iter().enumerate().map(|(i, v)| (*v, i)).collect();
-        for v in &order {
-            if let Some(p) = real_parent(&t, *v) {
-                assert!(rank[&p] < rank[v]);
-            }
-        }
     }
 
     #[test]

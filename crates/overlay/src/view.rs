@@ -183,15 +183,6 @@ impl std::fmt::Debug for NodeView {
 }
 
 impl NodeView {
-    /// Extract the view of `v` from a built topology.
-    ///
-    /// Builds a whole table for one handle — fine for tests and one-off
-    /// inspection; simulations should call [`NodeView::extract_all`] (or
-    /// [`ViewTable::build`]) once and share it.
-    pub fn extract(topo: &Topology, v: NodeId) -> NodeView {
-        ViewTable::build(topo).view(v)
-    }
-
     /// Extract views for every node, all sharing one table.
     pub fn extract_all(topo: &Topology) -> Vec<NodeView> {
         let table = ViewTable::build(topo);

@@ -81,6 +81,12 @@ pub enum SeapMsg {
     Resp(DhtResp),
 }
 
+impl From<KMsg> for SeapMsg {
+    fn from(m: KMsg) -> Self {
+        SeapMsg::K(m)
+    }
+}
+
 impl BitSize for SeapMsg {
     fn bits(&self) -> u64 {
         tag_bits(10)

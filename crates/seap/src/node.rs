@@ -31,7 +31,7 @@ use dpq_dht::{point_for, DhtClient, DhtReq, DhtShard};
 use dpq_overlay::routing::{advance, RouteMsg, RouteOutcome};
 use dpq_overlay::NodeView;
 use dpq_sim::{Ctx, Protocol, QueueNode};
-use kselect::{KMsg, KSelectConfig, KSelectNode, WrapOut};
+use kselect::{KMsg, KSelectConfig, KSelectNode};
 
 /// Logical-key namespaces: random insert keys live below `POS_BASE`,
 /// position keys above.
@@ -298,24 +298,21 @@ impl SeapNode {
             .collect()
     }
 
-    fn delegate_k(&mut self, from: NodeId, msg: KMsg, ctx: &mut Ctx<SeapMsg>) {
-        // Split borrows: temporarily take the embedded instance.
-        if self.ks.is_none() {
-            let cands = self.heap_keys();
-            self.ks = Some(KSelectNode::new(
+    /// Take this phase's embedded KSelect instance out of `self` (split
+    /// borrows), building it from the heap contents on first use.
+    fn take_ks(&mut self) -> KSelectNode {
+        self.ks.take().unwrap_or_else(|| {
+            KSelectNode::new(
                 self.view.clone(),
-                cands,
+                self.heap_keys(),
                 self.cfg.seed ^ self.phase.wrapping_mul(0x9E37_79B9),
-            ));
-        }
-        let mut ks = self.ks.take().expect("just ensured");
-        {
-            let mut out = WrapOut {
-                ctx,
-                wrap: SeapMsg::K,
-            };
-            ks.handle_message(from, msg, &mut out);
-        }
+            )
+        })
+    }
+
+    fn delegate_k(&mut self, from: NodeId, msg: KMsg, ctx: &mut Ctx<SeapMsg>) {
+        let mut ks = self.take_ks();
+        ks.handle_message(from, msg, ctx);
         let finished = ks.result;
         self.ks = Some(ks);
         if self.view.is_anchor() {
@@ -622,22 +619,8 @@ impl SeapNode {
                 let kcfg = self.cfg.kselect;
                 ctx.phase_mark("seap.kselect", phase);
                 // The anchor's embedded instance starts the selection.
-                if self.ks.is_none() {
-                    let cands = self.heap_keys();
-                    self.ks = Some(KSelectNode::new(
-                        self.view.clone(),
-                        cands,
-                        self.cfg.seed ^ self.phase.wrapping_mul(0x9E37_79B9),
-                    ));
-                }
-                let mut ks = self.ks.take().expect("just ensured");
-                {
-                    let mut out = WrapOut {
-                        ctx,
-                        wrap: SeapMsg::K,
-                    };
-                    ks.start_select(m, k_eff, kcfg, &mut out);
-                }
+                let mut ks = self.take_ks();
+                ks.start_select(m, k_eff, kcfg, ctx);
                 let finished = ks.result;
                 self.ks = Some(ks);
                 if let Some(key_k) = finished {

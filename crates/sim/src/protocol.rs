@@ -99,15 +99,6 @@ impl<M: BitSize> Ctx<M> {
         self.outbox.push(Envelope::new(self.me, dst, msg));
     }
 
-    /// Send a batch of `(destination, message)` pairs — the outbox pattern
-    /// used by protocol components that cannot see the node's full message
-    /// enum.
-    pub fn send_all(&mut self, msgs: impl IntoIterator<Item = (NodeId, M)>) {
-        for (dst, msg) in msgs {
-            self.send(dst, msg);
-        }
-    }
-
     /// Announce a named phase boundary (e.g. a Skeap batch cycle starting,
     /// a KSelect phase transition). Pure telemetry; free when untraced.
     pub fn phase_mark(&mut self, label: &'static str, value: u64) {
@@ -256,7 +247,8 @@ mod tests {
         assert_eq!(ctx.me(), NodeId(3));
         assert_eq!(ctx.now(), 17);
         ctx.send(NodeId(0), 1);
-        ctx.send_all([(NodeId(1), 2), (NodeId(2), 3)]);
+        ctx.send(NodeId(1), 2);
+        ctx.send(NodeId(2), 3);
         let out = ctx.take_outbox();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].dst, NodeId(0));
