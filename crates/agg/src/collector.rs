@@ -46,11 +46,6 @@ impl<T> Collector<T> {
         self.got.iter().all(Option::is_some)
     }
 
-    /// Number of contributions still missing.
-    pub fn missing(&self) -> usize {
-        self.got.iter().filter(|g| g.is_none()).count()
-    }
-
     /// Drain the collected values in canonical child order, resetting the
     /// collector for the next wave.
     pub fn take(&mut self) -> Vec<(NodeId, T)> {
@@ -84,7 +79,6 @@ mod tests {
         let mut c = Collector::new(&[NodeId(3), NodeId(7)]);
         assert!(!c.is_complete());
         assert!(!c.insert(NodeId(7), "b"));
-        assert_eq!(c.missing(), 1);
         assert!(c.insert(NodeId(3), "a"));
         let vals = c.take();
         // Canonical order = construction order, not arrival order.

@@ -97,13 +97,6 @@ impl Segments {
         Segments::default()
     }
 
-    /// A collection holding one tagged interval.
-    pub fn single(tag: u64, iv: Interval) -> Self {
-        let mut s = Segments::new();
-        s.push(tag, iv);
-        s
-    }
-
     /// Append an interval under a tag (empty intervals are dropped).
     pub fn push(&mut self, tag: u64, iv: Interval) {
         if !iv.is_empty() {
@@ -306,7 +299,8 @@ mod tests {
 
     #[test]
     fn bitsize_grows_with_content() {
-        let small = Segments::single(1, Interval::new(1, 2));
+        let mut small = Segments::new();
+        small.push(1, Interval::new(1, 2));
         let mut large = small.clone();
         large.push(1 << 30, Interval::new(1 << 40, 1 << 41));
         assert!(large.bits() > small.bits());

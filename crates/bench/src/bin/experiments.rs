@@ -9,7 +9,9 @@
 //! cargo run -p dpq-bench --release --bin experiments -- --jobs 8   # 8 sweep workers
 //! ```
 //!
-//! Tables are printed and written as CSV under `results/`. With `--trace`,
+//! Tables are printed and written as CSV under `results/`; a table built
+//! from `--faults` or `--workload` is printed only, so a custom grid never
+//! overwrites the standard one. With `--trace`,
 //! the tracing-capable experiments (E2, E5, E10) also write a Chrome
 //! trace-event file — open it in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`; each run appears as its own process with per-round
@@ -139,7 +141,14 @@ fn main() {
         let table = run(&opts);
         println!("{}", table.render());
         println!("  ({} finished in {:.1?})\n", id, t0.elapsed());
-        if let Err(e) = table.write_csv(&out_dir) {
+        let custom = match id {
+            "e16" => opts.faults.is_some(),
+            "e19" => opts.workload.is_some(),
+            _ => false,
+        };
+        if custom {
+            eprintln!("  custom grid: results/{id}.csv left as it is");
+        } else if let Err(e) = table.write_csv(&out_dir) {
             eprintln!("  ! could not write results/{id}.csv: {e}");
         }
         metrics_lines.extend(table.metrics_lines);

@@ -85,7 +85,6 @@ pub fn e18_membership(_opts: &ExpOpts) -> Table {
             warmup: 48,
             down_for: 400,
             gossip: gossip_cfg(4.0, 0), // adaptive window, storm tuning
-            ..StormConfig::default()
         };
         run_storm(&cfg)
     });

@@ -49,11 +49,10 @@ pub struct ExpOpts {
 pub type Experiment = (&'static str, fn(&ExpOpts) -> Table);
 
 /// The event sink the tracing-capable experiments attach to each run: a
-/// bounded ring keeping the control-plane events (round ends, phase marks,
-/// op lifecycle) — per-message Send/Deliver events are masked out so traces
-/// stay small at the largest experiment scales.
+/// bounded ring of the control-plane events (round ends, phase marks, op
+/// lifecycle, faults).
 pub fn control_tracer() -> dpq_trace::RingTracer {
-    dpq_trace::RingTracer::new(1 << 20, dpq_trace::EventMask::CONTROL)
+    dpq_trace::RingTracer::new(1 << 20)
 }
 
 /// A Chrome-trace collector, present exactly when `--trace` was given.

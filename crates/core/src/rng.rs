@@ -64,14 +64,6 @@ impl DetRng {
         self.unit() < p
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Pick one element uniformly (panics on empty slice).
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len() as u64) as usize]
@@ -134,16 +126,6 @@ mod tests {
             seen_hi |= v == 8;
         }
         assert!(seen_lo && seen_hi);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = DetRng::new(13);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! The paper delegates Join()/Leave() to Skueue's splice procedure and
 //! assumes somebody *notices* that a node is gone. This crate is that
 //! somebody: a scuttlebutt-style membership layer in which every node
-//! replicates a versioned key-value record per peer (digest → delta
-//! exchanges over a rotating window, per-node max-version compaction), reads
-//! heartbeat version progress as a liveness signal through a phi-accrual
-//! detector, and walks dead peers through a suspicion → confirmation →
-//! eviction lifecycle whose output *drives* the LDB splice and DHT handover
-//! machinery — instead of a harness editing the membership vector by fiat.
+//! replicates a versioned heartbeat record per peer (digest → delta
+//! exchanges over a rotating window), reads heartbeat version progress as a
+//! liveness signal through a phi-accrual detector, and walks dead peers
+//! through a suspicion → confirmation → eviction lifecycle whose output
+//! *drives* the LDB splice and DHT handover machinery — instead of a harness
+//! editing the membership vector by fiat.
 //!
 //! Layers:
 //!
-//! * [`state`] — the replicated KV state and its reconciliation algebra.
+//! * [`state`] — the replicated heartbeat records and their reconciliation.
 //! * [`phi`] — phi-accrual suspicion over heartbeat inter-arrival windows.
 //! * [`detector`] — the lifecycle state machine, deadline-heap scheduled.
 //! * [`proto`] — [`GossipNode`]: the above as an ordinary `Protocol`.
@@ -31,5 +31,5 @@ pub use combine::{SidecarMsg, WithGossip};
 pub use detector::{DetectorConfig, DetectorStats, FailureDetector, Health, Verdict};
 pub use phi::ArrivalWindow;
 pub use proto::{GossipConfig, GossipMsg, GossipNode, GossipStats};
-pub use state::{DigestEntry, GossipState, NodeDelta, K_HEARTBEAT};
+pub use state::{DigestEntry, NodeDelta, K_HEARTBEAT};
 pub use storm::{run_storm, StormConfig, StormReport};

@@ -2,8 +2,8 @@
 //! lifecycle, as an ordinary [`Protocol`] — so both schedulers, the fault
 //! plans, the model checker, and the socket runtime drive it unchanged.
 //!
-//! Each gossip round a node bumps its own heartbeat and initiates `fanout`
-//! three-way exchanges:
+//! Each activation a node bumps its own heartbeat and initiates one
+//! three-way exchange:
 //!
 //! ```text
 //! A → B  Syn    { digest window }            "here's what I know (a slice)"
@@ -27,7 +27,7 @@
 //! which outranks the tombstone everywhere.
 
 use crate::detector::{DetectorConfig, FailureDetector, Health, Verdict};
-use crate::state::{gossip_tag_bits, DigestEntry, GossipState, NodeDelta, K_HEARTBEAT};
+use crate::state::{gossip_tag_bits, DigestEntry, GossipState, NodeDelta};
 use dpq_core::{BitSize, DetRng, MsgKind, NodeId};
 use dpq_sim::{Ctx, Protocol};
 use dpq_telemetry::{LogHistogram, Telemetry};
@@ -73,22 +73,19 @@ impl BitSize for GossipMsg {
     }
 }
 
+/// Activation gap treated as "I was paused" — triggers a detector rebase
+/// instead of suspecting every peer at once.
+const RESUME_GAP: u64 = 16;
+
 /// Gossip layer tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct GossipConfig {
-    /// Exchanges initiated per gossip round.
-    pub fanout: usize,
     /// Digest window width; `0` = adaptive `max(16, known/16)`.
     pub window: usize,
-    /// Activations between gossip rounds (1 = every activation).
-    pub interval: u64,
     /// Failure-detector tuning.
     pub detector: DetectorConfig,
     /// Grace ticks between a peer's confirmation and its eviction.
     pub evict_ticks: u64,
-    /// Activation gap treated as "I was paused" — triggers a detector
-    /// rebase instead of suspecting every peer at once.
-    pub resume_gap: u64,
     /// Per-node RNG stream seed.
     pub seed: u64,
 }
@@ -96,12 +93,9 @@ pub struct GossipConfig {
 impl Default for GossipConfig {
     fn default() -> Self {
         GossipConfig {
-            fanout: 1,
             window: 0,
-            interval: 1,
             detector: DetectorConfig::default(),
             evict_ticks: 8,
-            resume_gap: 16,
             seed: 0x60551,
         }
     }
@@ -130,7 +124,7 @@ pub struct GossipStats {
     pub eviction_latency: LogHistogram,
 }
 
-/// A membership node: replicated KV state + failure detector + eviction.
+/// A membership node: replicated heartbeats + failure detector + eviction.
 #[derive(Debug, Clone)]
 pub struct GossipNode {
     me: NodeId,
@@ -147,7 +141,6 @@ pub struct GossipNode {
     evict_queue: Vec<(NodeId, u64, u64)>,
     /// Scratch for detector verdicts.
     verdicts: Vec<Verdict>,
-    ticks: u64,
     last_activation: Option<u64>,
     /// Rotation cursor of the digest window.
     cursor: usize,
@@ -160,7 +153,7 @@ impl GossipNode {
     /// seed contacts; an original member passes the founding set).
     pub fn new(me: NodeId, peers: &[NodeId], cfg: GossipConfig) -> Self {
         let mut state = GossipState::new(me);
-        state.set(K_HEARTBEAT, 0);
+        state.set_heartbeat(0);
         let mut detector = FailureDetector::new(cfg.detector);
         let mut targets: Vec<NodeId> = peers.iter().copied().filter(|&p| p != me).collect();
         targets.sort_unstable();
@@ -178,7 +171,6 @@ impl GossipNode {
             tombstones: Vec::new(),
             evict_queue: Vec::new(),
             verdicts: Vec::new(),
-            ticks: 0,
             last_activation: None,
             cursor: 0,
             stats: GossipStats::default(),
@@ -188,11 +180,6 @@ impl GossipNode {
     /// This node's id.
     pub fn me(&self) -> NodeId {
         self.me
-    }
-
-    /// The replicated state (read side).
-    pub fn state(&self) -> &GossipState {
-        &self.state
     }
 
     /// The failure detector (read side).
@@ -224,7 +211,7 @@ impl GossipNode {
 
     /// Heartbeat counter gossip has replicated for `peer`.
     pub fn heartbeat_of(&self, peer: NodeId) -> Option<u64> {
-        self.state.get(peer, K_HEARTBEAT)
+        self.state.heartbeat(peer)
     }
 
     /// Rejoin after having been evicted elsewhere: bump the incarnation so
@@ -417,26 +404,20 @@ impl Protocol for GossipNode {
         // this is our first breath) — silence observed across it says
         // nothing about the peers.
         match self.last_activation {
-            Some(prev) if now.saturating_sub(prev) <= self.cfg.resume_gap => {}
+            Some(prev) if now.saturating_sub(prev) <= RESUME_GAP => {}
             _ => self.detector.rebase_all(now),
         }
         self.last_activation = Some(now);
-        self.ticks += 1;
-        if self.cfg.interval > 1 && !self.ticks.is_multiple_of(self.cfg.interval) {
-            return;
-        }
-        let hb = self.state.get(self.me, K_HEARTBEAT).unwrap_or(0);
-        self.state.set(K_HEARTBEAT, hb + 1);
+        let hb = self.state.heartbeat(self.me).unwrap_or(0);
+        self.state.set_heartbeat(hb + 1);
         self.lifecycle(now);
         if self.targets.is_empty() {
             return;
         }
-        for _ in 0..self.cfg.fanout.max(1) {
-            let peer = *self.rng.pick(&self.targets);
-            let window = self.window();
-            self.stats.syn_tx += 1;
-            ctx.send(peer, GossipMsg::Syn { window });
-        }
+        let peer = *self.rng.pick(&self.targets);
+        let window = self.window();
+        self.stats.syn_tx += 1;
+        ctx.send(peer, GossipMsg::Syn { window });
     }
 
     fn on_message(&mut self, from: NodeId, msg: GossipMsg, ctx: &mut Ctx<GossipMsg>) {
@@ -497,6 +478,7 @@ impl Protocol for GossipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::K_HEARTBEAT;
 
     #[test]
     fn gossip_msg_bits_scale_with_payload() {

@@ -1,12 +1,12 @@
-//! Versioned per-node key-value state with anti-entropy reconciliation.
+//! Versioned per-node heartbeat records with anti-entropy reconciliation.
 //!
-//! Every node publishes a small key→value map about *itself*; gossip
-//! replicates everyone's map everywhere. Each write bumps a per-node version
-//! counter, so "what does peer B know about node X that I don't" compresses
+//! Every node publishes one heartbeat counter about *itself*; gossip
+//! replicates everyone's counter everywhere. Each bump advances a per-node
+//! version, so "what does peer B know about node X that I don't" compresses
 //! to a single integer comparison: B's `max_version` for X against mine. A
 //! digest is a list of `(node, incarnation, max_version)` triples; a delta
-//! carries only entries whose version exceeds the digest's watermark —
-//! per-node max-version compaction, scuttlebutt-style.
+//! carries a node's heartbeat only when its version exceeds the digest's
+//! watermark — scuttlebutt-style.
 //!
 //! Incarnations order *lifetimes*: a node that rejoins after being declared
 //! dead bumps its incarnation, which outranks every version of the previous
@@ -15,11 +15,10 @@
 use dpq_core::bitsize::tag_bits;
 use dpq_core::{vlq_bits, BitSize, NodeId};
 
-/// Well-known key: the heartbeat counter a node bumps every gossip round.
-/// Version progress on this key is the liveness signal the failure detector
-/// consumes.
+/// The heartbeat's key in a [`NodeDelta`] entry, the only key any node
+/// writes. Version progress on it is the liveness signal the failure
+/// detector consumes.
 pub const K_HEARTBEAT: u64 = 0;
-
 /// One digest line: "for `node`'s life `incarnation` I have seen every write
 /// up to `max_version`".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,70 +63,21 @@ pub struct ApplyOutcome {
     /// The node's `(incarnation, max_version)` advanced — a fresh sign of
     /// life the failure detector should observe.
     pub advanced: bool,
-    /// The delta carried a *higher incarnation* than a local eviction
-    /// tombstone — the node rejoined after being declared dead.
-    pub rejoined: bool,
     /// Entries actually merged (stale ones are dropped silently).
     pub applied: u64,
 }
 
-/// Everything one node knows about one (other) node.
-///
-/// The heartbeat key is stored inline — it is the one key every record has
-/// and the one the detector reads on every merge — so a record with no other
-/// keys costs no heap allocation.
-#[derive(Debug, Clone, Default)]
+/// Everything one node knows about one (other) node: its heartbeat in one
+/// lifetime.
+#[derive(Debug, Clone, Copy, Default)]
 struct NodeRecord {
     incarnation: u64,
-    hb_value: u64,
-    hb_version: u64,
-    /// Non-heartbeat keys, sorted by key: `(key, value, version)`.
-    extra: Vec<(u64, u64, u64)>,
-    max_version: u64,
+    heartbeat: u64,
+    /// Version of `heartbeat`; 0 until the first one arrives.
+    version: u64,
 }
 
-impl NodeRecord {
-    fn newer_than(&self, floor: u64, out: &mut Vec<(u64, u64, u64)>, budget: usize) {
-        if self.hb_version > floor && out.len() < budget {
-            out.push((K_HEARTBEAT, self.hb_value, self.hb_version));
-        }
-        for &(k, v, ver) in &self.extra {
-            if ver > floor && out.len() < budget {
-                out.push((k, v, ver));
-            }
-        }
-    }
-
-    fn merge(&mut self, key: u64, value: u64, version: u64) -> bool {
-        if key == K_HEARTBEAT {
-            if version > self.hb_version {
-                self.hb_value = value;
-                self.hb_version = version;
-                self.max_version = self.max_version.max(version);
-                return true;
-            }
-            return false;
-        }
-        match self.extra.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => {
-                if version > self.extra[i].2 {
-                    self.extra[i] = (key, value, version);
-                    self.max_version = self.max_version.max(version);
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(i) => {
-                self.extra.insert(i, (key, value, version));
-                self.max_version = self.max_version.max(version);
-                true
-            }
-        }
-    }
-}
-
-/// One node's replicated view of the whole membership's KV state.
+/// One node's replicated view of the whole membership's heartbeats.
 #[derive(Debug, Clone)]
 pub struct GossipState {
     me: NodeId,
@@ -136,17 +86,12 @@ pub struct GossipState {
 }
 
 impl GossipState {
-    /// A fresh view knowing only `me` (incarnation 0, no writes yet).
+    /// A fresh view knowing only `me` (incarnation 0, no heartbeat yet).
     pub fn new(me: NodeId) -> Self {
         GossipState {
             me,
             nodes: vec![(me, NodeRecord::default())],
         }
-    }
-
-    /// The owning node.
-    pub fn me(&self) -> NodeId {
-        self.me
     }
 
     /// Number of nodes this view has state for (including `me`).
@@ -174,47 +119,41 @@ impl GossipState {
         self.nodes[i].0
     }
 
-    /// Write a key on **my own** record, bumping my version.
-    pub fn set(&mut self, key: u64, value: u64) {
+    fn own(&mut self) -> &mut NodeRecord {
         let i = self.idx(self.me).expect("own record always present");
-        let rec = &mut self.nodes[i].1;
-        let ver = rec.max_version + 1;
-        rec.merge(key, value, ver);
+        &mut self.nodes[i].1
     }
 
-    /// Read `key` from `node`'s record.
-    pub fn get(&self, node: NodeId, key: u64) -> Option<u64> {
+    /// Publish `value` as **my own** heartbeat, bumping my version.
+    pub fn set_heartbeat(&mut self, value: u64) {
+        let rec = self.own();
+        rec.heartbeat = value;
+        rec.version += 1;
+    }
+
+    /// `node`'s heartbeat (`None` until one has arrived).
+    pub fn heartbeat(&self, node: NodeId) -> Option<u64> {
         let rec = &self.nodes[self.idx(node)?].1;
-        if key == K_HEARTBEAT {
-            (rec.hb_version > 0).then_some(rec.hb_value)
-        } else {
-            rec.extra
-                .binary_search_by_key(&key, |e| e.0)
-                .ok()
-                .map(|i| rec.extra[i].1)
-        }
+        (rec.version > 0).then_some(rec.heartbeat)
     }
 
     /// `(incarnation, max_version)` for `node` — the freshness watermark.
     pub fn freshness(&self, node: NodeId) -> Option<(u64, u64)> {
         self.idx(node)
-            .map(|i| (self.nodes[i].1.incarnation, self.nodes[i].1.max_version))
+            .map(|i| (self.nodes[i].1.incarnation, self.nodes[i].1.version))
     }
 
     /// Start a new lifetime for **my own** record: incarnation + 1, versions
     /// restart. Rejoin after eviction calls this; the higher incarnation
     /// outranks tombstones everywhere.
     pub fn bump_incarnation(&mut self) {
-        let i = self.idx(self.me).expect("own record always present");
-        let rec = &mut self.nodes[i].1;
-        let inc = rec.incarnation + 1;
-        let hb = rec.hb_value;
-        *rec = NodeRecord {
-            incarnation: inc,
-            ..NodeRecord::default()
-        };
+        let rec = self.own();
         // Re-publish the heartbeat immediately so the new life is visible.
-        rec.merge(K_HEARTBEAT, hb + 1, 1);
+        *rec = NodeRecord {
+            incarnation: rec.incarnation + 1,
+            heartbeat: rec.heartbeat + 1,
+            version: 1,
+        };
     }
 
     /// My digest line for `node` (`None` if unknown).
@@ -222,7 +161,7 @@ impl GossipState {
         self.idx(node).map(|i| DigestEntry {
             node,
             incarnation: self.nodes[i].1.incarnation,
-            max_version: self.nodes[i].1.max_version,
+            max_version: self.nodes[i].1.version,
         })
     }
 
@@ -236,26 +175,22 @@ impl GossipState {
         mut skip: impl FnMut(NodeId) -> bool,
     ) -> Vec<NodeDelta> {
         let mut out = Vec::new();
-        let mut spent = 0usize;
         for d in digest {
-            if spent >= budget || skip(d.node) {
+            if out.len() >= budget || skip(d.node) {
                 continue;
             }
             let Some(i) = self.idx(d.node) else { continue };
-            let rec = &self.nodes[i].1;
+            let rec = self.nodes[i].1;
             let floor = match rec.incarnation.cmp(&d.incarnation) {
                 std::cmp::Ordering::Greater => 0, // new life: send everything
-                std::cmp::Ordering::Equal if rec.max_version > d.max_version => d.max_version,
-                _ => continue,
+                std::cmp::Ordering::Equal => d.max_version,
+                std::cmp::Ordering::Less => continue,
             };
-            let mut entries = Vec::new();
-            rec.newer_than(floor, &mut entries, budget - spent);
-            if !entries.is_empty() {
-                spent += entries.len();
+            if rec.version > floor {
                 out.push(NodeDelta {
                     node: d.node,
                     incarnation: rec.incarnation,
-                    entries,
+                    entries: vec![(K_HEARTBEAT, rec.heartbeat, rec.version)],
                 });
             }
         }
@@ -291,7 +226,9 @@ impl GossipState {
     }
 
     /// Merge one node's delta. Stale incarnations are rejected wholesale;
-    /// within the current incarnation, per-key versions decide.
+    /// within the current incarnation, the heartbeat's version decides.
+    /// Entries under any key but [`K_HEARTBEAT`] are ignored: no node
+    /// writes one.
     pub fn apply(&mut self, nd: &NodeDelta) -> ApplyOutcome {
         let mut out = ApplyOutcome::default();
         let i = match self.nodes.binary_search_by_key(&nd.node, |e| e.0) {
@@ -312,7 +249,7 @@ impl GossipState {
             return out;
         }
         let rec = &mut self.nodes[i].1;
-        let before = (rec.incarnation, rec.max_version);
+        let before = (rec.incarnation, rec.version);
         if nd.incarnation < rec.incarnation {
             return out;
         }
@@ -322,12 +259,14 @@ impl GossipState {
                 ..NodeRecord::default()
             };
         }
-        for &(k, v, ver) in &nd.entries {
-            if rec.merge(k, v, ver) {
+        for &(key, value, version) in &nd.entries {
+            if key == K_HEARTBEAT && version > rec.version {
+                rec.heartbeat = value;
+                rec.version = version;
                 out.applied += 1;
             }
         }
-        out.advanced = (rec.incarnation, rec.max_version) > before;
+        out.advanced = (rec.incarnation, rec.version) > before;
         out
     }
 
@@ -339,25 +278,6 @@ impl GossipState {
         }
         if let Some(i) = self.idx(node) {
             self.nodes.remove(i);
-        }
-    }
-}
-
-impl dpq_core::StateHash for GossipState {
-    fn state_hash(&self, h: &mut dpq_core::StateHasher) {
-        h.write_u64(self.me.0);
-        h.write_u64(self.nodes.len() as u64);
-        for (id, rec) in &self.nodes {
-            h.write_u64(id.0);
-            h.write_u64(rec.incarnation);
-            h.write_u64(rec.hb_value);
-            h.write_u64(rec.hb_version);
-            h.write_u64(rec.max_version);
-            for &(k, v, ver) in &rec.extra {
-                h.write_u64(k);
-                h.write_u64(v);
-                h.write_u64(ver);
-            }
         }
     }
 }
@@ -378,36 +298,39 @@ mod tests {
             .collect()
     }
 
+    fn zero_watermark(node: u64) -> DigestEntry {
+        DigestEntry {
+            node: NodeId(node),
+            incarnation: 0,
+            max_version: 0,
+        }
+    }
+
     #[test]
     fn set_bumps_versions_monotonically() {
         let mut s = GossipState::new(NodeId(1));
-        s.set(K_HEARTBEAT, 10);
-        s.set(K_HEARTBEAT, 11);
-        s.set(7, 99);
-        assert_eq!(s.get(NodeId(1), K_HEARTBEAT), Some(11));
-        assert_eq!(s.get(NodeId(1), 7), Some(99));
-        assert_eq!(s.freshness(NodeId(1)), Some((0, 3)));
+        assert_eq!(s.heartbeat(NodeId(1)), None);
+        s.set_heartbeat(10);
+        s.set_heartbeat(11);
+        assert_eq!(s.heartbeat(NodeId(1)), Some(11));
+        assert_eq!(s.freshness(NodeId(1)), Some((0, 2)));
     }
 
     #[test]
     fn delta_carries_only_missing_entries() {
         let mut a = GossipState::new(NodeId(0));
-        a.set(K_HEARTBEAT, 1);
-        a.set(5, 50);
+        a.set_heartbeat(1);
+        a.set_heartbeat(2);
         let mut b = GossipState::new(NodeId(1));
-        // b asks with a zero watermark for node 0.
-        let want = vec![DigestEntry {
-            node: NodeId(0),
-            incarnation: 0,
-            max_version: 0,
-        }];
-        let delta = a.delta_for(&want, 64, |_| false);
+        // b asks with a zero watermark for node 0: only the latest
+        // heartbeat travels.
+        let delta = a.delta_for(&[zero_watermark(0)], 64, |_| false);
         assert_eq!(delta.len(), 1);
-        assert_eq!(delta[0].entries.len(), 2);
+        assert_eq!(delta[0].entries, vec![(K_HEARTBEAT, 2, 2)]);
         for nd in &delta {
             b.apply(nd);
         }
-        assert_eq!(b.get(NodeId(0), 5), Some(50));
+        assert_eq!(b.heartbeat(NodeId(0)), Some(2));
         // Now b is caught up: same digest produces an empty delta.
         let caught_up = digest_of(&b, &[0]);
         assert!(a.delta_for(&caught_up, 64, |_| false).is_empty());
@@ -416,16 +339,8 @@ mod tests {
     #[test]
     fn apply_reports_advancement_and_discovery() {
         let mut a = GossipState::new(NodeId(0));
-        a.set(K_HEARTBEAT, 1);
-        let delta = a.delta_for(
-            &[DigestEntry {
-                node: NodeId(0),
-                incarnation: 0,
-                max_version: 0,
-            }],
-            64,
-            |_| false,
-        );
+        a.set_heartbeat(1);
+        let delta = a.delta_for(&[zero_watermark(0)], 64, |_| false);
         let mut b = GossipState::new(NodeId(1));
         let out = b.apply(&delta[0]);
         assert!(out.discovered && out.advanced);
@@ -437,49 +352,54 @@ mod tests {
     }
 
     #[test]
+    fn apply_ignores_keys_other_than_the_heartbeat() {
+        let mut b = GossipState::new(NodeId(1));
+        let out = b.apply(&NodeDelta {
+            node: NodeId(0),
+            incarnation: 0,
+            entries: vec![(7, 70, 5), (K_HEARTBEAT, 3, 2)],
+        });
+        assert_eq!(out.applied, 1);
+        assert_eq!(b.heartbeat(NodeId(0)), Some(3));
+        assert_eq!(b.freshness(NodeId(0)), Some((0, 2)));
+    }
+
+    #[test]
     fn higher_incarnation_resets_the_record() {
         let mut a = GossipState::new(NodeId(0));
-        a.set(K_HEARTBEAT, 1);
-        a.set(9, 90);
+        for hb in 1..=5 {
+            a.set_heartbeat(hb);
+        }
         let mut b = GossipState::new(NodeId(1));
-        for nd in a.delta_for(
-            &[DigestEntry {
-                node: NodeId(0),
-                incarnation: 0,
-                max_version: 0,
-            }],
-            64,
-            |_| false,
-        ) {
+        for nd in a.delta_for(&[zero_watermark(0)], 64, |_| false) {
             b.apply(&nd);
         }
-        assert_eq!(b.get(NodeId(0), 9), Some(90));
+        assert_eq!(b.freshness(NodeId(0)), Some((0, 5)));
         a.bump_incarnation();
-        let nd = NodeDelta {
-            node: NodeId(0),
-            incarnation: 1,
-            entries: vec![(K_HEARTBEAT, 2, 1)],
-        };
-        let out = b.apply(&nd);
+        assert_eq!(a.heartbeat(NodeId(0)), Some(6));
+        // The new life is sent whole to a peer still on the old one.
+        let nd = a.delta_for(&digest_of(&b, &[0]), 64, |_| false);
+        assert_eq!(nd[0].incarnation, 1);
+        let out = b.apply(&nd[0]);
         assert!(out.advanced);
-        // The old life's keys are gone.
-        assert_eq!(b.get(NodeId(0), 9), None);
+        // The old life's version is gone.
         assert_eq!(b.freshness(NodeId(0)), Some((1, 1)));
+        assert_eq!(b.heartbeat(NodeId(0)), Some(6));
         // Stale writes from the old incarnation are rejected wholesale.
         let stale = NodeDelta {
             node: NodeId(0),
             incarnation: 0,
-            entries: vec![(9, 91, 50)],
+            entries: vec![(K_HEARTBEAT, 91, 50)],
         };
         let res = b.apply(&stale);
         assert_eq!(res.applied, 0);
-        assert_eq!(b.get(NodeId(0), 9), None);
+        assert_eq!(b.heartbeat(NodeId(0)), Some(6));
     }
 
     #[test]
     fn wants_flags_unknown_and_stale_nodes() {
         let mut a = GossipState::new(NodeId(0));
-        a.set(K_HEARTBEAT, 1);
+        a.set_heartbeat(1);
         let b = GossipState::new(NodeId(1));
         let digest = digest_of(&a, &[0]);
         let wants = b.wants(&digest, |_, _| false);
@@ -493,36 +413,33 @@ mod tests {
     #[test]
     fn own_record_resists_echoes() {
         let mut a = GossipState::new(NodeId(0));
-        a.set(K_HEARTBEAT, 5);
+        a.set_heartbeat(5);
         let echo = NodeDelta {
             node: NodeId(0),
             incarnation: 0,
             entries: vec![(K_HEARTBEAT, 999, 40)],
         };
         a.apply(&echo);
-        assert_eq!(a.get(NodeId(0), K_HEARTBEAT), Some(5));
+        assert_eq!(a.heartbeat(NodeId(0)), Some(5));
     }
 
     #[test]
     fn forget_removes_and_budget_caps() {
         let mut a = GossipState::new(NodeId(0));
-        for k in 1..10 {
-            a.set(k, k);
-        }
-        let d = a.delta_for(
-            &[DigestEntry {
-                node: NodeId(0),
+        for n in 1..10 {
+            a.apply(&NodeDelta {
+                node: NodeId(n),
                 incarnation: 0,
-                max_version: 0,
-            }],
-            4,
-            |_| false,
-        );
-        assert_eq!(d[0].entries.len(), 4);
-        let mut b = GossipState::new(NodeId(1));
+                entries: vec![(K_HEARTBEAT, n, 1)],
+            });
+        }
+        let all: Vec<DigestEntry> = (1..10).map(zero_watermark).collect();
+        let d = a.delta_for(&all, 4, |_| false);
+        assert_eq!(d.len(), 4);
+        let mut b = GossipState::new(NodeId(10));
         b.apply(&d[0]);
-        assert!(b.knows(NodeId(0)));
-        b.forget(NodeId(0));
-        assert!(!b.knows(NodeId(0)));
+        assert!(b.knows(NodeId(1)));
+        b.forget(NodeId(1));
+        assert!(!b.knows(NodeId(1)));
     }
 }

@@ -42,6 +42,23 @@ use dpq_sim::{Ctx, FaultPlan, Protocol, Reliable, SyncScheduler};
 
 /// Hash domain for element placement points.
 const ELEM_DOMAIN: u64 = 0xE1E0;
+/// Master seed: fault plan, churn schedule, gossip RNGs, labels.
+const SEED: u64 = 0x5702E;
+/// Uniform message drop probability.
+const DROP: f64 = 0.05;
+/// Uniform message duplication probability.
+const DUP: f64 = 0.01;
+/// Elements seeded per founding member.
+const ELEMS_PER_NODE: usize = 4;
+/// Fraction of live members that must agree before the driver splices.
+const QUORUM: f64 = 0.5;
+/// Reliable-transport retransmit timeout (rounds).
+const XFER_TIMEOUT: u64 = 24;
+/// Conservation-oracle cadence (rounds).
+const ORACLE_EVERY: u64 = 32;
+/// Extra rounds allowed for the post-storm drain before the harness
+/// declares a livelock.
+const DRAIN_MAX: u64 = 3000;
 
 /// Element-handover traffic between homes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,8 +189,6 @@ pub struct Restoration {
     pub spliced: Option<u64>,
     /// Every handover this event triggered fully acknowledged.
     pub settled: Option<u64>,
-    /// Join only: de Bruijn hops to locate the splice position.
-    pub locate_hops: usize,
     /// Crash only: the victim recovered before quorum, so no eviction
     /// happened — detector pressure but no membership change.
     pub rescinded: bool,
@@ -182,8 +197,6 @@ pub struct Restoration {
 /// Storm shape and tuning.
 #[derive(Debug, Clone)]
 pub struct StormConfig {
-    /// Master seed (fault plan, churn schedule, gossip RNGs, labels).
-    pub seed: u64,
     /// Founding membership size.
     pub n0: usize,
     /// Dormant spares available to join.
@@ -196,45 +209,8 @@ pub struct StormConfig {
     pub warmup: u64,
     /// Rounds a crashed node stays down.
     pub down_for: u64,
-    /// Uniform message drop probability.
-    pub drop: f64,
-    /// Uniform message duplication probability.
-    pub dup: f64,
-    /// Elements seeded per founding member.
-    pub elems_per_node: usize,
-    /// Fraction of live members that must agree before the driver splices.
-    pub quorum: f64,
-    /// Reliable-transport retransmit timeout (rounds).
-    pub xfer_timeout: u64,
-    /// Conservation-oracle cadence (rounds).
-    pub oracle_every: u64,
-    /// Extra rounds allowed for the post-storm drain before the harness
-    /// declares a livelock.
-    pub drain_max: u64,
     /// Gossip layer tuning (detector thresholds live here).
     pub gossip: GossipConfig,
-}
-
-impl Default for StormConfig {
-    fn default() -> Self {
-        StormConfig {
-            seed: 0x5702E,
-            n0: 192,
-            spares: 16,
-            rounds: 400,
-            churn_every: 16,
-            warmup: 48,
-            down_for: 160,
-            drop: 0.05,
-            dup: 0.01,
-            elems_per_node: 4,
-            quorum: 0.5,
-            xfer_timeout: 24,
-            oracle_every: 32,
-            drain_max: 3000,
-            gossip: GossipConfig::default(),
-        }
-    }
 }
 
 /// What a storm run produced. The run itself panics on oracle violations;
@@ -472,12 +448,12 @@ fn schedule(cfg: &StormConfig, rng: &mut DetRng) -> Vec<ChurnEvent> {
 /// measurement report otherwise.
 pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let total = cfg.n0 + cfg.spares;
-    let mut rng = DetRng::new(cfg.seed).split(0x57);
+    let mut rng = DetRng::new(SEED).split(0x57);
     let events = schedule(cfg, &mut rng);
 
     // Fault plan: uniform noise + the whole churn schedule as crash events.
     // A spare "joins" by recovering from a crash that began at round 0.
-    let mut plan = FaultPlan::uniform(cfg.seed ^ 0xFA117, cfg.drop, cfg.dup);
+    let mut plan = FaultPlan::uniform(SEED ^ 0xFA117, DROP, DUP);
     for ev in &events {
         plan = match ev.kind {
             ChurnKind::Crash => plan.with_crash(NodeId(ev.node), ev.round, Some(ev.recover)),
@@ -499,7 +475,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
     // Nodes: founders know the founding set; spares know a few seed contacts.
     let founders: Vec<NodeId> = (0..cfg.n0 as u64).map(NodeId).collect();
     let mut gcfg = cfg.gossip;
-    gcfg.seed ^= cfg.seed;
+    gcfg.seed ^= SEED;
     let nodes: Vec<StormNode> = (0..total as u64)
         .map(|i| {
             let peers: Vec<NodeId> = if (i as usize) < cfg.n0 {
@@ -509,7 +485,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
                 (0..5).map(|_| NodeId(r.below(cfg.n0 as u64))).collect()
             };
             WithGossip::new(
-                Reliable::new(HomeNode::default(), cfg.xfer_timeout),
+                Reliable::new(HomeNode::default(), XFER_TIMEOUT),
                 GossipNode::new(NodeId(i), &peers, gcfg),
             )
         })
@@ -518,13 +494,13 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
 
     // Topology over the founders; members[k] = scheduler id of topo node k.
     let mut driver = Driver {
-        topo: Topology::new(cfg.n0, cfg.seed ^ 0x7090),
+        topo: Topology::new(cfg.n0, SEED ^ 0x7090),
         members: (0..cfg.n0 as u64).collect(),
         down: (0..total).map(|i| i >= cfg.n0).collect(),
     };
 
     // Seed elements directly into their owners' shards (initial condition).
-    let m = cfg.n0 * cfg.elems_per_node;
+    let m = cfg.n0 * ELEMS_PER_NODE;
     let mut expected: Vec<ElemId> = Vec::with_capacity(m);
     for key in 0..m as u64 {
         let owner = driver.owner_of(elem_point(key));
@@ -546,7 +522,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let mut pending: Vec<PendingChurn> = Vec::new();
     let mut next_event = 0usize;
     let max_recover = events.iter().map(|e| e.recover).max().unwrap_or(0);
-    let horizon = cfg.rounds.max(max_recover) + cfg.drain_max;
+    let horizon = cfg.rounds.max(max_recover) + DRAIN_MAX;
 
     let mut r = 0u64;
     loop {
@@ -566,7 +542,6 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
                 quorum: None,
                 spliced: None,
                 settled: None,
-                locate_hops: 0,
                 rescinded: false,
             });
             match ev.kind {
@@ -613,8 +588,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
 
         // 3. Poll protocol verdicts and splice on quorum.
         let up: Vec<u64> = driver.up_members().collect();
-        let quorum_size =
-            (((up.len().saturating_sub(1)) as f64 * cfg.quorum).ceil()).max(1.0) as usize;
+        let quorum_size = (((up.len().saturating_sub(1)) as f64 * QUORUM).ceil()).max(1.0) as usize;
         let mut splices: Vec<usize> = Vec::new();
         for (pi, p) in pending.iter_mut().enumerate() {
             if p.spliced {
@@ -673,12 +647,11 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
                     }
                 }
                 ChurnKind::Join => {
-                    let label = membership::join_label(cfg.seed ^ 0x7090, p.node);
-                    let (next, stats) = membership::join(&driver.topo, NodeId(0), label);
+                    let label = membership::join_label(SEED ^ 0x7090, p.node);
+                    let (next, _) = membership::join(&driver.topo, NodeId(0), label);
                     driver.topo = next;
                     driver.members.push(p.node);
                     report.join_splices += 1;
-                    report.restorations[p.rest].locate_hops = stats.locate_hops;
                 }
             }
             report.restorations[p.rest].spliced = Some(r);
@@ -717,7 +690,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
 
         // 5. Oracles + periodic stray sweep (elements that landed at a node
         //    after the splice whose rebalance would have moved them).
-        if r.is_multiple_of(cfg.oracle_every) {
+        if r.is_multiple_of(ORACLE_EVERY) {
             conservation_scan(&sched, &expected, r);
             rebalance(&mut sched, &driver);
         }
@@ -748,7 +721,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormReport {
         if moves.is_empty() {
             break;
         }
-        let deadline = r + cfg.drain_max;
+        let deadline = r + DRAIN_MAX;
         while moves
             .iter()
             .any(|&(src, id)| sched.node(NodeId(src)).app.inner().move_in_flight(id))
@@ -833,7 +806,6 @@ mod tests {
             warmup: 64,
             down_for: 200,
             gossip: quick_gossip(4.0),
-            ..StormConfig::default()
         };
         let report = run_storm(&cfg);
         assert!(report.crashes >= 3, "crashes {}", report.crashes);
@@ -867,7 +839,6 @@ mod tests {
             warmup: 48,
             down_for: 140,
             gossip: quick_gossip(3.0),
-            ..StormConfig::default()
         };
         let a = run_storm(&cfg);
         let b = run_storm(&cfg);

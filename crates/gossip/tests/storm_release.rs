@@ -94,7 +94,6 @@ fn churn_storm_bounded() {
         warmup: 64,
         down_for: 500,
         gossip: storm_gossip(4.0),
-        ..StormConfig::default()
     };
     let report = run_storm(&cfg);
     eprintln!(
@@ -136,7 +135,6 @@ fn churn_storm_full_scale() {
         warmup: 64,
         down_for: 500,
         gossip: storm_gossip(4.0),
-        ..StormConfig::default()
     };
     let small_report = run_storm(&small);
 
@@ -148,7 +146,6 @@ fn churn_storm_full_scale() {
         warmup: 96,
         down_for: 600,
         gossip: storm_gossip(4.0),
-        ..StormConfig::default()
     };
     let report = run_storm(&cfg);
     eprintln!(

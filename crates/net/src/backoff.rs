@@ -12,24 +12,24 @@
 
 use std::time::Duration;
 
+/// The first delay after a reset, in milliseconds.
+const BASE_MS: u64 = 10;
+/// The longest delay, in milliseconds.
+const CAP_MS: u64 = 500;
+
 /// A decorrelated-jitter backoff schedule. Deterministic given its seed, so
 /// tests can pin the exact draw sequence while distinct dialers (seeded by
 /// peer id) still decorrelate.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    base_ms: u64,
-    cap_ms: u64,
     prev_ms: Option<u64>,
     state: u64,
 }
 
 impl Backoff {
-    /// A schedule starting at `base` and hard-capped at `cap`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
-        let base_ms = (base.as_millis() as u64).max(1);
+    /// A schedule starting at 10 ms and hard-capped at 500 ms.
+    pub fn new(seed: u64) -> Backoff {
         Backoff {
-            base_ms,
-            cap_ms: (cap.as_millis() as u64).max(base_ms),
             prev_ms: None,
             state: seed,
         }
@@ -50,10 +50,10 @@ impl Backoff {
     pub fn next_delay(&mut self) -> Duration {
         let ms = match self.prev_ms {
             // Fail fast exactly once, then decorrelate.
-            None => self.base_ms,
+            None => BASE_MS,
             Some(prev) => {
-                let hi = prev.saturating_mul(3).min(self.cap_ms).max(self.base_ms);
-                self.base_ms + self.rand() % (hi - self.base_ms + 1)
+                let hi = prev.saturating_mul(3).min(CAP_MS);
+                BASE_MS + self.rand() % (hi - BASE_MS + 1)
             }
         };
         self.prev_ms = Some(ms);
@@ -70,15 +70,15 @@ impl Backoff {
 mod tests {
     use super::*;
 
-    const BASE: Duration = Duration::from_millis(10);
-    const CAP: Duration = Duration::from_millis(500);
+    const BASE: Duration = Duration::from_millis(BASE_MS);
+    const CAP: Duration = Duration::from_millis(CAP_MS);
 
     /// Every delay the schedule can ever produce sits inside `[base, cap]`,
     /// and the first one after (re)set is exactly `base`.
     #[test]
     fn envelope_holds_for_the_whole_schedule() {
         for seed in 0..32u64 {
-            let mut b = Backoff::new(BASE, CAP, seed);
+            let mut b = Backoff::new(seed);
             assert_eq!(b.next_delay(), BASE, "first delay fails fast");
             for _ in 0..200 {
                 let d = b.next_delay();
@@ -95,7 +95,7 @@ mod tests {
     /// runs do reach the top quartile.
     #[test]
     fn schedule_reaches_the_cap_region() {
-        let mut b = Backoff::new(BASE, CAP, 7);
+        let mut b = Backoff::new(7);
         let max = (0..200).map(|_| b.next_delay().as_millis()).max().unwrap();
         assert!(max > 375, "200 retries never exceeded {max}ms");
     }
@@ -104,13 +104,13 @@ mod tests {
     /// point of the jitter.
     #[test]
     fn distinct_seeds_decorrelate() {
-        let mut a = Backoff::new(BASE, CAP, 1);
-        let mut b = Backoff::new(BASE, CAP, 2);
+        let mut a = Backoff::new(1);
+        let mut b = Backoff::new(2);
         let sa: Vec<Duration> = (0..20).map(|_| a.next_delay()).collect();
         let sb: Vec<Duration> = (0..20).map(|_| b.next_delay()).collect();
         assert_ne!(sa, sb);
         // And the same seed is reproducible, so tests can pin schedules.
-        let mut a2 = Backoff::new(BASE, CAP, 1);
+        let mut a2 = Backoff::new(1);
         let sa2: Vec<Duration> = (0..20).map(|_| a2.next_delay()).collect();
         assert_eq!(sa, sa2);
     }
@@ -121,20 +121,11 @@ mod tests {
     fn delays_grow_geometrically_in_expectation() {
         let (mut early, mut late) = (0u128, 0u128);
         for seed in 0..64u64 {
-            let mut b = Backoff::new(BASE, CAP, seed);
+            let mut b = Backoff::new(seed);
             let s: Vec<u128> = (0..9).map(|_| b.next_delay().as_millis()).collect();
             early += s[1];
             late += s[8];
         }
         assert!(late > early * 2, "late {late} vs early {early}");
-    }
-
-    /// Degenerate configuration (cap below base) clamps sanely.
-    #[test]
-    fn cap_below_base_degrades_to_constant() {
-        let mut b = Backoff::new(Duration::from_millis(50), Duration::from_millis(10), 3);
-        for _ in 0..10 {
-            assert_eq!(b.next_delay(), Duration::from_millis(50));
-        }
     }
 }

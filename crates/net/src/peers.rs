@@ -44,10 +44,6 @@ use dpq_telemetry::WireMetrics;
 /// rather than blocking the runtime.
 const SEND_BUFFER: usize = 256 * 1024;
 
-/// Initial reconnect backoff.
-const BACKOFF_MIN: Duration = Duration::from_millis(10);
-/// Backoff ceiling.
-const BACKOFF_MAX: Duration = Duration::from_millis(500);
 /// Longest the dialer waits on one TCP address before trying the others.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long an accepted connection may take to say hello.
@@ -224,11 +220,7 @@ impl PeerManager {
             .map(|(&peer, addr)| Dial {
                 peer,
                 addr: addr.clone(),
-                backoff: Backoff::new(
-                    BACKOFF_MIN,
-                    BACKOFF_MAX,
-                    me.wrapping_mul(0x9E37_79B9).wrapping_add(peer),
-                ),
+                backoff: Backoff::new(me.wrapping_mul(0x9E37_79B9).wrapping_add(peer)),
                 not_before: Instant::now(),
                 connected_before: false,
             })

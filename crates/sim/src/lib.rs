@@ -51,7 +51,7 @@ pub use sched_async::{AsyncConfig, AsyncScheduler};
 pub use sched_sync::{RunOutcome, SyncScheduler};
 
 // Re-exported so drivers can plug in a sink without naming dpq-trace.
-pub use dpq_trace::{EventMask, NullTracer, RingTracer, TraceEvent, Tracer, VecTracer};
+pub use dpq_trace::{NullTracer, RingTracer, TraceEvent, Tracer, VecTracer};
 
 // Likewise for dpq-telemetry: the streaming metrics layer.
 pub use dpq_telemetry::{

@@ -55,6 +55,10 @@ impl dpq_sim::Protocol for SkackNode {
     fn done(&self) -> bool {
         dpq_sim::Protocol::done(&self.0)
     }
+
+    fn dormant(&self) -> bool {
+        dpq_sim::Protocol::dormant(&self.0)
+    }
 }
 
 /// Build a Skack cluster of `n` nodes.
@@ -130,6 +134,8 @@ mod tests {
         assert!(sched
             .run_until_pred(200_000, |ns| ns.iter().all(SkackNode::all_complete))
             .is_quiescent());
+        // The Skeap node's dormant hint reaches the scheduler.
+        assert!(sched.dormant_skips() > 0);
         let history = history(sched.nodes());
         replay(&history, ReplayMode::Lifo).unwrap();
         check_local_consistency(&history).unwrap();

@@ -54,6 +54,10 @@ impl dpq_sim::Protocol for SkueueNode {
     fn done(&self) -> bool {
         dpq_sim::Protocol::done(&self.0)
     }
+
+    fn dormant(&self) -> bool {
+        dpq_sim::Protocol::dormant(&self.0)
+    }
 }
 
 /// Build a Skueue cluster of `n` nodes.
@@ -130,6 +134,8 @@ mod tests {
         assert!(sched
             .run_until_pred(100_000, |ns| ns.iter().all(SkueueNode::all_complete))
             .is_quiescent());
+        // The Skeap node's dormant hint reaches the scheduler.
+        assert!(sched.dormant_skips() > 0);
         let history =
             dpq_core::History::merge(sched.nodes().iter().map(|n| n.0.history.clone()).collect());
         replay(&history, ReplayMode::Fifo).unwrap();

@@ -10,8 +10,7 @@
 //! exposition cannot carry.
 //!
 //! Like every sink in this crate it is a pure observer with deterministic
-//! iteration (peers in `BTreeMap` order), an exact associative
-//! [`merge`](WireMetrics::merge), and a
+//! iteration (peers in `BTreeMap` order) and a
 //! [`fold_into`](WireMetrics::fold_into) bridge that collapses the per-peer
 //! detail into `net.*` aggregate instruments of an ordinary [`Telemetry`]
 //! sink.
@@ -78,14 +77,6 @@ impl WireMetrics {
     /// All per-peer records in ascending peer order.
     pub fn peers(&self) -> impl Iterator<Item = (u64, &PeerWire)> {
         self.peers.iter().map(|(&p, w)| (p, w))
-    }
-
-    /// Exact merge: peer-wise counter addition. Associative and
-    /// commutative.
-    pub fn merge(&mut self, other: &WireMetrics) {
-        for (&peer, w) in &other.peers {
-            self.peers.entry(peer).or_default().merge(w);
-        }
     }
 
     /// Aggregate over all peers.
@@ -161,27 +152,6 @@ mod tests {
         p3.reconnects = 2;
         p3.send_drops = 1;
         w
-    }
-
-    #[test]
-    fn merge_is_peerwise_and_commutative() {
-        let a = sample();
-        let mut b = WireMetrics::new();
-        b.peer_mut(1).tx_frames = 5;
-        b.peer_mut(2).rx_frames = 3;
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-
-        assert_eq!(ab.peer(1).unwrap().tx_frames, 15);
-        assert_eq!(ab.peer(2).unwrap().rx_frames, 3);
-        assert_eq!(ab.peer(3).unwrap().rx_bytes, 512);
-        for p in [1, 2, 3] {
-            assert_eq!(ab.peer(p).unwrap().tx_frames, ba.peer(p).unwrap().tx_frames);
-            assert_eq!(ab.peer(p).unwrap().rx_frames, ba.peer(p).unwrap().rx_frames);
-        }
     }
 
     #[test]

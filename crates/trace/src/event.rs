@@ -186,74 +186,15 @@ impl TraceEvent {
         }
     }
 
-    /// The mask bit selecting this event's category.
-    pub fn mask_bit(&self) -> EventMask {
-        match self {
-            TraceEvent::Send { .. } => EventMask::SEND,
-            TraceEvent::Deliver { .. } => EventMask::DELIVER,
-            TraceEvent::Activate { .. } => EventMask::ACTIVATE,
-            TraceEvent::RoundEnd { .. } => EventMask::ROUND_END,
-            TraceEvent::PhaseMark { .. } => EventMask::PHASE_MARK,
-            TraceEvent::OpInjected { .. } => EventMask::OP_INJECTED,
-            TraceEvent::OpCompleted { .. } => EventMask::OP_COMPLETED,
-            TraceEvent::FaultDrop { .. }
-            | TraceEvent::FaultDuplicate { .. }
-            | TraceEvent::NodeCrash { .. }
-            | TraceEvent::NodeRecover { .. }
-            | TraceEvent::PartitionStart { .. }
-            | TraceEvent::PartitionHeal { .. } => EventMask::FAULT,
-        }
-    }
-}
-
-/// A set of event categories, used to filter what a sink keeps.
-///
-/// Per-message categories (`SEND`, `DELIVER`, `ACTIVATE`) dominate stream
-/// volume; the control-plane categories are a few events per round. Sinks
-/// for long runs typically keep [`EventMask::CONTROL`] only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventMask(u16);
-
-impl EventMask {
-    /// Send events.
-    pub const SEND: EventMask = EventMask(1 << 0);
-    /// Deliver events.
-    pub const DELIVER: EventMask = EventMask(1 << 1);
-    /// Activation events.
-    pub const ACTIVATE: EventMask = EventMask(1 << 2);
-    /// Round-boundary summaries.
-    pub const ROUND_END: EventMask = EventMask(1 << 3);
-    /// Protocol phase marks.
-    pub const PHASE_MARK: EventMask = EventMask(1 << 4);
-    /// Operation injections.
-    pub const OP_INJECTED: EventMask = EventMask(1 << 5);
-    /// Operation completions.
-    pub const OP_COMPLETED: EventMask = EventMask(1 << 6);
-    /// Fault-layer events: drops, duplicates, crashes, partitions.
-    pub const FAULT: EventMask = EventMask(1 << 7);
-
-    /// No categories.
-    pub const NONE: EventMask = EventMask(0);
-    /// Every category.
-    pub const ALL: EventMask = EventMask(0xff);
-    /// The control plane only: round ends, phase marks, op inject/complete,
-    /// and the (rare, load-bearing) fault events.
-    pub const CONTROL: EventMask = EventMask(
-        Self::ROUND_END.0
-            | Self::PHASE_MARK.0
-            | Self::OP_INJECTED.0
-            | Self::OP_COMPLETED.0
-            | Self::FAULT.0,
-    );
-
-    /// Does this mask include every category `other` does?
-    pub fn contains(&self, other: EventMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// The union of two masks.
-    pub fn union(&self, other: EventMask) -> EventMask {
-        EventMask(self.0 | other.0)
+    /// Is this a control-plane event: a round end, a phase mark, an op
+    /// injection or completion, or a (rare, load-bearing) fault event? The
+    /// per-message events — sends, deliveries, activations — are not; they
+    /// dominate stream volume.
+    pub fn is_control(&self) -> bool {
+        !matches!(
+            self,
+            TraceEvent::Send { .. } | TraceEvent::Deliver { .. } | TraceEvent::Activate { .. }
+        )
     }
 }
 
@@ -262,18 +203,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn masks_partition_categories() {
-        assert!(EventMask::ALL.contains(EventMask::CONTROL));
-        assert!(EventMask::CONTROL.contains(EventMask::ROUND_END));
-        assert!(!EventMask::CONTROL.contains(EventMask::SEND));
-        assert!(EventMask::SEND
-            .union(EventMask::DELIVER)
-            .contains(EventMask::SEND));
-        assert!(!EventMask::NONE.contains(EventMask::SEND));
-    }
-
-    #[test]
-    fn every_event_maps_to_its_bit() {
+    fn every_event_reports_its_round_and_plane() {
         let node = NodeId(3);
         let op = OpId { node, seq: 1 };
         let kind = MsgKind("test");
@@ -332,21 +262,10 @@ mod tests {
         ];
         for (i, ev) in evs.iter().enumerate() {
             assert_eq!(ev.round(), i as u64 + 1);
-            assert!(EventMask::ALL.contains(ev.mask_bit()));
+            // Send, Deliver and Activate come first; everything after them,
+            // fault events included, is control plane.
+            assert_eq!(ev.is_control(), i >= 3, "{ev:?}");
         }
-    }
-
-    #[test]
-    fn fault_events_are_control_plane() {
-        // Fault events are rare and load-bearing: the CONTROL mask used by
-        // long-run experiment tracers must keep them.
-        assert!(EventMask::CONTROL.contains(EventMask::FAULT));
-        assert!(!EventMask::CONTROL.contains(EventMask::SEND));
-        let ev = TraceEvent::NodeCrash {
-            round: 1,
-            node: NodeId(0),
-        };
-        assert_eq!(ev.mask_bit(), EventMask::FAULT);
         assert_eq!(DropReason::Partition.as_str(), "partition");
     }
 }

@@ -22,6 +22,6 @@ pub mod event;
 pub mod export;
 pub mod tracer;
 
-pub use event::{DropReason, EventMask, TraceEvent};
+pub use event::{DropReason, TraceEvent};
 pub use export::{write_jsonl, ChromeTrace};
 pub use tracer::{NullTracer, RingTracer, Tracer, VecTracer};

@@ -1,6 +1,6 @@
 //! Trace sinks: the [`Tracer`] trait and its built-in implementations.
 
-use crate::event::{EventMask, TraceEvent};
+use crate::event::TraceEvent;
 
 /// A sink for [`TraceEvent`]s.
 ///
@@ -55,37 +55,31 @@ impl Tracer for VecTracer {
     }
 }
 
-/// Bounded ring-buffer sink with a category filter.
+/// Bounded ring-buffer sink for the control plane.
 ///
-/// Keeps at most `capacity` of the *most recent* events whose category is in
-/// `mask`; older events are overwritten and counted in [`RingTracer::dropped`].
-/// Events outside the mask are never stored (and not counted as dropped).
+/// Keeps at most `capacity` of the *most recent* control-plane events
+/// ([`TraceEvent::is_control`]); older ones are overwritten and counted in
+/// [`RingTracer::dropped`]. Per-message events are never stored (and not
+/// counted as dropped), so traces stay small at the largest scales.
 #[derive(Debug, Clone)]
 pub struct RingTracer {
     buf: Vec<TraceEvent>,
     head: usize,
     capacity: usize,
-    mask: EventMask,
-    /// In-mask events evicted because the buffer was full.
+    /// Control-plane events evicted because the buffer was full.
     pub dropped: u64,
 }
 
 impl RingTracer {
-    /// A ring of `capacity` slots keeping only categories in `mask`.
-    pub fn new(capacity: usize, mask: EventMask) -> Self {
+    /// A ring of `capacity` slots.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RingTracer capacity must be positive");
         RingTracer {
             buf: Vec::with_capacity(capacity.min(4096)),
             head: 0,
             capacity,
-            mask,
             dropped: 0,
         }
-    }
-
-    /// A ring of `capacity` slots keeping every category.
-    pub fn with_capacity(capacity: usize) -> Self {
-        RingTracer::new(capacity, EventMask::ALL)
     }
 
     /// Number of events currently held.
@@ -108,7 +102,7 @@ impl RingTracer {
 
 impl Tracer for RingTracer {
     fn record(&mut self, ev: TraceEvent) {
-        if !self.mask.contains(ev.mask_bit()) {
+        if !ev.is_control() {
             return;
         }
         if self.buf.len() < self.capacity {
@@ -147,7 +141,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
-        let mut t = RingTracer::with_capacity(3);
+        let mut t = RingTracer::new(3);
         for r in 0..7 {
             t.record(mark(r));
         }
@@ -157,9 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_mask_filters_categories() {
-        let mut t = RingTracer::new(8, EventMask::ROUND_END);
-        t.record(mark(1));
+    fn ring_keeps_only_control_events() {
+        let mut t = RingTracer::new(8);
+        t.record(TraceEvent::Activate {
+            round: 1,
+            node: NodeId(0),
+        });
         t.record(TraceEvent::RoundEnd {
             round: 2,
             messages: 0,

@@ -148,9 +148,13 @@ fi
 # the element-conservation and placement oracles scanned continuously.
 # Release-only (about ten seconds in release, minutes in debug); the
 # full-scale n=2048 headline storm lives in the same file
-# (churn_storm_full_scale) and runs on demand.
+# (churn_storm_full_scale) and runs on demand. Then E18, the one table the
+# gossip and storm code feeds (about 20 s), must reproduce results/e18.csv
+# byte for byte.
 if [ "$TIER" = "churn" ]; then
   cargo test --release -q -p dpq-gossip --test storm_release -- --ignored --exact churn_storm_bounded
+  cargo run -q -p dpq-bench --release --bin experiments -- e18
+  git diff --exit-code -- results/e18.csv
 fi
 
 # Workload tier (opt-in: `./scripts/check.sh workload`): the E19 rank-error
