@@ -10,7 +10,7 @@
 
 use crate::config::NodeConfig;
 use crate::frame::ProtoId;
-use dpq_core::{Element, Key, OpId, OpKind, OpRecord};
+use dpq_core::{Element, Key, NodeId, OpId, OpKind, OpRecord};
 use dpq_sim::{Protocol, QueueNode};
 use kselect::{KSelectConfig, KSelectNode};
 use seap::SeapNode;
@@ -47,11 +47,17 @@ where
     }
 
     /// A hint: `true` when nothing waits on this node's self-addressed
-    /// messages, so the runtime may hold them a moment (an idle Seap
-    /// anchor's next empty phase). Holding is a delivery delay, which the
-    /// asynchronous model allows; the node sends the same either way.
+    /// messages, so the runtime may hold them until its next tick (an idle
+    /// Seap anchor's next empty phase). Holding is a delivery delay, which
+    /// the asynchronous model allows; the node sends the same either way.
     fn idle(&self) -> bool {
         false
+    }
+
+    /// Where a request accepted here sends a wake: the node whose
+    /// [`idle`](Self::idle) hold it waits on (Seap's anchor, from the rest).
+    fn wake_target(&self) -> Option<NodeId> {
+        None
     }
 
     /// Requests issued at this node.
@@ -105,6 +111,11 @@ pub trait QueueApp: QueueNode + Sized {
     fn idle(&self) -> bool {
         false
     }
+
+    /// See [`NetApp::wake_target`].
+    fn wake_target(&self) -> Option<NodeId> {
+        None
+    }
 }
 
 impl QueueApp for SkeapNode {
@@ -138,6 +149,10 @@ impl QueueApp for SeapNode {
     fn idle(&self) -> bool {
         self.anchor_idle()
     }
+
+    fn wake_target(&self) -> Option<NodeId> {
+        (!self.view.is_anchor()).then(|| self.view.root())
+    }
 }
 
 impl<Q: QueueApp> NetApp for Q
@@ -161,6 +176,10 @@ where
 
     fn idle(&self) -> bool {
         QueueApp::idle(self)
+    }
+
+    fn wake_target(&self) -> Option<NodeId> {
+        QueueApp::wake_target(self)
     }
 
     fn records(&self) -> Vec<OpRecord> {

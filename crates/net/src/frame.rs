@@ -8,6 +8,7 @@
 //! version, the protocol being spoken (a Skeap node must not accept Seap
 //! frames), and a cluster fingerprint derived from the deployment parameters
 //! (`n`, `seed`, …) so two clusters on one host cannot cross-connect.
+//! An empty payload frame is a wake (see [`crate::node`]).
 
 use std::io::{self, Read, Write};
 

@@ -17,6 +17,9 @@
 //! with the next payload for it or at the next tick — less than a tick
 //! later, far inside the retransmission timeout.
 //!
+//! An idle node's own frames wait for its next tick, a local request or a
+//! peer's wake, an unlogged empty frame (DESIGN.md decision 21).
+//!
 //! Recovery is the same code: [`replay`](NodeCore::replay) feeds logged
 //! entries through the input handling the live calls use and drops what
 //! they send unencoded, so a restarted node re-derives everything the live
@@ -44,6 +47,8 @@ const LANE_GOSSIP: u8 = 1;
 enum Frame<M> {
     App(ReliableMsg<M>),
     Gossip(GossipMsg),
+    /// Empty on every lane, so it is recognised before any lane tag.
+    Wake,
 }
 
 impl<M: Wire> Frame<M> {
@@ -63,6 +68,7 @@ impl<M: Wire> Frame<M> {
                 bytes.push(LANE_GOSSIP);
                 msg.encode(&mut bytes);
             }
+            Frame::Wake => {}
         }
         bytes
     }
@@ -92,6 +98,16 @@ where
     op_issued: BTreeMap<OpId, u64>,
     op_latency: LogHistogram,
     rx_decode_errors: u64,
+    /// `me`'s frames wait in `out` for the next tick, a local op or a wake.
+    held: bool,
+    /// Holds still waived by the last wake.
+    waive: u8,
+    /// A wake was taken and no busy node has queued itself a payload since.
+    owed: bool,
+    paced_holds: u64,
+    wakes: u64,
+    /// Holds that ended at the tick while a wake was owed.
+    late_holds: u64,
     /// The membership sidecar. Never logged: membership is soft state a
     /// restarted node re-learns by gossiping, and replaying stale
     /// heartbeats would only poison the detector.
@@ -117,6 +133,12 @@ where
             op_issued: BTreeMap::new(),
             op_latency: LogHistogram::new(),
             rx_decode_errors: 0,
+            held: false,
+            waive: 0,
+            owed: false,
+            paced_holds: 0,
+            wakes: 0,
+            late_holds: 0,
             gossip: gossip.map(Box::new),
         }
     }
@@ -137,6 +159,11 @@ where
     /// Deliver the frames `from` sent, in order.
     pub fn deliver(&mut self, from: u64, frames: Vec<Vec<u8>>) {
         for mut bytes in frames {
+            if bytes.is_empty() {
+                (self.held, self.waive, self.owed) = (false, 2, true);
+                self.wakes += 1;
+                continue;
+            }
             if self.gossip.is_some() {
                 // Strip the lane tag, so the log keeps storing plain app
                 // frames and replay stays format-compatible.
@@ -164,7 +191,16 @@ where
                 frame: RawBytes(bytes),
             });
             let sent = self.step(|node, ctx| node.on_message(NodeId(from), msg, ctx));
-            queue(&mut self.out, sent, Frame::App);
+            if queue(&mut self.out, sent, Frame::App) && !self.held {
+                if !self.node.inner().idle() {
+                    self.owed = false;
+                } else if self.waive > 0 {
+                    self.waive -= 1;
+                } else {
+                    self.held = true;
+                    self.paced_holds += 1;
+                }
+            }
         }
     }
 
@@ -178,12 +214,17 @@ where
             other => return CtlResp::Error(format!("{other:?} is not a node request")),
         };
         self.entries.push(WalEntry::CtlOp { now: self.now, op });
-        match self.issue(op) {
-            Ok(id) => CtlResp::Issued {
-                node: id.node.0,
-                seq: id.seq,
-            },
-            Err(e) => CtlResp::Error(e),
+        let id = match self.issue(op) {
+            Ok(id) => id,
+            Err(e) => return CtlResp::Error(e),
+        };
+        self.held = false;
+        if let Some(to) = self.node.inner().wake_target() {
+            self.out.entry(to.0).or_default().push(Frame::Wake);
+        }
+        CtlResp::Issued {
+            node: id.node.0,
+            seq: id.seq,
         }
     }
 
@@ -194,10 +235,17 @@ where
     }
 
     /// End of a turn: hand `send` the frames of every destination owed a
-    /// payload — or, at a tick, owed anything — encoded now, in send order.
+    /// payload — or, at a tick, owed anything — encoded now, in send order,
+    /// except the node's own while they are held.
     pub fn flush(&mut self, tick: bool, mut send: impl FnMut(u64, Vec<Vec<u8>>)) {
-        let lanes = self.gossip.is_some();
+        if tick && std::mem::take(&mut self.held) {
+            self.late_holds += u64::from(self.owed);
+        }
+        let (lanes, me, held) = (self.gossip.is_some(), self.me.0, self.held);
         for (&dst, frames) in &mut self.out {
+            if dst == me && held {
+                continue;
+            }
             if (tick && !frames.is_empty()) || frames.iter().any(Frame::is_payload) {
                 send(dst, frames.drain(..).map(|f| f.encode(lanes)).collect());
             }
@@ -244,11 +292,18 @@ where
     }
 
     /// Fold the node's counters into `hub`: the transport's, the decode
-    /// errors, op latency and the sidecar's.
-    pub(crate) fn export_telemetry(&self, hub: &mut Hub) {
+    /// errors, the holds and wakes, op latency and the sidecar's.
+    pub fn export_telemetry(&self, hub: &mut Hub) {
         self.node.export_telemetry(hub);
-        let id = hub.register_counter("net.rx_decode_errors");
-        hub.counter_add(id, self.rx_decode_errors);
+        for (name, v) in [
+            ("net.rx_decode_errors", self.rx_decode_errors),
+            ("net.paced_holds", self.paced_holds),
+            ("net.wakes", self.wakes),
+            ("net.late_holds", self.late_holds),
+        ] {
+            let id = hub.register_counter(name);
+            hub.counter_add(id, v);
+        }
         let op = hub.register_histogram("net.op_latency_ticks");
         hub.hist_merge(op, &self.op_latency);
         if let Some(g) = &self.gossip {
@@ -317,13 +372,18 @@ where
     }
 }
 
-/// Queue what a step sent as frames of the current turn.
-fn queue<M, N: BitSize>(
+/// Queue what a step sent as frames of the current turn; true if a payload
+/// went to the node itself.
+fn queue<M: Wire, N: BitSize>(
     out: &mut BTreeMap<u64, Vec<Frame<M>>>,
     mut sent: Ctx<N>,
     frame: fn(N) -> Frame<M>,
-) {
+) -> bool {
+    let (me, mut mine) = (sent.me(), false);
     for env in sent.drain_outbox() {
-        out.entry(env.dst.0).or_default().push(frame(env.msg));
+        let f = frame(env.msg);
+        mine |= env.dst == me && f.is_payload();
+        out.entry(env.dst.0).or_default().push(f);
     }
+    mine
 }

@@ -22,11 +22,10 @@
 //! [`crate::wal`]). On restart the core replays the log and the loop
 //! resumes at the recorded tick.
 //!
-//! An idle node is paced: while [`NetApp::idle`] holds after a turn, that
-//! turn's self-addressed frames wait `PACE` before they are delivered, or
-//! less if an `Enqueue` or `Dequeue` arrives. Delivery in the protocols'
-//! asynchronous model may be delayed by any finite time, so this is a
-//! schedule the simulator's oracles already cover.
+//! An idle node is paced by its core ([`crate::node`]): its self-addressed
+//! frames wait for the next tick, a local request or a peer's wake. Delivery
+//! in the protocols' asynchronous model may be delayed by any finite time,
+//! so this is a schedule the simulator's oracles already cover.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -45,11 +44,6 @@ use dpq_gossip::{DetectorConfig, GossipConfig, GossipNode};
 use dpq_sim::{Hub, Telemetry};
 use dpq_telemetry::{prometheus_text, prometheus_wire_text};
 
-/// How long an idle node holds its self-addressed frames: long enough that
-/// an idle Seap anchor's empty phases stop spinning, short against the
-/// default 2 ms tick.
-const PACE: Duration = Duration::from_micros(200);
-
 /// The runtime driving one node. Generic over the protocol via [`NetApp`].
 pub struct NodeRuntime<P: NetApp>
 where
@@ -66,10 +60,6 @@ where
     /// Self-addressed frames, delivered at the start of the next turn: no
     /// peer connection exists for `me`.
     loopback: Vec<Vec<u8>>,
-    /// While `Some`, `loopback` is held until then (see [`PACE`]).
-    release_at: Option<Instant>,
-    /// Turns whose self-addressed frames were held.
-    paced_holds: u64,
     /// Peers the detector made us retire / later revive at the peer manager.
     detector_retires: u64,
     /// See [`Self::detector_retires`].
@@ -120,8 +110,6 @@ where
             inbound,
             ctl,
             loopback: Vec::new(),
-            release_at: None,
-            paced_holds: 0,
             detector_retires: 0,
             detector_revives: 0,
         })
@@ -147,23 +135,20 @@ where
                     next_tick = now + tick;
                 }
             }
-            let wake = match self.release_at {
-                _ if self.loopback.is_empty() => next_tick,
-                Some(at) => at.min(next_tick),
-                None => now,
+            let until = if self.loopback.is_empty() {
+                next_tick
+            } else {
+                now
             };
             set.clear();
             self.inbound.register(&mut set);
             self.ctl.register(&mut set);
-            set.wait(wake.saturating_duration_since(Instant::now()))?;
+            set.wait(until.saturating_duration_since(Instant::now()))?;
 
             let now = Instant::now();
-            if self.release_at.is_none_or(|at| now >= at) {
-                self.release_at = None;
-                let frames = std::mem::take(&mut self.loopback);
-                if !frames.is_empty() {
-                    self.core.deliver(self.cfg.me, frames);
-                }
+            let frames = std::mem::take(&mut self.loopback);
+            if !frames.is_empty() {
+                self.core.deliver(self.cfg.me, frames);
             }
             let core = &mut self.core;
             let deliver = |from, frames| core.deliver(from, frames);
@@ -181,10 +166,6 @@ where
                     CtlReq::Metrics => CtlResp::Metrics(self.metrics_text()),
                     req => self.core.ctl(req),
                 };
-                if matches!(resp, CtlResp::Issued { .. }) {
-                    // Work arrived: whatever was paced leaves this turn.
-                    self.release_at = None;
-                }
                 self.log()?;
                 ctl::reply(&mut self.ctl, conn, &resp);
             }
@@ -224,8 +205,7 @@ where
     }
 
     /// End of a turn: one write per destination the core releases;
-    /// self-addressed frames wait for the next turn, or for [`PACE`] if the
-    /// node is idle.
+    /// self-addressed frames wait for the next turn.
     fn flush(&mut self, tick: bool) {
         let (me, peers, loopback) = (self.cfg.me, &self.peers, &mut self.loopback);
         self.core.flush(tick, |dst, frames| {
@@ -235,11 +215,6 @@ where
                 peers.send_batch(dst, &frames);
             }
         });
-        if self.release_at.is_none() && !self.loopback.is_empty() && self.core.node().inner().idle()
-        {
-            self.release_at = Some(Instant::now() + PACE);
-            self.paced_holds += 1;
-        }
     }
 
     fn dump(&self) -> CtlResp {
@@ -259,8 +234,6 @@ where
     fn metrics_text(&self) -> String {
         let mut hub = Hub::new();
         self.core.export_telemetry(&mut hub);
-        let paced = hub.register_counter("net.paced_holds");
-        hub.counter_add(paced, self.paced_holds);
         if self.cfg.gossip {
             let r = hub.register_counter("net.detector_retires");
             hub.counter_add(r, self.detector_retires);

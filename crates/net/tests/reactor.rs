@@ -1,5 +1,6 @@
 //! The runtime's single poll loop under clients that misbehave, and the
-//! pacing of an idle Seap anchor.
+//! pacing of an idle Seap anchor: held until its next tick unless a request
+//! or a peer's wake arrives.
 //!
 //! Every node runs exactly two threads — the poll loop and the dialer — so
 //! nothing a client does can pin a thread: a peer that stalls mid-frame, a
@@ -118,22 +119,49 @@ fn misbehaving_clients_pin_no_thread_and_stall_no_one() {
     cluster.shutdown();
 }
 
+/// The Seap anchor of an `n`-node cluster built from `seed`, and each node's
+/// parent.
+fn seap_tree(n: usize, seed: u64) -> (usize, Vec<Option<usize>>) {
+    let nodes = seap::cluster::build(n, seed);
+    let parents = nodes.iter().map(|q| Some(q.view.parent()?.index()));
+    (nodes[0].view.root().index(), parents.collect())
+}
+
+/// `dpq_net_wakes` at every node.
+fn wakes(cluster: &Cluster) -> Vec<u64> {
+    let n = cluster.spec.n;
+    (0..n)
+        .map(|i| counter(cluster, i, "dpq_net_wakes"))
+        .collect()
+}
+
 #[test]
 fn an_idle_seap_anchor_is_paced_and_wakes_for_work() {
     let mut cluster = Cluster::spawn(ClusterSpec::new("pace2", ProtoId::Seap, 2, 79));
+    let (anchor, _) = seap_tree(2, 79);
+    let other = 1 - anchor;
+    // The tick window encloses the holds window; one hold in it may follow
+    // a phase a tick before the window released.
+    let ticks0 = cluster.status(anchor).ticks;
+    let holds0 = counter(&cluster, anchor, "dpq_net_paced_holds");
     std::thread::sleep(Duration::from_secs(1));
-    let holds: Vec<u64> = (0..2)
-        .map(|i| counter(&cluster, i, "dpq_net_paced_holds"))
-        .collect();
-    let anchor = holds
-        .iter()
-        .position(|&h| h > 0)
-        .unwrap_or_else(|| panic!("no node paced an idle second: {holds:?}"));
-    assert_eq!(holds[1 - anchor], 0, "only the anchor paces: {holds:?}");
+    let holds = counter(&cluster, anchor, "dpq_net_paced_holds") - holds0;
+    let ticks = cluster.status(anchor).ticks - ticks0;
+    assert!(holds > 0, "the anchor never paced an idle second");
+    assert!(
+        holds <= ticks + 1,
+        "{holds} holds in {ticks} ticks: one per tick at most"
+    );
+    assert_eq!(counter(&cluster, other, "dpq_net_paced_holds"), 0);
+    assert_eq!(wakes(&cluster), [0, 0]);
 
-    // Work at either node still gets through.
-    issue(&cluster, 1 - anchor, CtlReq::Dequeue);
+    // Work at either node still gets through; a request at the non-anchor
+    // wakes the anchor, and only the anchor.
+    issue(&cluster, other, CtlReq::Dequeue);
     cluster.wait_all_complete(QUIESCE);
+    let woken = wakes(&cluster);
+    assert!(woken[anchor] > 0 && woken[other] == 0, "wakes {woken:?}");
+    assert_eq!(counter(&cluster, anchor, "dpq_net_late_holds"), 0);
     issue(
         &cluster,
         anchor,
@@ -158,6 +186,39 @@ fn skeap_and_kselect_are_never_paced() {
         for i in 0..2 {
             assert_eq!(counter(&cluster, i, "dpq_net_paced_holds"), 0, "node {i}");
         }
+        // KSelect refuses requests; a Skeap request sends no wake.
+        if cluster.spec.proto == ProtoId::Skeap {
+            issue(&cluster, 1, CtlReq::Dequeue);
+            cluster.wait_all_complete(QUIESCE);
+        }
+        assert_eq!(wakes(&cluster), [0, 0]);
         cluster.shutdown();
     }
+}
+
+#[test]
+fn a_wake_goes_to_the_root_past_the_issuers_parent() {
+    let (n, seed) = (5, 5);
+    let (root, parents) = seap_tree(n, seed);
+    let deep = (parents.iter())
+        .position(|p| p.is_some_and(|p| p != root))
+        .expect("a node two levels below the anchor");
+    let mut cluster = Cluster::spawn(ClusterSpec::new("wake5", ProtoId::Seap, n, seed));
+    let insert = CtlReq::Enqueue {
+        prio: 3,
+        payload: 1,
+    };
+    for req in [insert, CtlReq::Dequeue] {
+        issue(&cluster, deep, req);
+        cluster.wait_all_complete(QUIESCE);
+    }
+    let woken = wakes(&cluster);
+    for (i, &w) in woken.iter().enumerate() {
+        assert_eq!(
+            w > 0,
+            i == root,
+            "node {i} (root {root}, issuer {deep}): {woken:?}"
+        );
+    }
+    cluster.shutdown();
 }

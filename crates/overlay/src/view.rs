@@ -79,6 +79,8 @@ pub struct ViewTable {
     parents: Vec<u32>,
     /// Child real-node indices (≤ 2), `NONE`-padded.
     children: Vec<[u32; 2]>,
+    /// The anchor's index.
+    root: u32,
 }
 
 impl ViewTable {
@@ -112,6 +114,7 @@ impl ViewTable {
             succs,
             parents,
             children,
+            root: tree::anchor_real(topo).0 as u32,
         })
     }
 
@@ -251,6 +254,11 @@ impl NodeView {
         }
     }
 
+    /// The aggregation-tree root, which every node knows, as it knows n.
+    pub fn root(&self) -> NodeId {
+        NodeId(self.table.root as u64)
+    }
+
     /// Is this node the aggregation-tree root?
     pub fn is_anchor(&self) -> bool {
         self.table.parents[self.me as usize] == NONE
@@ -285,6 +293,7 @@ mod tests {
                 assert_eq!(vv.pred_label, t.pred(vv.id).label);
             }
             assert_eq!(view.parent(), tree::real_parent(&t, NodeId(v)));
+            assert_eq!(view.root(), tree::anchor_real(&t));
             assert_eq!(view.children(), tree::real_children(&t, NodeId(v)));
         }
     }

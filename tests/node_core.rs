@@ -21,17 +21,24 @@
 //! * **seeded interleavings.** `RandomAdversary` picks every step:
 //!   `Deliver(k)` hands the k-th batch in flight to its destination,
 //!   `Activate(i)` ticks core i. A delivery ends its turn without a tick, so
-//!   held acks wait for the next one. Histories must pass witness replay,
-//!   conservation, the Seap phase checker and rank error 0; KSelect must
-//!   select the sequential answer.
+//!   held acks wait for the next one. Requests are issued before the run;
+//!   Seap's are then issued again, one at a time while a second run goes on,
+//!   so an idle anchor's holds and the wakes that lift them are part of the
+//!   schedule. Histories must pass witness replay, conservation, the Seap
+//!   phase checker and rank error 0; KSelect must select the sequential
+//!   answer.
+//! * **holds.** An idle Seap anchor's own frames wait for its tick, a local
+//!   request or a wake; a wake is never logged and never a decode error.
 
 use dpq::core::workload::{generate, WorkloadSpec};
 use dpq::core::{state_digest, Element, History, Key, OpId, OpKind, OpRecord, StateHash};
+use dpq::core::{NodeId, Priority};
+use dpq::gossip::{GossipConfig, GossipNode};
 use dpq::semantics::{
     check_conservation, check_local_consistency, rank_error, replay, RankOrder, ReplayMode,
 };
 use dpq::sim::{
-    AsyncConfig, DeliveryPolicy, FaultPlan, QueueNode, RandomAdversary, Run, StepChoice,
+    AsyncConfig, DeliveryPolicy, FaultPlan, Hub, QueueNode, RandomAdversary, Run, StepChoice,
 };
 use dpq_net::frame::{append_frame, FrameDecoder};
 use dpq_net::wal::WalEntry;
@@ -46,6 +53,8 @@ const RTO: u64 = 8;
 const TICKS: u64 = 20_000;
 /// Adversary steps an interleaved run may take.
 const STEPS: u64 = 2_000_000;
+/// Adversary steps between two requests issued during an interleaved run.
+const ISSUE_EVERY: u64 = 512;
 
 /// `n` cores, the log each has handed back, and the batches in flight.
 struct Cluster<P: NetApp>
@@ -63,7 +72,17 @@ where
     P::Msg: Clone + Wire,
 {
     fn new(nodes: Vec<P>) -> Self {
-        let cores: Vec<_> = nodes.into_iter().enumerate().map(core).collect();
+        Self::with_lanes(nodes, false)
+    }
+
+    /// With `lanes`, every core runs the gossip sidecar, so frames carry
+    /// lane tags.
+    fn with_lanes(nodes: Vec<P>, lanes: bool) -> Self {
+        let ids: Vec<_> = (0..nodes.len() as u64).map(NodeId).collect();
+        let sidecar = |i| GossipNode::new(ids[i], &ids, GossipConfig::default());
+        let cores: Vec<_> = (nodes.into_iter().enumerate())
+            .map(|(i, node)| NodeCore::new(i as u64, node, RTO, lanes.then(|| sidecar(i))))
+            .collect();
         Cluster {
             logs: vec![Vec::new(); cores.len()],
             cores,
@@ -74,19 +93,24 @@ where
     /// Issue `scripts[i]` at core i through the control plane.
     fn issue(&mut self, scripts: &[Vec<OpKind>]) {
         for (i, script) in scripts.iter().enumerate() {
-            for op in script {
-                let req = match op {
-                    OpKind::Insert(e) => CtlReq::Enqueue {
-                        prio: e.prio.0,
-                        payload: e.payload,
-                    },
-                    OpKind::DeleteMin => CtlReq::Dequeue,
-                };
-                let resp = self.cores[i].ctl(req);
-                assert!(matches!(resp, CtlResp::Issued { .. }), "{resp:?}");
+            for &op in script {
+                self.ctl(i, op);
             }
             self.end_turn(i, false);
         }
+    }
+
+    /// Issue `op` at core i; the caller ends the turn.
+    fn ctl(&mut self, i: usize, op: OpKind) {
+        let req = match op {
+            OpKind::Insert(e) => CtlReq::Enqueue {
+                prio: e.prio.0,
+                payload: e.payload,
+            },
+            OpKind::DeleteMin => CtlReq::Dequeue,
+        };
+        let resp = self.cores[i].ctl(req);
+        assert!(matches!(resp, CtlResp::Issued { .. }), "{resp:?}");
     }
 
     /// What the runtime does after each input: log, then write.
@@ -105,13 +129,39 @@ where
     /// Deliver the `k`-th batch in flight; returns its destination.
     fn deliver(&mut self, k: usize) -> usize {
         let (src, dst, bytes) = self.flight.remove(k);
-        let (mut decoder, mut frames, mut stream) = (FrameDecoder::default(), vec![], &bytes[..]);
-        while decoder
-            .read_from(&mut stream, &mut frames)
-            .expect("whole frames")
-        {}
-        self.cores[dst].deliver(src as u64, frames);
+        self.cores[dst].deliver(src as u64, split(&bytes));
         dst
+    }
+
+    /// Deliver everything in flight, oldest first, each delivery a turn of
+    /// its own, until nothing is; no core ticks.
+    fn settle(&mut self) {
+        for _ in 0..STEPS {
+            if self.flight.is_empty() {
+                return;
+            }
+            let dst = self.deliver(0);
+            self.end_turn(dst, false);
+        }
+        panic!("the cluster never settled: a hold was not honoured");
+    }
+
+    /// Tick core i alone.
+    fn tick(&mut self, i: usize) {
+        self.cores[i].tick();
+        self.end_turn(i, true);
+    }
+
+    /// Lose every wake in flight.
+    fn drop_wakes(&mut self) {
+        for (_, _, bytes) in &mut self.flight {
+            let mut kept = Vec::new();
+            for frame in split(bytes).iter().filter(|f| !f.is_empty()) {
+                append_frame(&mut kept, frame).expect("frame fits");
+            }
+            *bytes = kept;
+        }
+        self.flight.retain(|(_, _, bytes)| !bytes.is_empty());
     }
 
     /// One synchronous round.
@@ -135,26 +185,54 @@ where
         ticks
     }
 
-    /// Steps drawn by the adversary until `done`.
-    fn interleave(&mut self, seed: u64, done: impl Fn(&P) -> bool) {
+    /// Steps drawn by the adversary until `later[i]` is issued at core i —
+    /// one request every [`ISSUE_EVERY`] steps — and every node is `done`.
+    fn interleave(&mut self, seed: u64, later: &[Vec<OpKind>], done: impl Fn(&P) -> bool) {
         let mut adversary = RandomAdversary::new(seed);
         let cfg = AsyncConfig::default();
+        let mut later = (later.iter().enumerate())
+            .flat_map(|(i, script)| script.iter().map(move |&op| (i, op)))
+            .peekable();
         let mut steps = 0;
-        while !self.cores.iter().all(|c| done(c.node().inner())) {
+        while later.peek().is_some() || !self.cores.iter().all(|c| done(c.node().inner())) {
             assert!(steps < STEPS, "seed {seed}: interleaved run stalled");
             steps += 1;
+            if steps % ISSUE_EVERY == 0 {
+                if let Some((i, op)) = later.next() {
+                    self.ctl(i, op);
+                    self.end_turn(i, false);
+                }
+            }
             match adversary.decide(self.flight.len(), self.cores.len(), &cfg) {
                 StepChoice::Deliver(k) => {
                     let dst = self.deliver(k);
                     self.end_turn(dst, false);
                 }
-                StepChoice::Activate(i) => {
-                    self.cores[i].tick();
-                    self.end_turn(i, true);
-                }
+                StepChoice::Activate(i) => self.tick(i),
             }
         }
     }
+}
+
+/// The frames of one batch.
+fn split(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let (mut decoder, mut frames, mut stream) = (FrameDecoder::default(), vec![], bytes);
+    while decoder
+        .read_from(&mut stream, &mut frames)
+        .expect("whole frames")
+    {}
+    frames
+}
+
+/// Counter `name` of a core's telemetry.
+fn counter<P: NetApp>(core: &NodeCore<P>, name: &str) -> u64
+where
+    P::Msg: Clone + Wire,
+{
+    let mut hub = Hub::new();
+    core.export_telemetry(&mut hub);
+    hub.counter_by_name(name)
+        .expect("a counter every core exports")
 }
 
 fn core<P: NetApp>((i, node): (usize, P)) -> NodeCore<P>
@@ -316,22 +394,100 @@ fn seeded_interleavings_pass_the_oracles() {
     for seed in 0..8 {
         let mut skeap = Cluster::new(skeap_nodes(seed));
         skeap.issue(&scripts(seed, N_PRIOS as u64));
-        skeap.interleave(seed, complete);
+        skeap.interleave(seed, &[], complete);
         let (history, residual) = outcome(&skeap.cores);
         judge_skeap(&history, &residual);
 
         let mut seap = Cluster::new(seap_nodes(seed));
         seap.issue(&scripts(seed, 1 << 20));
-        seap.interleave(seed, complete);
+        seap.interleave(seed, &[], complete);
         let (history, residual) = outcome(&seap.cores);
+        judge_seap(&history, &residual);
+
+        // The same requests again, issued while the run goes on.
+        let mut trickled = Cluster::new(seap_nodes(seed));
+        trickled.interleave(seed, &scripts(seed, 1 << 20), complete);
+        let total = |name| trickled.cores.iter().map(|c| counter(c, name)).sum::<u64>();
+        assert!(total("net.paced_holds") > 0 && total("net.wakes") > 0);
+        let (history, residual) = outcome(&trickled.cores);
         judge_seap(&history, &residual);
 
         let (cands, k) = kselect_input(seed);
         let key = kselect::driver::sequential_select(&cands, k);
         let mut kselect = Cluster::new(kselect_nodes(seed));
-        kselect.interleave(seed, kselect::driver::decided);
+        kselect.interleave(seed, &[], kselect::driver::decided);
         for c in &kselect.cores {
             assert_eq!(c.node().inner().result, Some(key), "seed {seed}");
         }
+    }
+}
+
+/// The anchor's own frames wait for its tick, a local request or a wake, and
+/// a request whose wake is lost waits for the tick; lanes off and on.
+#[test]
+fn an_idle_anchor_holds_until_its_tick_a_local_request_or_a_wake() {
+    let seed = 5;
+    let nodes = seap_nodes(seed);
+    let anchor = nodes.iter().position(|q| q.view.is_anchor()).unwrap();
+    // A node below the anchor's child: its wake skips its parent.
+    let deep = (nodes.iter())
+        .position(|q| q.view.parent().is_some_and(|p| p.index() != anchor))
+        .expect("a node two levels below the anchor");
+    let insert = |payload| OpKind::Insert(Element::new(Default::default(), Priority(9), payload));
+    for lanes in [false, true] {
+        let mut c = Cluster::with_lanes(seap_nodes(seed), lanes);
+        let holds = |c: &Cluster<_>| counter(&c.cores[anchor], "net.paced_holds");
+        (0..N).for_each(|i| c.tick(i));
+        c.settle();
+        assert_eq!(holds(&c), 1, "an idle anchor holds its next phase");
+
+        c.tick(anchor);
+        assert!(c.flight.iter().any(|&(s, d, _)| (s, d) == (anchor, anchor)));
+        c.settle();
+        assert_eq!(holds(&c), 2, "the tick released one empty phase");
+
+        c.ctl(anchor, insert(1));
+        c.end_turn(anchor, false);
+        c.settle();
+        assert!(c.cores[anchor].node().all_complete(), "a local request");
+
+        c.ctl(deep, OpKind::DeleteMin);
+        c.end_turn(deep, false);
+        c.drop_wakes();
+        c.settle();
+        assert!(!c.cores[deep].node().all_complete(), "no wake, no phase");
+        // The released phase may be an insert phase: then a second tick.
+        let released = (0..2).any(|_| {
+            c.tick(anchor);
+            c.settle();
+            c.cores[deep].node().all_complete()
+        });
+        assert!(released, "the anchor's ticks released it");
+
+        for op in [insert(2), OpKind::DeleteMin] {
+            c.ctl(deep, op);
+            c.end_turn(deep, false);
+            c.settle();
+            assert!(c.cores[deep].node().all_complete(), "a wake released it");
+        }
+        for (i, core) in c.cores.iter().enumerate() {
+            let wakes = if i == anchor { 2 } else { 0 };
+            assert_eq!(counter(core, "net.wakes"), wakes, "node {i}");
+            assert_eq!(counter(core, "net.rx_decode_errors"), 0, "node {i}");
+            assert_eq!(counter(core, "net.late_holds"), 0, "node {i}");
+        }
+        let logged =
+            |e: &WalEntry| matches!(e, WalEntry::Deliver { frame, .. } if frame.0.is_empty());
+        assert!(!c.logs.iter().flatten().any(logged), "a wake was logged");
+        let mut rebuilt = core((anchor, seap_nodes(seed).swap_remove(anchor)));
+        rebuilt.replay(c.logs[anchor].iter().cloned());
+        assert_eq!(
+            state_digest(rebuilt.node()),
+            state_digest(c.cores[anchor].node())
+        );
+        assert_eq!(
+            rebuilt.op_latency().count(),
+            c.cores[anchor].op_latency().count()
+        );
     }
 }
