@@ -6,11 +6,16 @@
 //! passes it. This file pins the bytes themselves: peers built from
 //! different commits and WAL files written by an older build must keep
 //! understanding each other while `WIRE_VERSION` stays the same.
+//!
+//! Every message sample also pins its `bits()` and `kind()`: the cost that
+//! the message-size experiments (Lemmas 3.8 and 5.5) measure and the label
+//! per-kind telemetry files it under. A changed cost moves the E-tables,
+//! the state digests and the model checker's counts, not the wire format.
 
 use std::fmt::Debug;
 
 use dpq_agg::{Interval, Segments};
-use dpq_core::{ElemId, Element, Key, NodeId, Priority};
+use dpq_core::{BitSize, ElemId, Element, Key, NodeId, Priority};
 use dpq_dht::{DhtReq, DhtResp};
 use dpq_gossip::{DigestEntry, GossipMsg, NodeDelta};
 use dpq_net::ctl::{CtlReq, CtlResp, StatusInfo};
@@ -21,16 +26,18 @@ use dpq_net::{from_bytes, to_bytes, ProtoId, Wire, WIRE_VERSION};
 use dpq_overlay::routing::{HopMsg, RouteMsg};
 use dpq_overlay::{VirtId, VirtKind};
 use dpq_sim::ReliableMsg;
-use kselect::msgs::{Compare, Place, Split};
+use kselect::msgs::{Compare, Place, Split, ROOT_PARENT};
 use kselect::{Cmd, KMsg, Rsp};
 use seap::SeapMsg;
 use skeap::{Batch, BatchEntry, EntryAssign, SkeapMsg};
 
-/// Collects every value whose encoding differs from its pinned hex, so one
-/// run reports all of them.
+/// Collects every value whose encoding differs from its pinned hex, and
+/// every message whose cost differs from its pinned one, so one run reports
+/// all of them.
 #[derive(Default)]
 struct Golden {
     wrong: Vec<String>,
+    costs: Vec<String>,
 }
 
 impl Golden {
@@ -52,11 +59,41 @@ impl Golden {
             Err(e) => panic!("{what}: golden bytes fail to decode: {e}"),
         }
     }
+
+    /// [`pin`](Self::pin), and the message must cost exactly `bits` under
+    /// the label `kind`.
+    fn priced<T: Wire + BitSize + Debug>(
+        &mut self,
+        what: &str,
+        value: T,
+        hex: &str,
+        bits: u64,
+        kind: &str,
+    ) {
+        let (got_bits, got_kind) = (value.bits(), value.kind().as_str());
+        if (got_bits, got_kind) != (bits, kind) {
+            self.costs.push(format!(
+                "{what}: pinned {bits} bits {kind:?}, costs {got_bits} bits {got_kind:?}"
+            ));
+        }
+        self.pin(what, value, hex);
+    }
 }
 
 impl Drop for Golden {
     fn drop(&mut self) {
-        if !self.wrong.is_empty() && !std::thread::panicking() {
+        if std::thread::panicking() {
+            return;
+        }
+        if !self.costs.is_empty() {
+            panic!(
+                "a message's cost or kind changed.\n{}\n\
+                 The message-size tables, state digests and model-checker \
+                 counts move with it; re-pin only for an intended change.",
+                self.costs.join("\n")
+            );
+        }
+        if !self.wrong.is_empty() {
             panic!(
                 "the wire encoding changed (WIRE_VERSION is {WIRE_VERSION}).\n{}\n\
                  Peers and WAL files from other builds can no longer be read. \
@@ -217,14 +254,14 @@ fn status() -> StatusInfo {
 #[test]
 fn primitives_and_containers_are_pinned() {
     let mut g = Golden::default();
-    g.pin("u64 0", 0u64, "00");
-    g.pin("u64 300", 300u64, "ac02");
-    g.pin("u64 max", u64::MAX, "ffffffffffffffffff01");
-    g.pin("Option None", None::<u64>, "00");
-    g.pin("Option Some", Some(5u64), "0105");
-    g.pin("Vec", vec![1u64, 128], "02018001");
-    g.pin("pair", (1u64, 2u64), "0102");
-    g.pin("triple", (1u64, 2u64, 3u64), "010203");
+    g.priced("u64 0", 0u64, "00", 1, "other");
+    g.priced("u64 300", 300u64, "ac02", 17, "other");
+    g.priced("u64 max", u64::MAX, "ffffffffffffffffff01", 127, "other");
+    g.priced("Option None", None::<u64>, "00", 1, "other");
+    g.priced("Option Some", Some(5u64), "0105", 6, "other");
+    g.priced("Vec", vec![1u64, 128], "02018001", 21, "other");
+    g.priced("pair", (1u64, 2u64), "0102", 6, "other");
+    g.priced("triple", (1u64, 2u64, 3u64), "010203", 11, "other");
     g.pin("String", String::from("dpq"), "03647071");
     g.pin("RawBytes", RawBytes(vec![0xde, 0xad]), "02dead");
 }
@@ -232,19 +269,25 @@ fn primitives_and_containers_are_pinned() {
 #[test]
 fn core_overlay_and_dht_types_are_pinned() {
     let mut g = Golden::default();
-    g.pin("NodeId", NodeId(300), "ac02");
-    g.pin("ElemId", ElemId(7), "07");
-    g.pin("Priority", Priority(2), "02");
-    g.pin("Key", key(), "03ac02");
-    g.pin("Element", elem(), "0702c0843d");
-    g.pin("Interval", interval(10, 200), "0ac801");
-    g.pin("Segments", assign().del, "02010004030409");
+    g.priced("NodeId", NodeId(300), "ac02", 17, "other");
+    g.priced("ElemId", ElemId(7), "07", 7, "other");
+    g.priced("Priority", Priority(2), "02", 3, "other");
+    g.priced("Key", key(), "03ac02", 22, "other");
+    g.priced("Element", elem(), "0702c0843d", 49, "other");
+    g.priced("Interval", interval(10, 200), "0ac801", 22, "other");
+    g.priced("Segments", assign().del, "02010004030409", 29, "other");
     g.pin("VirtKind::Left", VirtKind::Left, "00");
     g.pin("VirtKind::Middle", VirtKind::Middle, "01");
     g.pin("VirtKind::Right", VirtKind::Right, "02");
     g.pin("VirtId", virt(), "0502");
-    g.pin("RouteMsg", route(9u64), "000000000000d83f050282010109");
-    g.pin(
+    g.priced(
+        "RouteMsg",
+        route(9u64),
+        "000000000000d83f050282010109",
+        94,
+        "other",
+    );
+    g.priced(
         "HopMsg",
         HopMsg {
             at: virt(),
@@ -252,9 +295,11 @@ fn core_overlay_and_dht_types_are_pinned() {
             payload: 9u64,
         },
         "05020009",
+        15,
+        "other",
     );
-    g.pin("DhtReq::Put", put(), "0081010702c0843d044d");
-    g.pin(
+    g.priced("DhtReq::Put", put(), "0081010702c0843d044d", 83, "other");
+    g.priced(
         "DhtReq::Get",
         DhtReq::Get {
             logical: 129,
@@ -262,58 +307,132 @@ fn core_overlay_and_dht_types_are_pinned() {
             id: 77,
         },
         "018101044d",
+        34,
+        "other",
     );
-    g.pin("DhtResp::PutAck", DhtResp::PutAck { id: 77 }, "004d");
-    g.pin("DhtResp::GetOk", get_ok(), "014d0702c0843d");
+    g.priced(
+        "DhtResp::PutAck",
+        DhtResp::PutAck { id: 77 },
+        "004d",
+        14,
+        "other",
+    );
+    g.priced("DhtResp::GetOk", get_ok(), "014d0702c0843d", 63, "other");
 }
 
 #[test]
 fn skeap_alphabet_is_pinned() {
     let mut g = Golden::default();
     g.pin("BatchEntry", batch().entries.remove(0), "020b0c01");
-    g.pin("Batch", batch(), "0202020b0c010000");
-    g.pin("EntryAssign", assign(), "01000205070201000403040902070801");
-    g.pin(
+    g.priced("Batch", batch(), "0202020b0c010000", 21, "other");
+    g.priced(
+        "Batch, Λ = 5, spilled",
+        spilled_batch(),
+        "050105010000ac020204",
+        33,
+        "other",
+    );
+    g.priced(
+        "EntryAssign, spilled",
+        spilled_assign(),
+        "0500010102020303040405010a0300000001010202020400010300",
+        91,
+        "other",
+    );
+    g.priced(
+        "EntryAssign",
+        assign(),
+        "01000205070201000403040902070801",
+        66,
+        "other",
+    );
+    g.priced(
         "SkeapMsg::BatchUp",
         SkeapMsg::BatchUp {
             cycle: 6,
             batch: batch(),
         },
         "00060202020b0c010000",
+        28,
+        "skeap.batch_up",
     );
-    g.pin(
+    g.priced(
         "SkeapMsg::Down",
         SkeapMsg::Down {
             cycle: 6,
             assigns: vec![assign()],
         },
         "01060101000205070201000403040902070801",
+        76,
+        "skeap.down",
     );
-    g.pin(
+    g.priced(
         "SkeapMsg::Dht",
         SkeapMsg::Dht(route(put())),
         "02000000000000d83f05028201010081010702c0843d044d",
+        172,
+        "dht.req",
     );
-    g.pin(
+    g.priced(
         "SkeapMsg::Resp",
         SkeapMsg::Resp(get_ok()),
         "03014d0702c0843d",
+        65,
+        "dht.resp",
     );
+}
+
+/// Λ = 5 priorities: one more than `BatchEntry::ins` holds inline.
+fn spilled_batch() -> Batch {
+    let b = Batch {
+        n_prios: 5,
+        entries: vec![BatchEntry {
+            ins: [1, 0, 0, 300, 2].into_iter().collect(),
+            del: 4,
+        }],
+    };
+    assert!(b.entries[0].ins.spilled());
+    b
+}
+
+/// Five insert intervals and three delete segments: both past the inline
+/// capacity of their `SmallVec`.
+fn spilled_assign() -> EntryAssign {
+    let a = EntryAssign {
+        ins: (0..5).map(|p| interval(p, p + 1)).collect(),
+        ins_seq: interval(1, 10),
+        del: Segments {
+            parts: (0..3).map(|p| (p, interval(p, 2 * p))).collect(),
+        },
+        bottom: 0,
+        del_seq: interval(1, 3),
+        lifo: false,
+    };
+    assert!(a.ins.spilled() && a.del.parts.spilled());
+    a
 }
 
 #[test]
 fn kselect_alphabet_is_pinned() {
     let mut g = Golden::default();
-    g.pin("Cmd::P1Bounds", Cmd::P1Bounds { k: 4, n: 1000 }, "0004e807");
-    g.pin(
+    g.priced(
+        "Cmd::P1Bounds",
+        Cmd::P1Bounds { k: 4, n: 1000 },
+        "0004e807",
+        27,
+        "other",
+    );
+    g.priced(
         "Cmd::P1Prune",
         Cmd::P1Prune {
             pmin: key(),
             pmax: key(),
         },
         "0103ac0203ac02",
+        47,
+        "other",
     );
-    g.pin(
+    g.priced(
         "Cmd::Sample",
         Cmd::Sample {
             epoch: 1,
@@ -321,8 +440,10 @@ fn kselect_alphabet_is_pinned() {
             prob: 0.25,
         },
         "02010103ac0203ac02000000000000d03f",
+        115,
+        "other",
     );
-    g.pin(
+    g.priced(
         "Cmd::Positions",
         Cmd::Positions {
             epoch: 1,
@@ -333,60 +454,98 @@ fn kselect_alphabet_is_pinned() {
             n_prime: 600,
         },
         "030102030405d804",
+        43,
+        "other",
     );
-    g.pin(
+    g.priced(
         "Cmd::WindowCount",
         Cmd::WindowCount {
             cl: key(),
             cr: key(),
         },
         "0403ac0203ac02",
+        47,
+        "other",
     );
-    g.pin("Cmd::Announce", Cmd::Announce { result: key() }, "0503ac02");
-    g.pin(
+    g.priced(
+        "Cmd::Announce",
+        Cmd::Announce { result: key() },
+        "0503ac02",
+        25,
+        "other",
+    );
+    g.priced(
         "Rsp::MinMax",
         Rsp::MinMax {
             pmin: key(),
             pmax: key(),
         },
         "0003ac0203ac02",
+        46,
+        "other",
     );
-    g.pin(
+    g.priced(
         "Rsp::Counts",
         Rsp::Counts {
             below: 3,
             above: 400,
         },
         "01039003",
+        24,
+        "other",
     );
-    g.pin("Rsp::SampleCount", Rsp::SampleCount { count: 17 }, "0211");
-    g.pin(
+    g.priced(
+        "Rsp::SampleCount",
+        Rsp::SampleCount { count: 17 },
+        "0211",
+        11,
+        "other",
+    );
+    g.priced(
         "Rsp::Hits",
         Rsp::Hits {
             lo: Some(key()),
             hi: None,
         },
         "030103ac0200",
+        26,
+        "other",
     );
-    g.pin("Place", place(), "030903ac0202e807");
-    g.pin("Split", split(), "030403ac0205060102");
-    g.pin("Compare", compare(), "03040103ac0206");
-    g.pin(
+    g.priced("Place", place(), "030903ac0202e807", 56, "other");
+    g.priced("Split", split(), "030403ac0205060102", 48, "other");
+    g.priced(
+        "Split, ROOT_PARENT",
+        Split {
+            parent_copy: ROOT_PARENT,
+            ..split()
+        },
+        "030403ac02050601ffffffffffffffffff01",
+        170,
+        "other",
+    );
+    g.priced("Compare", compare(), "03040103ac0206", 40, "other");
+    g.priced(
         "KMsg::Down",
         KMsg::Down(Cmd::Announce { result: key() }),
         "000503ac02",
+        28,
+        "kselect.down",
     );
-    g.pin(
+    g.priced(
         "KMsg::Up",
         KMsg::Up(Rsp::SampleCount { count: 17 }),
         "010211",
+        14,
+        "kselect.up",
     );
-    g.pin(
+    g.priced(
         "KMsg::Place",
         KMsg::Place(route(place())),
         "02000000000000d83f0502820101030903ac0202e807",
+        146,
+        "kselect.place",
     );
-    g.pin(
+    g.priced(
         "KMsg::Split",
         KMsg::Split(HopMsg {
             at: virt(),
@@ -394,13 +553,17 @@ fn kselect_alphabet_is_pinned() {
             payload: split(),
         }),
         "03050201030403ac0205060102",
+        59,
+        "kselect.split",
     );
-    g.pin(
+    g.priced(
         "KMsg::Compare",
         KMsg::Compare(route(compare())),
         "04000000000000d83f050282010103040103ac0206",
+        130,
+        "kselect.compare",
     );
-    g.pin(
+    g.priced(
         "KMsg::CmpResult",
         KMsg::CmpResult {
             epoch: 1,
@@ -410,8 +573,10 @@ fn kselect_alphabet_is_pinned() {
             larger: 500,
         },
         "0501020304f403",
+        36,
+        "kselect.cmp_result",
     );
-    g.pin(
+    g.priced(
         "KMsg::CopyAgg",
         KMsg::CopyAgg {
             epoch: 1,
@@ -421,8 +586,23 @@ fn kselect_alphabet_is_pinned() {
             larger: 500,
         },
         "0601020304f403",
+        36,
+        "kselect.copy_agg",
     );
-    g.pin(
+    g.priced(
+        "KMsg::CopyAgg, ROOT_PARENT",
+        KMsg::CopyAgg {
+            epoch: 1,
+            cand: 2,
+            parent_copy: ROOT_PARENT,
+            smaller: 4,
+            larger: 500,
+        },
+        "060102ffffffffffffffffff0104f403",
+        156,
+        "kselect.copy_agg",
+    );
+    g.priced(
         "KMsg::Order",
         KMsg::Order {
             epoch: 1,
@@ -430,43 +610,59 @@ fn kselect_alphabet_is_pinned() {
             order: 9,
         },
         "070103ac0209",
+        35,
+        "kselect.order",
     );
 }
 
 #[test]
 fn seap_alphabet_is_pinned() {
     let mut g = Golden::default();
-    g.pin("SeapMsg::Begin", SeapMsg::Begin { phase: 5 }, "0005");
-    g.pin(
+    g.priced(
+        "SeapMsg::Begin",
+        SeapMsg::Begin { phase: 5 },
+        "0005",
+        9,
+        "seap.begin",
+    );
+    g.priced(
         "SeapMsg::CountUp",
         SeapMsg::CountUp {
             phase: 5,
             count: 200,
         },
         "0105c801",
+        24,
+        "seap.count_up",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::StartInserts",
         SeapMsg::StartInserts {
             phase: 5,
             wit: interval(1, 3),
         },
         "02050103",
+        17,
+        "seap.start_inserts",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::CountBelow",
         SeapMsg::CountBelow {
             phase: 5,
             key_k: key(),
         },
         "030503ac02",
+        31,
+        "seap.count_below",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::StoreCountUp",
         SeapMsg::StoreCountUp { phase: 5, count: 8 },
         "040508",
+        16,
+        "seap.store_count_up",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::Assign",
         SeapMsg::Assign {
             phase: 5,
@@ -476,55 +672,77 @@ fn seap_alphabet_is_pinned() {
             wit: interval(3, 4),
         },
         "05050103ac02000202030304",
+        54,
+        "seap.assign",
     );
-    g.pin("SeapMsg::DoneUp", SeapMsg::DoneUp { phase: 5 }, "0605");
-    g.pin(
+    g.priced(
+        "SeapMsg::DoneUp",
+        SeapMsg::DoneUp { phase: 5 },
+        "0605",
+        9,
+        "seap.done_up",
+    );
+    g.priced(
         "SeapMsg::K",
         SeapMsg::K(KMsg::Up(Rsp::SampleCount { count: 17 })),
         "07010211",
+        18,
+        "kselect.up",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::Dht",
         SeapMsg::Dht(route(put())),
         "08000000000000d83f05028201010081010702c0843d044d",
+        174,
+        "dht.req",
     );
-    g.pin(
+    g.priced(
         "SeapMsg::Resp",
         SeapMsg::Resp(DhtResp::PutAck { id: 77 }),
         "09004d",
+        18,
+        "dht.resp",
     );
 }
 
 #[test]
 fn reliable_framing_is_pinned_over_every_alphabet() {
     let mut g = Golden::default();
-    g.pin(
+    g.priced(
         "ReliableMsg<SkeapMsg>::Data",
         ReliableMsg::Data {
             seq: 300,
             msg: SkeapMsg::Resp(DhtResp::PutAck { id: 77 }),
         },
         "00ac0203004d",
+        34,
+        "dht.resp",
     );
-    g.pin(
+    g.priced(
         "ReliableMsg<SkeapMsg>::Ack",
         ReliableMsg::<SkeapMsg>::Ack { seq: 300, cum: 299 },
         "01ac02ab02",
+        35,
+        "rel.ack",
     );
-    g.pin(
+    g.priced(
         "ReliableMsg<SeapMsg>::Data",
         ReliableMsg::Data {
             seq: 300,
             msg: SeapMsg::Begin { phase: 5 },
         },
         "00ac020005",
+        27,
+        "seap.begin",
     );
-    g.pin(
+    g.priced(
         "ReliableMsg<SeapMsg>::Ack",
         ReliableMsg::<SeapMsg>::Ack { seq: 300, cum: 299 },
         "01ac02ab02",
+        35,
+        "rel.ack",
     );
-    g.pin(
+    g.priced(
         "ReliableMsg<KMsg>::Data",
         ReliableMsg::Data {
             seq: 300,
@@ -534,40 +752,56 @@ fn reliable_framing_is_pinned_over_every_alphabet() {
             }),
         },
         "00ac020101039003",
+        45,
+        "kselect.up",
     );
-    g.pin(
+    g.priced(
         "ReliableMsg<KMsg>::Ack",
         ReliableMsg::<KMsg>::Ack { seq: 300, cum: 299 },
         "01ac02ab02",
+        35,
+        "rel.ack",
     );
 }
 
 #[test]
 fn gossip_alphabet_is_pinned() {
     let mut g = Golden::default();
-    g.pin("DigestEntry", digest(), "0302c801");
-    g.pin("NodeDelta", delta(), "010102002a010180808080802002");
-    g.pin(
+    g.priced("DigestEntry", digest(), "0302c801", 23, "other");
+    g.priced(
+        "NodeDelta",
+        delta(),
+        "010102002a010180808080802002",
+        111,
+        "other",
+    );
+    g.priced(
         "GossipMsg::Syn",
         GossipMsg::Syn {
             window: vec![digest()],
         },
         "00010302c801",
+        28,
+        "gossip.syn",
     );
-    g.pin(
+    g.priced(
         "GossipMsg::SynAck",
         GossipMsg::SynAck {
             delta: vec![delta()],
             want: vec![digest()],
         },
         "0101010102002a010180808080802002010302c801",
+        142,
+        "gossip.synack",
     );
-    g.pin(
+    g.priced(
         "GossipMsg::Ack",
         GossipMsg::Ack {
             delta: vec![delta()],
         },
         "0201010102002a010180808080802002",
+        116,
+        "gossip.ack",
     );
 }
 
