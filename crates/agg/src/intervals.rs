@@ -8,8 +8,7 @@
 //! representative positions (§4.3).
 
 use dpq_arena::SmallVec;
-use dpq_core::bitsize::vlq_bits;
-use dpq_core::BitSize;
+use dpq_core::wire;
 
 /// An inclusive interval of positions `[lo, hi]`; empty iff `lo > hi`.
 /// Matches the paper's `[first, last]` convention where an interval of
@@ -73,11 +72,7 @@ impl Interval {
     }
 }
 
-impl BitSize for Interval {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.lo) + vlq_bits(self.hi)
-    }
-}
+wire!(struct Interval { lo, hi });
 
 /// An ordered collection of tagged intervals — e.g. Skeap's `D_j`, which may
 /// span several priorities ("a collection of at most |𝒫| intervals",
@@ -170,16 +165,7 @@ impl Segments {
     }
 }
 
-impl BitSize for Segments {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.parts.len() as u64)
-            + self
-                .parts
-                .iter()
-                .map(|(tag, iv)| vlq_bits(*tag) + iv.bits())
-                .sum::<u64>()
-    }
-}
+wire!(struct Segments { #[seq] parts });
 
 impl dpq_core::StateHash for Interval {
     fn state_hash(&self, h: &mut dpq_core::StateHasher) {
@@ -197,6 +183,7 @@ impl dpq_core::StateHash for Segments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::BitSize;
 
     #[test]
     fn cardinality_and_emptiness() {

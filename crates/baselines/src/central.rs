@@ -7,8 +7,7 @@
 //! its congestion growing linearly in n while Skeap's stays Õ(Λ).
 
 use crate::seq_heap::{FifoHeap, ReferenceHeap};
-use dpq_core::bitsize::{tag_bits, vlq_bits};
-use dpq_core::{BitSize, NodeHistory, NodeId, OpId, OpKind, OpReturn};
+use dpq_core::{NodeHistory, NodeId, OpId, OpKind, OpReturn};
 
 /// Wire alphabet of the centralized heap.
 #[derive(Debug, Clone)]
@@ -29,27 +28,7 @@ pub enum CentralMsg {
     },
 }
 
-impl BitSize for CentralMsg {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                CentralMsg::Request { token, op } => {
-                    vlq_bits(*token)
-                        + match op {
-                            OpKind::Insert(e) => 1 + e.bits(),
-                            OpKind::DeleteMin => 1,
-                        }
-                }
-                CentralMsg::Reply { token, ret } => {
-                    vlq_bits(*token)
-                        + match ret {
-                            OpReturn::Removed(e) => 2 + e.bits(),
-                            _ => 2,
-                        }
-                }
-            }
-    }
-}
+dpq_core::wire!(enum CentralMsg { 0 => Request { token, op }, 1 => Reply { token, ret } });
 
 /// A node of the centralized baseline. Node 0 doubles as the coordinator.
 pub struct CentralNode {

@@ -7,7 +7,7 @@
 //! i.e. Θ(N log N) bits, against KSelect's O(log n). Experiment B2 plots
 //! exactly that gap.
 
-use dpq_core::{BitSize, Key, NodeId};
+use dpq_core::{Key, NodeId};
 use dpq_overlay::NodeView;
 use dpq_sim::{Ctx, Protocol};
 
@@ -15,11 +15,7 @@ use dpq_sim::{Ctx, Protocol};
 #[derive(Debug, Clone)]
 pub struct KeyBag(pub Vec<Key>);
 
-impl BitSize for KeyBag {
-    fn bits(&self) -> u64 {
-        self.0.bits()
-    }
-}
+dpq_core::wire!(struct KeyBag(v));
 
 /// One node of the gather-to-root selection.
 pub struct NaiveSelectNode {

@@ -7,8 +7,10 @@
 //! code spending `2⌊log₂ v⌋ + 1` bits per value. A `u64` word-based count
 //! would flatten the log-factors the experiments are after.
 //!
-//! Every message type in the workspace implements [`BitSize`]; the simulator
-//! records the size of each envelope it delivers.
+//! Every message type in the workspace declares its layout with
+//! [`wire!`](crate::wire!), which derives its [`BitSize`] from the same
+//! field list as its wire encoding; the simulator records the size of each
+//! envelope it delivers.
 
 /// Cost of one unsigned integer under the Elias-γ-like encoding:
 /// `2⌊log₂(v+1)⌋ + 1` bits (the `+1` shift makes 0 encodable).
@@ -33,6 +35,25 @@ pub fn vlq_bits_i64(v: i64) -> u64 {
 pub fn tag_bits(variants: u64) -> u64 {
     debug_assert!(variants >= 1);
     64 - (variants.max(2) - 1).leading_zeros() as u64
+}
+
+/// `#[bits(uncounted)]`: a field every node already knows (Skeap's Λ).
+#[inline]
+pub fn uncounted<T>(_: &T) -> u64 {
+    0
+}
+
+/// `#[seq(unprefixed)]`: a sequence of a length every node knows.
+#[inline]
+pub fn unprefixed<T: BitSize>(items: &[T]) -> u64 {
+    items.iter().map(BitSize::bits).sum()
+}
+
+/// `#[bits(capped)]`: an integer capped at 2⁶², so a sentinel near
+/// `u64::MAX` costs 125 bits, not 127.
+#[inline]
+pub fn capped(v: &u64) -> u64 {
+    vlq_bits((*v).min(1 << 62))
 }
 
 /// Coarse per-message-type label used by telemetry.
@@ -73,30 +94,35 @@ pub trait BitSize {
 }
 
 impl BitSize for u64 {
+    #[inline]
     fn bits(&self) -> u64 {
         vlq_bits(*self)
     }
 }
 
 impl BitSize for u32 {
+    #[inline]
     fn bits(&self) -> u64 {
         vlq_bits(*self as u64)
     }
 }
 
 impl BitSize for usize {
+    #[inline]
     fn bits(&self) -> u64 {
         vlq_bits(*self as u64)
     }
 }
 
 impl BitSize for i64 {
+    #[inline]
     fn bits(&self) -> u64 {
         vlq_bits_i64(*self)
     }
 }
 
 impl BitSize for bool {
+    #[inline]
     fn bits(&self) -> u64 {
         1
     }
@@ -106,14 +132,9 @@ impl BitSize for f64 {
     /// Points in [0,1) (overlay labels, DHT keys) are conceptually
     /// O(log n)-bit strings; we charge a fixed 64 bits, a conservative
     /// constant that never hides a growth factor.
+    #[inline]
     fn bits(&self) -> u64 {
         64
-    }
-}
-
-impl<T: BitSize> BitSize for Option<T> {
-    fn bits(&self) -> u64 {
-        1 + self.as_ref().map_or(0, BitSize::bits)
     }
 }
 

@@ -1,6 +1,5 @@
 //! Heap elements.
 
-use crate::bitsize::{vlq_bits, BitSize};
 use crate::ids::ElemId;
 use crate::priority::{Key, Priority};
 
@@ -46,11 +45,7 @@ impl Ord for Element {
     }
 }
 
-impl BitSize for Element {
-    fn bits(&self) -> u64 {
-        self.id.bits() + self.prio.bits() + vlq_bits(self.payload)
-    }
-}
+crate::wire!(struct Element { id, prio, payload });
 
 #[cfg(test)]
 mod tests {

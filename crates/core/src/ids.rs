@@ -5,8 +5,6 @@
 //! both concrete as newtyped `u64`s so they cannot be confused with each
 //! other or with raw counters.
 
-use crate::bitsize::{vlq_bits, BitSize};
-
 /// Identifier of a process participating in the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u64);
@@ -59,17 +57,8 @@ impl std::fmt::Display for ElemId {
     }
 }
 
-impl BitSize for NodeId {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.0)
-    }
-}
-
-impl BitSize for ElemId {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.0)
-    }
-}
+crate::wire!(struct NodeId(v));
+crate::wire!(struct ElemId(v));
 
 #[cfg(test)]
 mod tests {

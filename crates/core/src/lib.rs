@@ -7,8 +7,10 @@
 //! whole workspace speaks — elements and priorities (§1.2 of the paper),
 //! operation records and matchings (Definitions 1.1/1.2), deterministic
 //! pseudorandom hashing (the paper's "publicly known pseudorandom hash
-//! function"), and the bit-size accounting used by every message-size
-//! experiment (Lemmas 3.8 and 5.5).
+//! function"), the bit-size accounting used by every message-size
+//! experiment (Lemmas 3.8 and 5.5), and the wire codec whose
+//! [`wire!`](crate::wire!) declarations state each message's layout and
+//! cost once.
 
 #![warn(missing_docs)]
 
@@ -22,6 +24,7 @@ pub mod priority;
 pub mod rng;
 pub mod statehash;
 pub mod text;
+pub mod wire;
 pub mod workload;
 
 pub use bitsize::{vlq_bits, vlq_bits_i64, BitSize, MsgKind};

@@ -29,6 +29,8 @@ pub enum OpKind {
     DeleteMin,
 }
 
+crate::wire!(enum OpKind { 0 => Insert(e), 1 => DeleteMin {} });
+
 impl OpKind {
     /// Is this an Insert() request?
     pub fn is_insert(&self) -> bool {
@@ -46,6 +48,8 @@ pub enum OpReturn {
     /// DeleteMin found the heap empty (the paper's ⊥).
     Bottom,
 }
+
+crate::wire!(enum OpReturn { 0 => Inserted {}, 1 => Removed(e), 2 => Bottom {} });
 
 /// A fully recorded operation: what was asked, what came back, and (when the
 /// protocol provides one, as Skeap does) the position of the operation in the

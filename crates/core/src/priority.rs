@@ -6,7 +6,6 @@
 //! elements with equal priority are broken by a tiebreaker (§1.2), which we
 //! realise as the element id, yielding the composite [`Key`].
 
-use crate::bitsize::{vlq_bits, BitSize};
 use crate::ids::ElemId;
 
 /// A priority value. Smaller is more urgent (MinHeap semantics; the paper
@@ -29,11 +28,7 @@ impl std::fmt::Display for Priority {
     }
 }
 
-impl BitSize for Priority {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.0)
-    }
-}
+crate::wire!(struct Priority(v));
 
 /// Composite total-order key: `(priority, element id)`.
 ///
@@ -74,11 +69,7 @@ impl std::fmt::Display for Key {
     }
 }
 
-impl BitSize for Key {
-    fn bits(&self) -> u64 {
-        self.prio.bits() + self.elem.bits()
-    }
-}
+crate::wire!(struct Key { prio, elem });
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,7 @@
 //! DHT message alphabet.
 
-use dpq_core::bitsize::{tag_bits, vlq_bits};
 use dpq_core::hashing::hash_to_unit;
-use dpq_core::{BitSize, Element, NodeId};
+use dpq_core::{wire, Element, NodeId};
 
 /// The point of [0,1) a logical key lives at, under a hash-domain tag (so
 /// Skeap keys, Seap insert keys and Seap position keys occupy independent
@@ -38,24 +37,10 @@ pub enum DhtReq {
     },
 }
 
-impl BitSize for DhtReq {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                DhtReq::Put {
-                    logical,
-                    elem,
-                    reply_to,
-                    id,
-                } => vlq_bits(*logical) + elem.bits() + reply_to.bits() + vlq_bits(*id),
-                DhtReq::Get {
-                    logical,
-                    reply_to,
-                    id,
-                } => vlq_bits(*logical) + reply_to.bits() + vlq_bits(*id),
-            }
-    }
-}
+wire!(enum DhtReq {
+    0 => Put { logical, elem, reply_to, id },
+    1 => Get { logical, reply_to, id },
+});
 
 /// A direct DHT response.
 #[derive(Debug, Clone)]
@@ -75,20 +60,13 @@ pub enum DhtResp {
     },
 }
 
-impl BitSize for DhtResp {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                DhtResp::PutAck { id } => vlq_bits(*id),
-                DhtResp::GetOk { id, elem } => vlq_bits(*id) + elem.bits(),
-            }
-    }
-}
+wire!(enum DhtResp { 0 => PutAck { id }, 1 => GetOk { id, elem } });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpq_core::hashing::domains;
+    use dpq_core::BitSize;
 
     #[test]
     fn points_are_deterministic_and_in_range() {

@@ -8,8 +8,7 @@
 use crate::client::{Completion, DhtClient};
 use crate::msgs::{point_for, DhtReq, DhtResp};
 use crate::shard::DhtShard;
-use dpq_core::bitsize::tag_bits;
-use dpq_core::{BitSize, Element, NodeId};
+use dpq_core::{Element, NodeId};
 use dpq_overlay::routing::{advance, RouteMsg, RouteOutcome};
 use dpq_overlay::NodeView;
 use dpq_sim::{Ctx, Protocol};
@@ -23,15 +22,7 @@ pub enum DhtWire {
     Resp(DhtResp),
 }
 
-impl BitSize for DhtWire {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                DhtWire::Route(m) => m.bits(),
-                DhtWire::Resp(r) => r.bits(),
-            }
-    }
-}
+dpq_core::wire!(enum DhtWire { 0 => Route(m), 1 => Resp(r) });
 
 /// One node running only the DHT.
 pub struct DhtNode {

@@ -7,8 +7,7 @@
 //! checker's delivery policies) applies to the combined node unchanged.
 
 use crate::proto::{GossipMsg, GossipNode};
-use dpq_core::bitsize::tag_bits;
-use dpq_core::{BitSize, MsgKind, NodeId};
+use dpq_core::{BitSize, NodeId};
 use dpq_sim::{Ctx, CtxEvent, Protocol};
 
 /// Either an application message or a gossip frame.
@@ -20,22 +19,7 @@ pub enum SidecarMsg<M> {
     Gossip(GossipMsg),
 }
 
-impl<M: BitSize> BitSize for SidecarMsg<M> {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                SidecarMsg::App(m) => m.bits(),
-                SidecarMsg::Gossip(g) => g.bits(),
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            SidecarMsg::App(m) => m.kind(),
-            SidecarMsg::Gossip(g) => g.kind(),
-        }
-    }
-}
+dpq_core::wire!(enum SidecarMsg<M> { 0 => App(m) as m, 1 => Gossip(g) as g });
 
 /// A protocol node with a gossip membership sidecar.
 #[derive(Debug, Clone)]
@@ -108,7 +92,7 @@ impl<P: Protocol> Protocol for WithGossip<P> {
 mod tests {
     use super::*;
     use crate::proto::GossipConfig;
-    use dpq_core::vlq_bits;
+    use dpq_core::{vlq_bits, MsgKind};
 
     /// Tiny echo protocol for the combinator plumbing tests.
     struct Echo {

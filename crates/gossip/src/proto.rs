@@ -27,8 +27,8 @@
 //! which outranks the tombstone everywhere.
 
 use crate::detector::{DetectorConfig, FailureDetector, Health, Verdict};
-use crate::state::{gossip_tag_bits, DigestEntry, GossipState, NodeDelta};
-use dpq_core::{BitSize, DetRng, MsgKind, NodeId};
+use crate::state::{DigestEntry, GossipState, NodeDelta};
+use dpq_core::{DetRng, NodeId};
 use dpq_sim::{Ctx, Protocol};
 use dpq_telemetry::{LogHistogram, Telemetry};
 
@@ -54,24 +54,11 @@ pub enum GossipMsg {
     },
 }
 
-impl BitSize for GossipMsg {
-    fn bits(&self) -> u64 {
-        gossip_tag_bits()
-            + match self {
-                GossipMsg::Syn { window } => window.bits(),
-                GossipMsg::SynAck { delta, want } => delta.bits() + want.bits(),
-                GossipMsg::Ack { delta } => delta.bits(),
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            GossipMsg::Syn { .. } => MsgKind("gossip.syn"),
-            GossipMsg::SynAck { .. } => MsgKind("gossip.synack"),
-            GossipMsg::Ack { .. } => MsgKind("gossip.ack"),
-        }
-    }
-}
+dpq_core::wire!(enum GossipMsg {
+    0 => Syn { window } as "gossip.syn",
+    1 => SynAck { delta, want } as "gossip.synack",
+    2 => Ack { delta } as "gossip.ack",
+});
 
 /// Activation gap treated as "I was paused" — triggers a detector rebase
 /// instead of suspecting every peer at once.
@@ -479,6 +466,7 @@ impl Protocol for GossipNode {
 mod tests {
     use super::*;
     use crate::state::K_HEARTBEAT;
+    use dpq_core::{BitSize, MsgKind};
 
     #[test]
     fn gossip_msg_bits_scale_with_payload() {

@@ -12,8 +12,7 @@
 //! dead bumps its incarnation, which outranks every version of the previous
 //! life and voids eviction tombstones held against it.
 
-use dpq_core::bitsize::tag_bits;
-use dpq_core::{vlq_bits, BitSize, NodeId};
+use dpq_core::{wire, NodeId};
 
 /// The heartbeat's key in a [`NodeDelta`] entry, the only key any node
 /// writes. Version progress on it is the liveness signal the failure
@@ -31,11 +30,7 @@ pub struct DigestEntry {
     pub max_version: u64,
 }
 
-impl BitSize for DigestEntry {
-    fn bits(&self) -> u64 {
-        self.node.bits() + vlq_bits(self.incarnation) + vlq_bits(self.max_version)
-    }
-}
+wire!(struct DigestEntry { node, incarnation, max_version });
 
 /// The writes one delta carries for one node: everything the recipient's
 /// digest proved it was missing.
@@ -49,11 +44,7 @@ pub struct NodeDelta {
     pub entries: Vec<(u64, u64, u64)>,
 }
 
-impl BitSize for NodeDelta {
-    fn bits(&self) -> u64 {
-        self.node.bits() + vlq_bits(self.incarnation) + self.entries.bits()
-    }
-}
+wire!(struct NodeDelta { node, incarnation, entries });
 
 /// What applying one [`NodeDelta`] changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -280,11 +271,6 @@ impl GossipState {
             self.nodes.remove(i);
         }
     }
-}
-
-/// Tag cost helper shared by the message enum.
-pub(crate) fn gossip_tag_bits() -> u64 {
-    tag_bits(3)
 }
 
 #[cfg(test)]

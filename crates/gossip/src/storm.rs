@@ -32,10 +32,7 @@
 
 use crate::combine::WithGossip;
 use crate::proto::{GossipConfig, GossipNode};
-use dpq_core::bitsize::tag_bits;
-use dpq_core::{
-    hash_to_unit, vlq_bits, BitSize, DetRng, ElemId, Element, MsgKind, NodeId, Priority,
-};
+use dpq_core::{hash_to_unit, DetRng, ElemId, Element, NodeId, Priority};
 use dpq_dht::DhtShard;
 use dpq_overlay::{membership, Topology};
 use dpq_sim::{Ctx, FaultPlan, Protocol, Reliable, SyncScheduler};
@@ -77,22 +74,10 @@ enum XferMsg {
     },
 }
 
-impl BitSize for XferMsg {
-    fn bits(&self) -> u64 {
-        tag_bits(2)
-            + match self {
-                XferMsg::Move { id, pairs } => vlq_bits(*id) + pairs.bits(),
-                XferMsg::MoveAck { id } => vlq_bits(*id),
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            XferMsg::Move { .. } => MsgKind("storm.move"),
-            XferMsg::MoveAck { .. } => MsgKind("storm.move_ack"),
-        }
-    }
-}
+dpq_core::wire!(enum XferMsg {
+    0 => Move { id, pairs } as "storm.move",
+    1 => MoveAck { id } as "storm.move_ack",
+});
 
 /// One node's element home: a DHT shard plus move bookkeeping. Runs under
 /// [`Reliable`], so moves are exactly-once and survive drops and pauses.

@@ -7,13 +7,8 @@
 //! Every message is O(log n) bits — Theorem 4.2's message-size claim — which
 //! the experiments verify by measuring `BitSize` on the wire.
 
-use dpq_core::bitsize::{tag_bits, vlq_bits};
-use dpq_core::{BitSize, Key, MsgKind, NodeId};
+use dpq_core::{wire, Key, NodeId};
 use dpq_overlay::routing::{HopMsg, RouteMsg};
-
-fn key_bits(k: &Key) -> u64 {
-    k.bits()
-}
 
 /// Down-wave commands (anchor → leaves).
 #[derive(Debug, Clone)]
@@ -74,42 +69,14 @@ pub enum Cmd {
     },
 }
 
-impl BitSize for Cmd {
-    fn bits(&self) -> u64 {
-        tag_bits(6)
-            + match self {
-                Cmd::P1Bounds { k, n } => vlq_bits(*k) + vlq_bits(*n),
-                Cmd::P1Prune { pmin, pmax } => key_bits(pmin) + key_bits(pmax),
-                Cmd::Sample {
-                    epoch,
-                    prune,
-                    prob: _,
-                } => {
-                    vlq_bits(*epoch)
-                        + 1
-                        + prune.map_or(0, |(a, b)| key_bits(&a) + key_bits(&b))
-                        + 64
-                }
-                Cmd::Positions {
-                    epoch,
-                    lo,
-                    hi,
-                    first,
-                    last,
-                    n_prime,
-                } => {
-                    vlq_bits(*epoch)
-                        + vlq_bits(*lo)
-                        + vlq_bits(*hi)
-                        + vlq_bits(*first)
-                        + vlq_bits(*last)
-                        + vlq_bits(*n_prime)
-                }
-                Cmd::WindowCount { cl, cr } => key_bits(cl) + key_bits(cr),
-                Cmd::Announce { result } => key_bits(result),
-            }
-    }
-}
+wire!(enum Cmd {
+    0 => P1Bounds { k, n },
+    1 => P1Prune { pmin, pmax },
+    2 => Sample { epoch, prune, prob },
+    3 => Positions { epoch, lo, hi, first, last, n_prime },
+    4 => WindowCount { cl, cr },
+    5 => Announce { result },
+});
 
 /// Up-wave responses (leaves → anchor), combined at every inner node.
 #[derive(Debug, Clone)]
@@ -144,19 +111,12 @@ pub enum Rsp {
     },
 }
 
-impl BitSize for Rsp {
-    fn bits(&self) -> u64 {
-        tag_bits(4)
-            + match self {
-                Rsp::MinMax { pmin, pmax } => key_bits(pmin) + key_bits(pmax),
-                Rsp::Counts { below, above } => vlq_bits(*below) + vlq_bits(*above),
-                Rsp::SampleCount { count } => vlq_bits(*count),
-                Rsp::Hits { lo, hi } => {
-                    2 + lo.as_ref().map_or(0, key_bits) + hi.as_ref().map_or(0, key_bits)
-                }
-            }
-    }
-}
+wire!(enum Rsp {
+    0 => MinMax { pmin, pmax },
+    1 => Counts { below, above },
+    2 => SampleCount { count },
+    3 => Hits { lo, hi },
+});
 
 /// A sampled candidate travelling to the node responsible for its position
 /// (routed to `hash(KSELECT_POS, pos)`).
@@ -174,15 +134,7 @@ pub struct Place {
     pub n_prime: u64,
 }
 
-impl BitSize for Place {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.epoch)
-            + vlq_bits(self.pos)
-            + key_bits(&self.key)
-            + self.origin.bits()
-            + vlq_bits(self.n_prime)
-    }
-}
+wire!(struct Place { epoch, pos, key, origin, n_prime });
 
 /// A copy-range `([a,b], c_i)` travelling one de Bruijn hop down the induced
 /// tree T(v_i) (§4.3's recursive halving).
@@ -207,17 +159,8 @@ pub struct Split {
 /// Sentinel `parent_copy` marking the root of a copy tree.
 pub const ROOT_PARENT: u64 = u64::MAX;
 
-impl BitSize for Split {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.epoch)
-            + vlq_bits(self.cand)
-            + key_bits(&self.key)
-            + vlq_bits(self.a)
-            + vlq_bits(self.b)
-            + self.parent.bits()
-            + vlq_bits(self.parent_copy.min(1 << 62))
-    }
-}
+// `parent_copy` is capped at 2⁶², so the ROOT_PARENT sentinel costs 125 bits, not 127.
+wire!(struct Split { epoch, cand, key, a, b, parent, #[bits(capped)] parent_copy });
 
 /// Copy c_{i,j} travelling to the rendezvous `h(i,j)`.
 #[derive(Debug, Clone)]
@@ -234,15 +177,7 @@ pub struct Compare {
     pub back: NodeId,
 }
 
-impl BitSize for Compare {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.epoch)
-            + vlq_bits(self.cand)
-            + vlq_bits(self.copy)
-            + key_bits(&self.key)
-            + self.back.bits()
-    }
-}
+wire!(struct Compare { epoch, cand, copy, key, back });
 
 /// Everything a KSelect node sends or receives.
 #[derive(Debug, Clone)]
@@ -294,60 +229,17 @@ pub enum KMsg {
     },
 }
 
-impl BitSize for KMsg {
-    fn bits(&self) -> u64 {
-        tag_bits(8)
-            + match self {
-                KMsg::Down(c) => c.bits(),
-                KMsg::Up(r) => r.bits(),
-                KMsg::Place(m) => m.bits(),
-                KMsg::Split(m) => m.bits(),
-                KMsg::Compare(m) => m.bits(),
-                KMsg::CmpResult {
-                    epoch,
-                    cand,
-                    copy,
-                    smaller,
-                    larger,
-                } => {
-                    vlq_bits(*epoch)
-                        + vlq_bits(*cand)
-                        + vlq_bits(*copy)
-                        + vlq_bits(*smaller)
-                        + vlq_bits(*larger)
-                }
-                KMsg::CopyAgg {
-                    epoch,
-                    cand,
-                    parent_copy,
-                    smaller,
-                    larger,
-                } => {
-                    vlq_bits(*epoch)
-                        + vlq_bits(*cand)
-                        + vlq_bits((*parent_copy).min(1 << 62))
-                        + vlq_bits(*smaller)
-                        + vlq_bits(*larger)
-                }
-                KMsg::Order { epoch, key, order } => {
-                    vlq_bits(*epoch) + key_bits(key) + vlq_bits(*order)
-                }
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            KMsg::Down(_) => MsgKind("kselect.down"),
-            KMsg::Up(_) => MsgKind("kselect.up"),
-            KMsg::Place(_) => MsgKind("kselect.place"),
-            KMsg::Split(_) => MsgKind("kselect.split"),
-            KMsg::Compare(_) => MsgKind("kselect.compare"),
-            KMsg::CmpResult { .. } => MsgKind("kselect.cmp_result"),
-            KMsg::CopyAgg { .. } => MsgKind("kselect.copy_agg"),
-            KMsg::Order { .. } => MsgKind("kselect.order"),
-        }
-    }
-}
+wire!(enum KMsg {
+    0 => Down(c) as "kselect.down",
+    1 => Up(rsp) as "kselect.up",
+    2 => Place(m) as "kselect.place",
+    3 => Split(m) as "kselect.split",
+    4 => Compare(m) as "kselect.compare",
+    5 => CmpResult { epoch, cand, copy, smaller, larger } as "kselect.cmp_result",
+    // `parent_copy` is capped at 2⁶² as in `Split`: ROOT_PARENT costs 125 bits.
+    6 => CopyAgg { epoch, cand, #[bits(capped)] parent_copy, smaller, larger } as "kselect.copy_agg",
+    7 => Order { epoch, key, order } as "kselect.order",
+});
 
 impl dpq_core::StateHash for Rsp {
     fn state_hash(&self, h: &mut dpq_core::StateHasher) {
@@ -378,6 +270,7 @@ impl dpq_core::StateHash for Rsp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::BitSize;
     use dpq_core::{ElemId, Priority};
 
     #[test]

@@ -16,7 +16,7 @@ use crate::frame::{
 };
 use crate::poll::Server;
 use crate::transport::{Addr, Conn};
-use crate::wire::{from_bytes, to_bytes, wire};
+use crate::wire::{from_bytes, to_bytes};
 use dpq_core::Key;
 
 /// A control request.
@@ -42,7 +42,7 @@ pub enum CtlReq {
     Shutdown,
 }
 
-wire!(enum CtlReq {
+dpq_core::wire!(codec enum CtlReq {
     0 => Status {},
     1 => Enqueue { prio, payload },
     2 => Dequeue {},
@@ -76,7 +76,7 @@ pub struct StatusInfo {
     pub unacked: u64,
 }
 
-wire!(struct StatusInfo {
+dpq_core::wire!(codec struct StatusInfo {
     node,
     proto,
     issued,
@@ -114,7 +114,7 @@ pub enum CtlResp {
     Bye,
 }
 
-wire!(enum CtlResp {
+dpq_core::wire!(codec enum CtlResp {
     0 => Status(s),
     1 => Issued { node, seq },
     2 => Dumped { records },

@@ -12,7 +12,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::wire::{from_bytes, to_bytes, wire, Reader, Wire, WireError};
+use crate::wire::{from_bytes, to_bytes, Reader, Wire, WireError};
 
 /// First bytes of every connection.
 pub const MAGIC: [u8; 4] = *b"DPQW";
@@ -62,7 +62,7 @@ impl ProtoId {
     }
 }
 
-wire!(enum ProtoId { 0 => Skeap {}, 1 => Seap {}, 2 => KSelect {}, 3 => Ctl {} });
+dpq_core::wire!(codec enum ProtoId { 0 => Skeap {}, 1 => Seap {}, 2 => KSelect {}, 3 => Ctl {} });
 
 /// The handshake frame opening every connection.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,10 +5,9 @@
 //! exactly-once layer are driven unmodified. This crate supplies what the
 //! simulator faked:
 //!
-//! * [`wire`] — a hand-rolled, panic-free binary codec (LEB128 varints,
-//!   one-byte tags) and the `wire!` macro that derives a type's encode and
-//!   decode from its field list; [`codec`] — one such declaration per
-//!   protocol message type;
+//! * [`wire`] — the panic-free binary codec (LEB128 varints, one-byte tags)
+//!   of [`dpq_core::wire`](mod@dpq_core::wire), whose `wire!` declarations
+//!   sit next to each protocol message type, plus the raw bytes of the WAL;
 //! * [`frame`] — length-prefixed framing with a versioned handshake, so two
 //!   clusters on one host cannot cross-connect;
 //! * [`transport`] — Unix-domain-socket and TCP listeners/connections
@@ -42,7 +41,6 @@
 
 pub mod app;
 pub mod backoff;
-pub mod codec;
 pub mod config;
 pub mod ctl;
 pub mod frame;

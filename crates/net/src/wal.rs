@@ -28,7 +28,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::frame::{complete_frames, push_prefixed};
-use crate::wire::{from_bytes, to_bytes, wire, RawBytes};
+use crate::wire::{from_bytes, to_bytes, RawBytes};
 
 /// One logged input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +71,7 @@ pub enum CtlOpKind {
     DeleteMin,
 }
 
-wire!(enum CtlOpKind { 0 => Insert { prio, payload }, 1 => DeleteMin {} });
+dpq_core::wire!(codec enum CtlOpKind { 0 => Insert { prio, payload }, 1 => DeleteMin {} });
 
 impl WalEntry {
     /// The logical tick this entry was logged at.
@@ -84,7 +84,7 @@ impl WalEntry {
     }
 }
 
-wire!(enum WalEntry {
+dpq_core::wire!(codec enum WalEntry {
     0 => Activate { now },
     1 => Deliver { now, from, frame },
     2 => CtlOp { now, op },

@@ -9,7 +9,7 @@
 //! aggregation tree of Appendix A acyclic.
 
 use dpq_core::hashing::{domains, hash_to_unit, split_mix64};
-use dpq_core::NodeId;
+use dpq_core::{wire, NodeId};
 
 /// Which of a real node's three virtual nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,6 +21,8 @@ pub enum VirtKind {
     /// Label `(m+1)/2`.
     Right,
 }
+
+wire!(enum VirtKind { 0 => Left {}, 1 => Middle {}, 2 => Right {} });
 
 impl VirtKind {
     /// All three kinds, in label-derivation order.
@@ -44,6 +46,8 @@ pub struct VirtId {
     /// Which of its three virtual nodes.
     pub kind: VirtKind,
 }
+
+wire!(struct VirtId { real, kind });
 
 impl VirtId {
     /// The `kind` virtual node of `real`.

@@ -17,8 +17,7 @@
 
 use crate::ldb::{VirtId, VirtKind};
 use crate::view::NodeView;
-use dpq_core::bitsize::{tag_bits, vlq_bits};
-use dpq_core::{BitSize, NodeId};
+use dpq_core::{wire, NodeId};
 
 /// A message being routed to the manager of `target`.
 #[derive(Debug, Clone)]
@@ -55,17 +54,7 @@ impl<M> RouteMsg<M> {
     }
 }
 
-impl<M: BitSize> BitSize for RouteMsg<M> {
-    fn bits(&self) -> u64 {
-        // target (a point = O(log n)-bit string, costed at the fixed 64),
-        // virtual-node id, step counter, walk flag, payload.
-        64 + vlq_bits(self.at.real.0)
-            + tag_bits(3)
-            + vlq_bits(self.steps_done as u64)
-            + 1
-            + self.payload.bits()
-    }
-}
+wire!(struct RouteMsg<M> { target, at, steps_done, walk_back, payload });
 
 /// Result of advancing a route at one real node.
 #[derive(Debug)]
@@ -167,11 +156,7 @@ pub struct HopMsg<M> {
     pub payload: M,
 }
 
-impl<M: BitSize> BitSize for HopMsg<M> {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.at.real.0) + tag_bits(3) + 1 + self.payload.bits()
-    }
-}
+wire!(struct HopMsg<M> { at, walk_back, payload });
 
 /// Result of advancing a hop inside one real node.
 #[derive(Debug)]
@@ -261,6 +246,7 @@ pub fn route_path(topo: &crate::ldb::Topology, from: NodeId, target: f64) -> (Ve
 mod tests {
     use super::*;
     use crate::ldb::Topology;
+    use dpq_core::BitSize;
 
     #[test]
     fn routes_reach_the_manager() {

@@ -5,8 +5,7 @@
 //! Theorem 4.2.
 
 use dpq_agg::Interval;
-use dpq_core::bitsize::{tag_bits, vlq_bits};
-use dpq_core::{BitSize, Key, MsgKind};
+use dpq_core::{wire, Key};
 use dpq_dht::{DhtReq, DhtResp};
 use dpq_overlay::routing::RouteMsg;
 use kselect::KMsg;
@@ -87,48 +86,23 @@ impl From<KMsg> for SeapMsg {
     }
 }
 
-impl BitSize for SeapMsg {
-    fn bits(&self) -> u64 {
-        tag_bits(10)
-            + match self {
-                SeapMsg::Begin { phase } => vlq_bits(*phase),
-                SeapMsg::CountUp { phase, count } => vlq_bits(*phase) + vlq_bits(*count),
-                SeapMsg::StartInserts { phase, wit } => vlq_bits(*phase) + wit.bits(),
-                SeapMsg::CountBelow { phase, key_k } => vlq_bits(*phase) + key_k.bits(),
-                SeapMsg::StoreCountUp { phase, count } => vlq_bits(*phase) + vlq_bits(*count),
-                SeapMsg::Assign {
-                    phase,
-                    key_k,
-                    store,
-                    del,
-                    wit,
-                } => vlq_bits(*phase) + key_k.bits() + store.bits() + del.bits() + wit.bits(),
-                SeapMsg::DoneUp { phase } => vlq_bits(*phase),
-                SeapMsg::K(m) => m.bits(),
-                SeapMsg::Dht(m) => m.bits(),
-                SeapMsg::Resp(r) => r.bits(),
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            SeapMsg::Begin { .. } => MsgKind("seap.begin"),
-            SeapMsg::CountUp { .. } => MsgKind("seap.count_up"),
-            SeapMsg::StartInserts { .. } => MsgKind("seap.start_inserts"),
-            SeapMsg::CountBelow { .. } => MsgKind("seap.count_below"),
-            SeapMsg::StoreCountUp { .. } => MsgKind("seap.store_count_up"),
-            SeapMsg::Assign { .. } => MsgKind("seap.assign"),
-            SeapMsg::DoneUp { .. } => MsgKind("seap.done_up"),
-            SeapMsg::K(m) => m.kind(),
-            SeapMsg::Dht(_) => MsgKind("dht.req"),
-            SeapMsg::Resp(_) => MsgKind("dht.resp"),
-        }
-    }
-}
+wire!(enum SeapMsg {
+    0 => Begin { phase } as "seap.begin",
+    1 => CountUp { phase, count } as "seap.count_up",
+    2 => StartInserts { phase, wit } as "seap.start_inserts",
+    3 => CountBelow { phase, key_k } as "seap.count_below",
+    4 => StoreCountUp { phase, count } as "seap.store_count_up",
+    5 => Assign { phase, key_k, store, del, wit } as "seap.assign",
+    6 => DoneUp { phase } as "seap.done_up",
+    7 => K(m) as m,
+    8 => Dht(m) as "dht.req",
+    9 => Resp(m) as "dht.resp",
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::BitSize;
     use dpq_core::{ElemId, Priority};
 
     #[test]

@@ -41,7 +41,7 @@
 //! sorted by construction: appends, not insert-sorts, on the hot path.
 
 use crate::protocol::{Ctx, Protocol, QueueNode};
-use dpq_core::{vlq_bits, BitSize, Element, MsgKind, NodeHistory, NodeId, OpId, OpKind};
+use dpq_core::{BitSize, Element, NodeHistory, NodeId, OpId, OpKind};
 use dpq_telemetry::{LogHistogram, Telemetry};
 
 /// Transport envelope of [`Reliable`]: a payload with a link-local sequence
@@ -66,25 +66,13 @@ pub enum ReliableMsg<M> {
     },
 }
 
-impl<M: BitSize> BitSize for ReliableMsg<M> {
-    fn bits(&self) -> u64 {
-        // 1 tag bit + VLQ sequence header(s) (+ payload for data frames).
-        match self {
-            ReliableMsg::Data { seq, msg } => 1 + vlq_bits(*seq) + msg.bits(),
-            ReliableMsg::Ack { seq, cum } => 1 + vlq_bits(*seq) + vlq_bits(*cum),
-        }
-    }
-
-    fn kind(&self) -> MsgKind {
-        // Data frames keep the payload's kind so per-kind attribution in the
-        // metrics and experiments still describes the protocol, not the
-        // transport; only acks show up as transport traffic.
-        match self {
-            ReliableMsg::Data { msg, .. } => msg.kind(),
-            ReliableMsg::Ack { .. } => MsgKind("rel.ack"),
-        }
-    }
-}
+// Data frames keep the payload's kind so per-kind attribution in the
+// metrics and experiments still describes the protocol, not the transport;
+// only acks show up as transport traffic.
+dpq_core::wire!(enum ReliableMsg<M> {
+    0 => Data { seq, msg } as msg,
+    1 => Ack { seq, cum } as "rel.ack",
+});
 
 /// Sender-side state of one ordered link.
 #[derive(Debug, Clone)]
@@ -453,6 +441,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::{vlq_bits, MsgKind};
 
     /// Toy inner protocol: records every delivery, replies `x + 1` to even
     /// payloads, never initiates.

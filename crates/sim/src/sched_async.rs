@@ -419,11 +419,7 @@ mod tests {
         Pong,
     }
 
-    impl dpq_core::BitSize for Msg {
-        fn bits(&self) -> u64 {
-            1
-        }
-    }
+    dpq_core::wire!(enum Msg { 0 => Ping {}, 1 => Pong {} });
 
     impl Protocol for Echo {
         type Msg = Msg;

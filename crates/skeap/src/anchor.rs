@@ -22,8 +22,7 @@ use std::collections::VecDeque;
 use crate::batch::{Batch, BatchEntry};
 use dpq_agg::{Interval, Segments};
 use dpq_arena::SmallVec;
-use dpq_core::bitsize::vlq_bits;
-use dpq_core::BitSize;
+use dpq_core::wire;
 
 /// Positions and witness ranges assigned to one group of a (sub-)batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,16 +54,7 @@ impl EntryAssign {
     }
 }
 
-impl BitSize for EntryAssign {
-    fn bits(&self) -> u64 {
-        self.ins.bits()
-            + self.ins_seq.bits()
-            + self.del.bits()
-            + vlq_bits(self.bottom)
-            + self.del_seq.bits()
-            + 1
-    }
-}
+wire!(struct EntryAssign { #[seq] ins, ins_seq, del, bottom, del_seq, lifo });
 
 /// Which end of a priority's live positions DeleteMin consumes.
 ///

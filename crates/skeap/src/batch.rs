@@ -11,8 +11,7 @@
 //! Combining batches adds them entrywise, zero-padding the shorter one.
 
 use dpq_arena::SmallVec;
-use dpq_core::bitsize::vlq_bits;
-use dpq_core::{BitSize, OpKind};
+use dpq_core::{wire, OpKind};
 
 /// One `(i_j, d_j)` group.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -48,6 +47,9 @@ pub struct Batch {
     /// The alternating groups, in issue order.
     pub entries: Vec<BatchEntry>,
 }
+
+// `ins` has the fixed length Λ every node knows, so it carries no length prefix.
+wire!(struct BatchEntry { #[seq(unprefixed)] ins, del });
 
 impl Batch {
     /// A batch with no groups.
@@ -138,16 +140,8 @@ impl Batch {
     }
 }
 
-impl BitSize for Batch {
-    fn bits(&self) -> u64 {
-        vlq_bits(self.entries.len() as u64)
-            + self
-                .entries
-                .iter()
-                .map(|e| e.ins.iter().map(|&v| vlq_bits(v)).sum::<u64>() + vlq_bits(e.del))
-                .sum::<u64>()
-    }
-}
+// Λ is a constant every node knows, so `n_prios` is not counted.
+wire!(struct Batch { #[bits(uncounted)] n_prios, entries });
 
 impl dpq_core::StateHash for BatchEntry {
     fn state_hash(&self, h: &mut dpq_core::StateHasher) {
@@ -166,6 +160,7 @@ impl dpq_core::StateHash for Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::BitSize;
     use dpq_core::{ElemId, Element, NodeId, Priority};
 
     fn ins(p: u64) -> OpKind {

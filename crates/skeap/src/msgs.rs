@@ -2,8 +2,7 @@
 
 use crate::anchor::EntryAssign;
 use crate::batch::Batch;
-use dpq_core::bitsize::{tag_bits, vlq_bits};
-use dpq_core::{BitSize, MsgKind};
+use dpq_core::wire;
 use dpq_dht::{DhtReq, DhtResp};
 use dpq_overlay::routing::RouteMsg;
 
@@ -31,30 +30,17 @@ pub enum SkeapMsg {
     Resp(DhtResp),
 }
 
-impl BitSize for SkeapMsg {
-    fn bits(&self) -> u64 {
-        tag_bits(4)
-            + match self {
-                SkeapMsg::BatchUp { cycle, batch } => vlq_bits(*cycle) + batch.bits(),
-                SkeapMsg::Down { cycle, assigns } => vlq_bits(*cycle) + assigns.bits(),
-                SkeapMsg::Dht(m) => m.bits(),
-                SkeapMsg::Resp(r) => r.bits(),
-            }
-    }
-
-    fn kind(&self) -> MsgKind {
-        match self {
-            SkeapMsg::BatchUp { .. } => MsgKind("skeap.batch_up"),
-            SkeapMsg::Down { .. } => MsgKind("skeap.down"),
-            SkeapMsg::Dht(_) => MsgKind("dht.req"),
-            SkeapMsg::Resp(_) => MsgKind("dht.resp"),
-        }
-    }
-}
+wire!(enum SkeapMsg {
+    0 => BatchUp { cycle, batch } as "skeap.batch_up",
+    1 => Down { cycle, assigns } as "skeap.down",
+    2 => Dht(m) as "dht.req",
+    3 => Resp(m) as "dht.resp",
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpq_core::BitSize;
     use dpq_core::OpKind;
 
     #[test]

@@ -16,6 +16,13 @@ TIER=${1:-}
 
 cargo fmt --all -- --check
 
+# Both lock files must still resolve offline. `benchmark/run.sh` builds with
+# --offline --locked, and benchmark/Cargo.lock records the path crates'
+# dependency edges, so a manifest edit that adds or drops one breaks every
+# benchmark run: catch it here instead.
+cargo metadata --offline --locked --format-version 1 >/dev/null
+cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 # North-star ratchet, both directions: the crates/*/src + src +
 # benchmark/src line count must equal the committed ceiling. A PR that
 # legitimately adds code raises the ceiling in the same diff, so growth is a
