@@ -23,13 +23,6 @@ pub fn vlq_bits(v: u64) -> u64 {
     2 * (64 - (v + 1).leading_zeros() as u64 - 1) + 1
 }
 
-/// Cost of a signed integer (zig-zag then γ).
-#[inline]
-pub fn vlq_bits_i64(v: i64) -> u64 {
-    let zz = ((v << 1) ^ (v >> 63)) as u64;
-    vlq_bits(zz)
-}
-
 /// Bits needed to tag one variant of an enum with `variants` alternatives.
 #[inline]
 pub fn tag_bits(variants: u64) -> u64 {
@@ -114,13 +107,6 @@ impl BitSize for usize {
     }
 }
 
-impl BitSize for i64 {
-    #[inline]
-    fn bits(&self) -> u64 {
-        vlq_bits_i64(*self)
-    }
-}
-
 impl BitSize for bool {
     #[inline]
     fn bits(&self) -> u64 {
@@ -178,13 +164,6 @@ mod tests {
         }
         // 2*log2(v) + 1 shape: doubling v adds exactly 2 bits at powers of 2.
         assert_eq!(vlq_bits(1 << 10), vlq_bits(1 << 9) + 2);
-    }
-
-    #[test]
-    fn signed_zigzag_symmetry() {
-        assert_eq!(vlq_bits_i64(5), vlq_bits_i64(-5) + 2 - 2);
-        assert_eq!(vlq_bits_i64(0), 1);
-        assert!(vlq_bits_i64(-1) <= vlq_bits_i64(2));
     }
 
     #[test]

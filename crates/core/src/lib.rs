@@ -27,7 +27,7 @@ pub mod text;
 pub mod wire;
 pub mod workload;
 
-pub use bitsize::{vlq_bits, vlq_bits_i64, BitSize, MsgKind};
+pub use bitsize::{vlq_bits, BitSize, MsgKind};
 pub use element::Element;
 pub use hashing::{hash_pair_unit, hash_to_unit, hash_u64, split_mix64};
 pub use history::{History, NodeHistory};

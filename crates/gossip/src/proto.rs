@@ -30,7 +30,6 @@ use crate::detector::{DetectorConfig, FailureDetector, Health, Verdict};
 use crate::state::{DigestEntry, GossipState, NodeDelta};
 use dpq_core::{DetRng, NodeId};
 use dpq_sim::{Ctx, Protocol};
-use dpq_telemetry::{LogHistogram, Telemetry};
 
 /// The gossip message alphabet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,24 +90,12 @@ impl Default for GossipConfig {
 /// Cumulative gossip-layer counters.
 #[derive(Debug, Clone, Default)]
 pub struct GossipStats {
-    /// Syn messages sent.
-    pub syn_tx: u64,
-    /// Syn messages received.
-    pub syn_rx: u64,
-    /// SynAck messages received.
-    pub synack_rx: u64,
-    /// Ack messages received.
-    pub ack_rx: u64,
-    /// Entries merged into local state.
-    pub entries_applied: u64,
     /// Nodes first learned about via gossip.
     pub discoveries: u64,
     /// Evicted nodes that returned with a higher incarnation.
     pub rejoins: u64,
     /// Peers evicted by the local lifecycle.
     pub evictions: u64,
-    /// Rounds from suspicion start to eviction, per evicted peer.
-    pub eviction_latency: LogHistogram,
 }
 
 /// A membership node: replicated heartbeats + failure detector + eviction.
@@ -123,9 +110,9 @@ pub struct GossipNode {
     targets: Vec<NodeId>,
     /// `(node, incarnation)` eviction tombstones, sorted by node.
     tombstones: Vec<(NodeId, u64)>,
-    /// Confirmed-dead peers awaiting their eviction grace: `(peer, since,
+    /// Confirmed-dead peers awaiting their eviction grace: `(peer,
     /// evict_at)`.
-    evict_queue: Vec<(NodeId, u64, u64)>,
+    evict_queue: Vec<(NodeId, u64)>,
     /// Scratch for detector verdicts.
     verdicts: Vec<Verdict>,
     last_activation: Option<u64>,
@@ -237,7 +224,7 @@ impl GossipNode {
 
     /// Execute a local eviction: drop the peer's state and detector record,
     /// tombstone its incarnation.
-    fn evict(&mut self, peer: NodeId, since: u64, now: u64) {
+    fn evict(&mut self, peer: NodeId) {
         let inc = self.state.freshness(peer).map_or(0, |f| f.0);
         if let Ok(i) = self.targets.binary_search(&peer) {
             self.targets.remove(i);
@@ -249,9 +236,6 @@ impl GossipNode {
             Err(i) => self.tombstones.insert(i, (peer, inc)),
         }
         self.stats.evictions += 1;
-        self.stats
-            .eviction_latency
-            .record(now.saturating_sub(since));
     }
 
     /// The rotating digest window starting at the cursor, own line first.
@@ -292,7 +276,6 @@ impl GossipNode {
                 self.stats.rejoins += 1;
             }
             let out = self.state.apply(nd);
-            self.stats.entries_applied += out.applied;
             if out.discovered {
                 self.stats.discoveries += 1;
             }
@@ -322,9 +305,8 @@ impl GossipNode {
         self.detector.tick(now, &mut verdicts);
         for v in &verdicts {
             match *v {
-                Verdict::Confirmed(peer, since) => {
-                    self.evict_queue
-                        .push((peer, since, now + self.cfg.evict_ticks));
+                Verdict::Confirmed(peer, _) => {
+                    self.evict_queue.push((peer, now + self.cfg.evict_ticks));
                 }
                 Verdict::Revived(peer) => {
                     self.evict_queue.retain(|e| e.0 != peer);
@@ -335,50 +317,13 @@ impl GossipNode {
         self.verdicts = verdicts;
         let mut due = 0;
         while due < self.evict_queue.len() {
-            if self.evict_queue[due].2 <= now {
-                let (peer, since, _) = self.evict_queue.remove(due);
-                self.evict(peer, since, now);
+            if self.evict_queue[due].1 <= now {
+                let (peer, _) = self.evict_queue.remove(due);
+                self.evict(peer);
             } else {
                 due += 1;
             }
         }
-    }
-
-    /// Fold this node's gossip and detector activity into a telemetry sink.
-    /// Counters are cumulative; call once per node per run.
-    pub fn export_telemetry<M: Telemetry>(&self, sink: &mut M) {
-        if !M::ENABLED {
-            return;
-        }
-        let pairs = [
-            ("gossip.syn_tx", self.stats.syn_tx),
-            ("gossip.syn_rx", self.stats.syn_rx),
-            ("gossip.synack_rx", self.stats.synack_rx),
-            ("gossip.ack_rx", self.stats.ack_rx),
-            ("gossip.entries_applied", self.stats.entries_applied),
-            ("gossip.discoveries", self.stats.discoveries),
-            ("gossip.rejoins", self.stats.rejoins),
-            ("gossip.evictions", self.stats.evictions),
-        ];
-        for (name, v) in pairs {
-            let id = sink.register_counter(name);
-            sink.counter_add(id, v);
-        }
-        let d = self.detector.stats();
-        let det = [
-            ("gossip.suspicions", d.suspicions),
-            ("gossip.confirms", d.confirms),
-            ("gossip.fp_suspicions", d.fp_suspicions),
-            ("gossip.fp_confirms", d.fp_confirms),
-        ];
-        for (name, v) in det {
-            let id = sink.register_counter(name);
-            sink.counter_add(id, v);
-        }
-        let live = sink.register_gauge("gossip.live_view");
-        sink.gauge_set(live, self.targets.len() as u64);
-        let lat = sink.register_histogram("gossip.eviction_latency");
-        sink.hist_merge(lat, &self.stats.eviction_latency);
     }
 }
 
@@ -403,7 +348,6 @@ impl Protocol for GossipNode {
         }
         let peer = *self.rng.pick(&self.targets);
         let window = self.window();
-        self.stats.syn_tx += 1;
         ctx.send(peer, GossipMsg::Syn { window });
     }
 
@@ -434,7 +378,6 @@ impl Protocol for GossipNode {
         let budget = self.effective_window() * 4;
         match msg {
             GossipMsg::Syn { window } => {
-                self.stats.syn_rx += 1;
                 let delta = self.delta_for(&window, budget);
                 let tomb = &self.tombstones;
                 let want = self.state.wants(&window, |n, inc| {
@@ -444,13 +387,11 @@ impl Protocol for GossipNode {
                 ctx.send(from, GossipMsg::SynAck { delta, want });
             }
             GossipMsg::SynAck { delta, want } => {
-                self.stats.synack_rx += 1;
                 self.apply_delta(&delta, now);
                 let delta = self.delta_for(&want, budget);
                 ctx.send(from, GossipMsg::Ack { delta });
             }
             GossipMsg::Ack { delta } => {
-                self.stats.ack_rx += 1;
                 self.apply_delta(&delta, now);
             }
         }
@@ -522,7 +463,7 @@ mod tests {
             }],
             0,
         );
-        node.evict(NodeId(1), 10, 20);
+        node.evict(NodeId(1));
         assert!(node.is_evicted(NodeId(1)));
         assert!(!node.knows(NodeId(1)));
         // Stale gossip about the ghost is ignored…
@@ -548,18 +489,5 @@ mod tests {
         assert!(!node.is_evicted(NodeId(1)));
         assert_eq!(node.stats.rejoins, 1);
         assert_eq!(node.stats.evictions, 1);
-    }
-
-    #[test]
-    fn telemetry_export_registers_gossip_family() {
-        let mut node = GossipNode::new(NodeId(0), &[NodeId(1)], GossipConfig::default());
-        node.stats.syn_tx = 5;
-        let mut hub = dpq_telemetry::Hub::new();
-        node.export_telemetry(&mut hub);
-        let syn = hub
-            .counters()
-            .find(|(name, _)| *name == "gossip.syn_tx")
-            .map(|(_, v)| v);
-        assert_eq!(syn, Some(5));
     }
 }

@@ -13,14 +13,13 @@
 //!   shutdown                  ask the daemon to exit cleanly
 //! ```
 //!
-//! `--proto/--n/--seed` must match the daemon's flags (plus `--gossip` when
-//! the daemon runs the membership sidecar): they form the cluster
+//! `--proto/--n/--seed` must match the daemon's flags: they form the cluster
 //! fingerprint checked in the handshake, so a client cannot accidentally
 //! drive a different deployment on the same host.
 
 use std::time::{Duration, Instant};
 
-use dpq_net::{cluster_fingerprint, gossip_fingerprint, Addr, CtlClient, CtlReq, CtlResp, ProtoId};
+use dpq_net::{cluster_fingerprint, Addr, CtlClient, CtlReq, CtlResp, ProtoId};
 
 fn fail(msg: &str) -> ! {
     eprintln!("dpq-ctl: {msg}");
@@ -33,7 +32,6 @@ fn main() {
     let mut proto = None;
     let mut n = None;
     let mut seed = 0u64;
-    let mut gossip = false;
     let mut rest = Vec::new();
 
     let mut it = args.iter();
@@ -53,17 +51,13 @@ fn main() {
                 )
             }
             "--seed" => seed = val().parse().unwrap_or_else(|e| fail(&format!("{e}"))),
-            "--gossip" => gossip = true,
             _ => rest.push(arg.clone()),
         }
     }
     let ctl = ctl.unwrap_or_else(|| fail("--ctl is required"));
     let proto = proto.unwrap_or_else(|| fail("--proto is required"));
     let n = n.unwrap_or_else(|| fail("--n is required"));
-    let mut fingerprint = cluster_fingerprint(proto, n, seed);
-    if gossip {
-        fingerprint = gossip_fingerprint(fingerprint);
-    }
+    let fingerprint = cluster_fingerprint(proto, n, seed);
 
     let mut client = CtlClient::connect_retry(&ctl, fingerprint, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(&format!("connecting to {ctl}: {e}")));

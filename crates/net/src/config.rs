@@ -39,12 +39,6 @@ pub struct NodeConfig {
     pub wal: Option<PathBuf>,
     /// JSONL trace path written on `Dump`; `None` disables dumping.
     pub trace: Option<PathBuf>,
-    /// Run the gossip membership sidecar (frames gain a one-byte lane tag).
-    pub gossip: bool,
-    /// Phi-accrual suspicion threshold for the sidecar's detector.
-    pub phi: f64,
-    /// Grace ticks between detector confirmation and eviction.
-    pub evict_ticks: u64,
 }
 
 /// Fingerprint of the parameters every member of a cluster must agree on,
@@ -69,27 +63,10 @@ pub fn cluster_fingerprint(proto: ProtoId, n: usize, seed: u64) -> u64 {
     h
 }
 
-/// Fold the gossip marker into a base fingerprint. A gossip-on node frames
-/// every peer message with a lane tag a gossip-off node would misparse, so
-/// mixed clusters must refuse each other at the hello — same mechanism as a
-/// seed mismatch.
-pub fn gossip_fingerprint(mut h: u64) -> u64 {
-    for b in 5u64.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl NodeConfig {
     /// This deployment's fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let base = cluster_fingerprint(self.proto, self.n, self.seed);
-        if self.gossip {
-            gossip_fingerprint(base)
-        } else {
-            base
-        }
+        cluster_fingerprint(self.proto, self.n, self.seed)
     }
 
     /// Parse the `dpq-node` flag vector (everything after argv[0]).
@@ -109,9 +86,6 @@ impl NodeConfig {
         let mut tick_ms = 2u64;
         let mut wal = None;
         let mut trace = None;
-        let mut gossip = false;
-        let mut phi = 8.0f64;
-        let mut evict_ticks = 64u64;
 
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -173,17 +147,6 @@ impl NodeConfig {
                 }
                 "--wal" => wal = Some(PathBuf::from(val()?)),
                 "--trace" => trace = Some(PathBuf::from(val()?)),
-                "--gossip" => gossip = true,
-                "--phi" => {
-                    phi = val()?
-                        .parse()
-                        .map_err(|e: std::num::ParseFloatError| e.to_string())?
-                }
-                "--evict-ticks" => {
-                    evict_ticks = val()?
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| e.to_string())?
-                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -213,9 +176,6 @@ impl NodeConfig {
             tick_ms,
             wal,
             trace,
-            gossip,
-            phi,
-            evict_ticks,
         })
     }
 }
@@ -257,6 +217,9 @@ mod tests {
         ))
         .is_err());
         assert!(NodeConfig::parse_args(&args("--wat")).is_err());
+        let base = "--proto skeap --n 3 --id 0 --listen uds:/a --ctl uds:/b";
+        let err = NodeConfig::parse_args(&args(&format!("{base} --gossip"))).unwrap_err();
+        assert_eq!(err, "unknown flag \"--gossip\"");
     }
 
     #[test]
@@ -266,24 +229,5 @@ mod tests {
         assert_ne!(a, cluster_fingerprint(ProtoId::Skeap, 5, 2));
         assert_ne!(a, cluster_fingerprint(ProtoId::Seap, 5, 1));
         assert_ne!(a, cluster_fingerprint(ProtoId::Skeap, 6, 1));
-        // Gossip-on and gossip-off clusters must not interconnect.
-        assert_ne!(a, gossip_fingerprint(a));
-        assert_eq!(gossip_fingerprint(a), gossip_fingerprint(a));
-    }
-
-    #[test]
-    fn gossip_flags_parse_and_mark_the_fingerprint() {
-        let base = "--proto skeap --n 3 --id 0 --listen uds:/a --ctl uds:/b";
-        let plain = NodeConfig::parse_args(&args(base)).unwrap();
-        assert!(!plain.gossip);
-        let g = NodeConfig::parse_args(&args(&format!(
-            "{base} --gossip --phi 4.5 --evict-ticks 32"
-        )))
-        .unwrap();
-        assert!(g.gossip);
-        assert_eq!(g.phi, 4.5);
-        assert_eq!(g.evict_ticks, 32);
-        assert_ne!(plain.fingerprint(), g.fingerprint());
-        assert_eq!(g.fingerprint(), gossip_fingerprint(plain.fingerprint()));
     }
 }

@@ -55,7 +55,7 @@ pub mod wire;
 
 pub use app::NetApp;
 pub use backoff::Backoff;
-pub use config::{cluster_fingerprint, gossip_fingerprint, NodeConfig};
+pub use config::{cluster_fingerprint, NodeConfig};
 pub use ctl::{CtlClient, CtlReq, CtlResp, StatusInfo};
 pub use frame::{ProtoId, MAX_FRAME, WIRE_VERSION};
 pub use node::NodeCore;

@@ -11,6 +11,8 @@
 //! ([`take_entries`](NodeCore::take_entries)), then the frames owed to each
 //! destination ([`flush`](NodeCore::flush)), encoded only when taken —
 //! log first, frames after, as [`crate::wal`]'s recovery argument needs.
+//! A frame is one encoded `ReliableMsg`, or empty for a wake: one encoding
+//! and one decode path (DESIGN.md decision 25).
 //!
 //! Acks ride along: a destination owed nothing but `ReliableMsg::Ack`
 //! frames is not flushed at the end of an ordinary turn, so its acks leave
@@ -30,24 +32,14 @@ use std::collections::BTreeMap;
 use crate::app::NetApp;
 use crate::ctl::{CtlReq, CtlResp, StatusInfo};
 use crate::wal::{CtlOpKind, WalEntry};
-use crate::wire::{from_bytes, RawBytes, Wire};
+use crate::wire::{from_bytes, to_bytes, RawBytes, Wire};
 use dpq_core::{BitSize, NodeId, OpId};
-use dpq_gossip::{GossipMsg, GossipNode};
 use dpq_sim::{Ctx, CtxEvent, Hub, LogHistogram, Protocol, Reliable, ReliableMsg, Telemetry};
-
-/// Frame lane tags, used only when the gossip sidecar is on: byte 0 of every
-/// peer frame says which state machine it belongs to. With gossip off the
-/// wire format is byte-identical to a sidecar-less build (and the cluster
-/// fingerprint differs, so mixed clusters refuse each other's hellos).
-const LANE_APP: u8 = 0;
-/// Membership lane (see [`LANE_APP`]).
-const LANE_GOSSIP: u8 = 1;
 
 /// A frame owed to a destination, kept as a message until it is taken.
 enum Frame<M> {
     App(ReliableMsg<M>),
-    Gossip(GossipMsg),
-    /// Empty on every lane, so it is recognised before any lane tag.
+    /// Empty: no app frame encodes to nothing.
     Wake,
 }
 
@@ -57,20 +49,11 @@ impl<M: Wire> Frame<M> {
         !matches!(self, Frame::App(ReliableMsg::Ack { .. }))
     }
 
-    fn encode(&self, lanes: bool) -> Vec<u8> {
-        let mut bytes = Vec::new();
+    fn encode(&self) -> Vec<u8> {
         match self {
-            Frame::App(msg) => {
-                bytes.extend(lanes.then_some(LANE_APP));
-                msg.encode(&mut bytes);
-            }
-            Frame::Gossip(msg) => {
-                bytes.push(LANE_GOSSIP);
-                msg.encode(&mut bytes);
-            }
-            Frame::Wake => {}
+            Frame::App(msg) => to_bytes(msg),
+            Frame::Wake => Vec::new(),
         }
-        bytes
     }
 }
 
@@ -108,19 +91,14 @@ where
     wakes: u64,
     /// Holds that ended at the tick while a wake was owed.
     late_holds: u64,
-    /// The membership sidecar. Never logged: membership is soft state a
-    /// restarted node re-learns by gossiping, and replaying stale
-    /// heartbeats would only poison the detector.
-    gossip: Option<Box<GossipNode>>,
 }
 
 impl<P: NetApp> NodeCore<P>
 where
     P::Msg: Clone + Wire,
 {
-    /// Node `me` running `node` over `Reliable` (timeout `rto_ticks`), with
-    /// the membership sidecar if one is given: frames then carry lane tags.
-    pub fn new(me: u64, node: P, rto_ticks: u64, gossip: Option<GossipNode>) -> Self {
+    /// Node `me` running `node` over `Reliable` (timeout `rto_ticks`).
+    pub fn new(me: u64, node: P, rto_ticks: u64) -> Self {
         let mut node = Reliable::new(node, rto_ticks);
         node.enable_rtt_histogram();
         NodeCore {
@@ -139,47 +117,24 @@ where
             paced_holds: 0,
             wakes: 0,
             late_holds: 0,
-            gossip: gossip.map(Box::new),
         }
     }
 
-    /// Advance the clock and activate the node, then the sidecar.
+    /// Advance the clock and activate the node.
     pub fn tick(&mut self) {
         self.now += 1;
         self.entries.push(WalEntry::Activate { now: self.now });
         let sent = self.step(Reliable::on_activate);
-        queue(&mut self.out, sent, Frame::App);
-        if let Some(g) = self.gossip.as_mut() {
-            let mut ctx = Ctx::new(self.me, self.now);
-            g.on_activate(&mut ctx);
-            queue(&mut self.out, ctx, Frame::Gossip);
-        }
+        queue(&mut self.out, sent);
     }
 
     /// Deliver the frames `from` sent, in order.
     pub fn deliver(&mut self, from: u64, frames: Vec<Vec<u8>>) {
-        for mut bytes in frames {
+        for bytes in frames {
             if bytes.is_empty() {
                 (self.held, self.waive, self.owed) = (false, 2, true);
                 self.wakes += 1;
                 continue;
-            }
-            if self.gossip.is_some() {
-                // Strip the lane tag, so the log keeps storing plain app
-                // frames and replay stays format-compatible.
-                match bytes.first() {
-                    Some(&LANE_APP) => {
-                        bytes.remove(0);
-                    }
-                    Some(&LANE_GOSSIP) => {
-                        self.on_gossip(from, &bytes[1..]);
-                        continue;
-                    }
-                    _ => {
-                        self.rx_decode_errors += 1;
-                        continue;
-                    }
-                }
             }
             let Ok(msg) = from_bytes(&bytes) else {
                 self.rx_decode_errors += 1;
@@ -191,7 +146,7 @@ where
                 frame: RawBytes(bytes),
             });
             let sent = self.step(|node, ctx| node.on_message(NodeId(from), msg, ctx));
-            if queue(&mut self.out, sent, Frame::App) && !self.held {
+            if queue(&mut self.out, sent) && !self.held {
                 if !self.node.inner().idle() {
                     self.owed = false;
                 } else if self.waive > 0 {
@@ -241,13 +196,13 @@ where
         if tick && std::mem::take(&mut self.held) {
             self.late_holds += u64::from(self.owed);
         }
-        let (lanes, me, held) = (self.gossip.is_some(), self.me.0, self.held);
+        let (me, held) = (self.me.0, self.held);
         for (&dst, frames) in &mut self.out {
             if dst == me && held {
                 continue;
             }
             if (tick && !frames.is_empty()) || frames.iter().any(Frame::is_payload) {
-                send(dst, frames.drain(..).map(|f| f.encode(lanes)).collect());
+                send(dst, frames.drain(..).map(|f| f.encode()).collect());
             }
         }
     }
@@ -274,13 +229,6 @@ where
         }
     }
 
-    /// Does the membership detector consider `peer` dead? Never without one.
-    pub(crate) fn considers_dead(&self, peer: u64) -> bool {
-        self.gossip
-            .as_ref()
-            .is_some_and(|g| g.considers_dead(NodeId(peer)))
-    }
-
     /// The node.
     pub fn node(&self) -> &Reliable<P> {
         &self.node
@@ -292,7 +240,7 @@ where
     }
 
     /// Fold the node's counters into `hub`: the transport's, the decode
-    /// errors, the holds and wakes, op latency and the sidecar's.
+    /// errors, the holds and wakes, and op latency.
     pub fn export_telemetry(&self, hub: &mut Hub) {
         self.node.export_telemetry(hub);
         for (name, v) in [
@@ -306,9 +254,6 @@ where
         }
         let op = hub.register_histogram("net.op_latency_ticks");
         hub.hist_merge(op, &self.op_latency);
-        if let Some(g) = &self.gossip {
-            g.export_telemetry(hub);
-        }
     }
 
     /// One step of the node at the current tick: close the latency clocks of
@@ -338,21 +283,6 @@ where
         Ok(id)
     }
 
-    /// A membership-lane frame: decode, deliver to the sidecar, queue its
-    /// replies.
-    fn on_gossip(&mut self, from: u64, payload: &[u8]) {
-        let Some(g) = self.gossip.as_mut() else {
-            return;
-        };
-        let Ok(msg) = from_bytes(payload) else {
-            self.rx_decode_errors += 1;
-            return;
-        };
-        let mut ctx = Ctx::new(self.me, self.now);
-        g.on_message(NodeId(from), msg, &mut ctx);
-        queue(&mut self.out, ctx, Frame::Gossip);
-    }
-
     fn status(&mut self) -> StatusInfo {
         let inner = self.node.inner();
         let progress = inner.progress(self.op_prefix);
@@ -374,14 +304,13 @@ where
 
 /// Queue what a step sent as frames of the current turn; true if a payload
 /// went to the node itself.
-fn queue<M: Wire, N: BitSize>(
+fn queue<M: Wire + BitSize>(
     out: &mut BTreeMap<u64, Vec<Frame<M>>>,
-    mut sent: Ctx<N>,
-    frame: fn(N) -> Frame<M>,
+    mut sent: Ctx<ReliableMsg<M>>,
 ) -> bool {
     let (me, mut mine) = (sent.me(), false);
     for env in sent.drain_outbox() {
-        let f = frame(env.msg);
+        let f = Frame::App(env.msg);
         mine |= env.dst == me && f.is_payload();
         out.entry(env.dst.0).or_default().push(f);
     }

@@ -13,11 +13,13 @@
 //! socket refuses (a short write) or what was sent while the link was still
 //! connecting stays buffered, on frame boundaries, and goes out with the
 //! next send or when the dialer brings the link up. Frames that do not fit
-//! the buffer, that wait on a connect that fails, or that are addressed to
-//! a retired peer are *dropped* whole and counted in
+//! the buffer or that wait on a connect that fails are *dropped* whole and
+//! counted in
 //! [`PeerWire::send_drops`](dpq_telemetry::PeerWire) — the `Reliable` layer
 //! above retransmits, which is exactly the fault model it was built for.
-//! Nothing here blocks the sending thread.
+//! Nothing here blocks the sending thread, and nothing gives up on a peer:
+//! the dialer retries a dead one for as long as the node runs, its delays
+//! growing to [`Backoff`]'s 500 ms cap.
 //!
 //! An inbound connection is non-blocking from its `accept` on and owns one
 //! [`FrameDecoder`](crate::frame::FrameDecoder) for its lifetime: its first
@@ -62,8 +64,6 @@ struct Link {
     rx_bytes: AtomicU64,
     reconnects: AtomicU64,
     send_drops: AtomicU64,
-    /// Peer retired by the failure detector: sends drop, the dialer skips it.
-    retired: AtomicBool,
     out: Mutex<Outbox>,
 }
 
@@ -149,7 +149,7 @@ struct Shared {
 /// the listener.
 pub struct PeerManager {
     shared: Arc<Shared>,
-    /// Parked while every link is up (or retired); unparked to redial.
+    /// Parked while every link is up; unparked to redial.
     dialer: Thread,
 }
 
@@ -268,17 +268,12 @@ impl PeerManager {
 
     /// Write `frames` to `dst` in one `write`. Never blocks: what the
     /// socket does not take now waits in the link's bounded buffer, and a
-    /// frame that does not fit there, or whose peer is retired, is dropped
-    /// whole and counted (the reliable layer retransmits).
+    /// frame that does not fit there is dropped whole and counted (the
+    /// reliable layer retransmits).
     pub fn send_batch(&self, dst: u64, frames: &[Vec<u8>]) {
         let Some(link) = self.shared.links.get(&dst) else {
             return;
         };
-        if link.retired.load(Ordering::Relaxed) {
-            let n = frames.len() as u64;
-            link.send_drops.fetch_add(n, Ordering::Relaxed);
-            return;
-        }
         let mut out = link.out();
         let mut dropped = 0;
         for frame in frames {
@@ -294,34 +289,6 @@ impl PeerManager {
         if broke {
             self.dialer.unpark();
         }
-    }
-
-    /// Retire `dst`: the failure detector has confirmed it dead, so stop
-    /// dialing (no hammering a dead address with reconnects) and drop
-    /// anything still waiting for a connection to it. Idempotent.
-    pub fn retire(&self, dst: u64) {
-        self.set_retired(dst, true);
-    }
-
-    /// Un-retire `dst`: the detector saw it return (higher incarnation),
-    /// so resume dialing. Idempotent.
-    pub fn revive(&self, dst: u64) {
-        self.set_retired(dst, false);
-    }
-
-    fn set_retired(&self, dst: u64, retired: bool) {
-        if let Some(link) = self.shared.links.get(&dst) {
-            link.retired.store(retired, Ordering::SeqCst);
-            self.dialer.unpark();
-        }
-    }
-
-    /// Is `dst` currently retired?
-    pub fn is_retired(&self, dst: u64) -> bool {
-        self.shared
-            .links
-            .get(&dst)
-            .is_some_and(|l| l.retired.load(Ordering::SeqCst))
     }
 
     /// Snapshot the per-peer counters.
@@ -369,22 +336,12 @@ fn dial(addr: &Addr, hello: &Hello) -> std::io::Result<Conn> {
 
 /// Bring every link that is down back up, each on its own backoff
 /// schedule; park while there is nothing to dial. A sender that finds its
-/// link broken, a retire/revive and shutdown unpark this thread.
+/// link broken and shutdown unpark this thread.
 fn dial_loop(mut dials: Vec<Dial>, hello: Hello, shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         let mut wake: Option<Instant> = None;
         for d in &mut dials {
             let link = &shared.links[&d.peer];
-            if link.retired.load(Ordering::SeqCst) {
-                // Not dialed at all until the detector revives it.
-                let mut out = link.out();
-                if out.conn.is_none() {
-                    out.drop_buffered(link);
-                }
-                d.backoff.reset();
-                d.not_before = Instant::now();
-                continue;
-            }
             if link.out().conn.is_some() {
                 continue;
             }
@@ -456,32 +413,6 @@ mod tests {
 
         a.shutdown();
         b.shutdown();
-    }
-
-    #[test]
-    fn retired_peers_drop_frames_until_revived() {
-        let (a_addr, b_addr) = (temp_sock("r1"), temp_sock("r2"));
-        let (a, _a_rx) = manager(0, 7, &a_addr, 1, &b_addr);
-        let (_b, b_rx) = manager(1, 7, &b_addr, 0, &a_addr);
-        // Live first, so the link exists before the retire.
-        a.send(1, vec![1]);
-        b_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-
-        a.retire(1);
-        assert!(a.is_retired(1));
-        let drops_before = a.wire_metrics().peer(1).unwrap().send_drops;
-        a.send(1, vec![2]);
-        a.send(1, vec![3]);
-        assert!(b_rx.recv_timeout(Duration::from_millis(300)).is_err());
-        let drops_after = a.wire_metrics().peer(1).unwrap().send_drops;
-        assert_eq!(drops_after, drops_before + 2);
-
-        a.revive(1);
-        assert!(!a.is_retired(1));
-        a.send(1, vec![4]);
-        let (_, payload) = b_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(payload, vec![4]);
-        a.shutdown();
     }
 
     #[test]

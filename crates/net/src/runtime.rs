@@ -17,6 +17,10 @@
 //! step. The only other thread is the peer dialer, which keeps blocking
 //! connects off the loop.
 //!
+//! The peers are the static `--peer` roster; nothing here detects a dead
+//! one (DESIGN.md decision 25). Its frames wait in its link buffer or drop,
+//! and `Reliable` retransmits them until it is back.
+//!
 //! With `--wal` the entries a core call accepted are appended before its
 //! ctl reply is queued and before the turn's frames are written (see
 //! [`crate::wal`]). On restart the core replays the log and the loop
@@ -39,9 +43,7 @@ use crate::poll::{PollSet, Server};
 use crate::trace::render_trace;
 use crate::wal::Wal;
 use crate::wire::Wire;
-use dpq_core::NodeId;
-use dpq_gossip::{DetectorConfig, GossipConfig, GossipNode};
-use dpq_sim::{Hub, Telemetry};
+use dpq_sim::Hub;
 use dpq_telemetry::{prometheus_text, prometheus_wire_text};
 
 /// The runtime driving one node. Generic over the protocol via [`NetApp`].
@@ -60,10 +62,6 @@ where
     /// Self-addressed frames, delivered at the start of the next turn: no
     /// peer connection exists for `me`.
     loopback: Vec<Vec<u8>>,
-    /// Peers the detector made us retire / later revive at the peer manager.
-    detector_retires: u64,
-    /// See [`Self::detector_retires`].
-    detector_revives: u64,
 }
 
 impl<P: NetApp> NodeRuntime<P>
@@ -74,20 +72,7 @@ where
     /// listeners, and connect to the peers.
     pub fn start(cfg: NodeConfig) -> io::Result<Self> {
         let node = P::build(&cfg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let gossip = cfg.gossip.then(|| {
-            let view: Vec<NodeId> = cfg.peers.keys().map(|&p| NodeId(p)).collect();
-            let gcfg = GossipConfig {
-                detector: DetectorConfig {
-                    threshold: cfg.phi,
-                    ..DetectorConfig::default()
-                },
-                evict_ticks: cfg.evict_ticks,
-                seed: cfg.seed ^ 0x60551,
-                ..GossipConfig::default()
-            };
-            GossipNode::new(NodeId(cfg.me), &view, gcfg)
-        });
-        let mut core = NodeCore::new(cfg.me, node, cfg.rto_ticks, gossip);
+        let mut core = NodeCore::new(cfg.me, node, cfg.rto_ticks);
         let wal = match &cfg.wal {
             None => None,
             Some(path) => {
@@ -110,8 +95,6 @@ where
             inbound,
             ctl,
             loopback: Vec::new(),
-            detector_retires: 0,
-            detector_revives: 0,
         })
     }
 
@@ -125,7 +108,6 @@ where
             if now >= next_tick {
                 self.core.tick();
                 self.log()?;
-                self.apply_detector();
                 self.flush(true);
                 // Ticks are due on a fixed grid, so the work of a tick does
                 // not stretch the period; a loop that fell more than a
@@ -183,27 +165,6 @@ where
         Ok(())
     }
 
-    /// Retire the peers the detector considers dead at the peer manager,
-    /// and revive the ones it no longer does.
-    fn apply_detector(&mut self) {
-        if !self.cfg.gossip {
-            return;
-        }
-        for &peer in self.cfg.peers.keys() {
-            match (self.core.considers_dead(peer), self.peers.is_retired(peer)) {
-                (true, false) => {
-                    self.peers.retire(peer);
-                    self.detector_retires += 1;
-                }
-                (false, true) => {
-                    self.peers.revive(peer);
-                    self.detector_revives += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// End of a turn: one write per destination the core releases;
     /// self-addressed frames wait for the next turn.
     fn flush(&mut self, tick: bool) {
@@ -234,12 +195,6 @@ where
     fn metrics_text(&self) -> String {
         let mut hub = Hub::new();
         self.core.export_telemetry(&mut hub);
-        if self.cfg.gossip {
-            let r = hub.register_counter("net.detector_retires");
-            hub.counter_add(r, self.detector_retires);
-            let v = hub.register_counter("net.detector_revives");
-            hub.counter_add(v, self.detector_revives);
-        }
         let wire = self.peers.wire_metrics();
         wire.fold_into(&mut hub);
         let mut text = prometheus_text(&hub);

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use dpq_core::{Element, History, NodeHistory, OpKind};
 use dpq_net::ctl::{CtlClient, CtlReq, CtlResp, StatusInfo};
 use dpq_net::trace::parse_trace;
-use dpq_net::{cluster_fingerprint, gossip_fingerprint, Addr, ProtoId};
+use dpq_net::{cluster_fingerprint, Addr, ProtoId};
 
 /// Which transport the cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,10 +136,7 @@ impl Cluster {
             node_args.push(args);
         }
 
-        let mut fingerprint = cluster_fingerprint(spec.proto, spec.n, spec.seed);
-        if spec.extra.iter().any(|f| f == "--gossip") {
-            fingerprint = gossip_fingerprint(fingerprint);
-        }
+        let fingerprint = cluster_fingerprint(spec.proto, spec.n, spec.seed);
         let mut cluster = Cluster {
             spec,
             dir,

@@ -11,7 +11,7 @@
 
 mod harness;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dpq_net::ctl::{CtlReq, CtlResp};
 use dpq_net::ProtoId;
@@ -38,11 +38,20 @@ fn run_kill_restart(name: &'static str, transport: Transport, seed: u64) {
     let second: Vec<Vec<_>> = scripts.iter().map(|s| s[ops / 2..].to_vec()).collect();
 
     drive_workload(&cluster, &first);
+    let completed: Vec<u64> = (0..n).map(|i| cluster.status(i).completed).collect();
     // Kill mid-traffic: the victim has issued ops and holds shard elements.
     cluster.kill(victim);
     // Let the survivors run against the dead peer for a while — this is
-    // where retransmissions pile up.
-    std::thread::sleep(Duration::from_millis(300));
+    // where retransmissions pile up. Each keeps answering and keeps every
+    // op it had completed.
+    let window = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < window {
+        for i in (0..n).filter(|&i| i != victim) {
+            let s = cluster.status(i);
+            assert!(s.completed >= completed[i], "node {i} lost completed ops");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
     cluster.restart(victim);
 
     drive_workload(&cluster, &second);

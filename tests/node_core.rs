@@ -29,26 +29,32 @@
 //!   answer.
 //! * **holds.** An idle Seap anchor's own frames wait for its tick, a local
 //!   request or a wake; a wake is never logged and never a decode error.
+//!   A lone data frame's ack waits for the receiver's next tick, and its
+//!   sender retransmits nothing at the smallest timeout lock-step allows.
 
 use dpq::core::workload::{generate, WorkloadSpec};
+use dpq::core::Priority;
 use dpq::core::{state_digest, Element, History, Key, OpId, OpKind, OpRecord, StateHash};
-use dpq::core::{NodeId, Priority};
-use dpq::gossip::{GossipConfig, GossipNode};
 use dpq::semantics::{
     check_conservation, check_local_consistency, rank_error, replay, RankOrder, ReplayMode,
 };
 use dpq::sim::{
-    AsyncConfig, DeliveryPolicy, FaultPlan, Hub, QueueNode, RandomAdversary, Run, StepChoice,
+    AsyncConfig, DeliveryPolicy, FaultPlan, Hub, QueueNode, RandomAdversary, ReliableMsg, Run,
+    StepChoice,
 };
 use dpq_net::frame::{append_frame, FrameDecoder};
 use dpq_net::wal::WalEntry;
-use dpq_net::{CtlReq, CtlResp, NetApp, NodeCore, Wire};
+use dpq_net::{from_bytes, CtlReq, CtlResp, NetApp, NodeCore, Wire};
 use kselect::{KSelectConfig, KSelectNode};
 
 const N: usize = 5;
 const OPS: usize = 4;
 const N_PRIOS: usize = 4;
 const RTO: u64 = 8;
+/// The smallest timeout lock-step delivery allows: a frame a delivery sends
+/// at tick t leaves with tick t + 1's flush, its ack with the receiver's
+/// tick t + 2, and the ack reaches the sender before its tick t + 3.
+const LOCKSTEP_RTO: u64 = 3;
 /// Lock-step ticks a run may take.
 const TICKS: u64 = 20_000;
 /// Adversary steps an interleaved run may take.
@@ -72,16 +78,12 @@ where
     P::Msg: Clone + Wire,
 {
     fn new(nodes: Vec<P>) -> Self {
-        Self::with_lanes(nodes, false)
+        Self::with_rto(nodes, RTO)
     }
 
-    /// With `lanes`, every core runs the gossip sidecar, so frames carry
-    /// lane tags.
-    fn with_lanes(nodes: Vec<P>, lanes: bool) -> Self {
-        let ids: Vec<_> = (0..nodes.len() as u64).map(NodeId).collect();
-        let sidecar = |i| GossipNode::new(ids[i], &ids, GossipConfig::default());
+    fn with_rto(nodes: Vec<P>, rto: u64) -> Self {
         let cores: Vec<_> = (nodes.into_iter().enumerate())
-            .map(|(i, node)| NodeCore::new(i as u64, node, RTO, lanes.then(|| sidecar(i))))
+            .map(|(i, node)| NodeCore::new(i as u64, node, rto))
             .collect();
         Cluster {
             logs: vec![Vec::new(); cores.len()],
@@ -239,7 +241,7 @@ fn core<P: NetApp>((i, node): (usize, P)) -> NodeCore<P>
 where
     P::Msg: Clone + Wire,
 {
-    NodeCore::new(i as u64, node, RTO, None)
+    NodeCore::new(i as u64, node, RTO)
 }
 
 /// Merged history and residual, as `Run::queue` reports them.
@@ -423,7 +425,7 @@ fn seeded_interleavings_pass_the_oracles() {
 }
 
 /// The anchor's own frames wait for its tick, a local request or a wake, and
-/// a request whose wake is lost waits for the tick; lanes off and on.
+/// a request whose wake is lost waits for the tick.
 #[test]
 fn an_idle_anchor_holds_until_its_tick_a_local_request_or_a_wake() {
     let seed = 5;
@@ -434,60 +436,112 @@ fn an_idle_anchor_holds_until_its_tick_a_local_request_or_a_wake() {
         .position(|q| q.view.parent().is_some_and(|p| p.index() != anchor))
         .expect("a node two levels below the anchor");
     let insert = |payload| OpKind::Insert(Element::new(Default::default(), Priority(9), payload));
-    for lanes in [false, true] {
-        let mut c = Cluster::with_lanes(seap_nodes(seed), lanes);
-        let holds = |c: &Cluster<_>| counter(&c.cores[anchor], "net.paced_holds");
-        (0..N).for_each(|i| c.tick(i));
-        c.settle();
-        assert_eq!(holds(&c), 1, "an idle anchor holds its next phase");
+    let mut c = Cluster::new(seap_nodes(seed));
+    let holds = |c: &Cluster<_>| counter(&c.cores[anchor], "net.paced_holds");
+    (0..N).for_each(|i| c.tick(i));
+    c.settle();
+    assert_eq!(holds(&c), 1, "an idle anchor holds its next phase");
 
+    c.tick(anchor);
+    assert!(c.flight.iter().any(|&(s, d, _)| (s, d) == (anchor, anchor)));
+    c.settle();
+    assert_eq!(holds(&c), 2, "the tick released one empty phase");
+
+    c.ctl(anchor, insert(1));
+    c.end_turn(anchor, false);
+    c.settle();
+    assert!(c.cores[anchor].node().all_complete(), "a local request");
+
+    c.ctl(deep, OpKind::DeleteMin);
+    c.end_turn(deep, false);
+    c.drop_wakes();
+    c.settle();
+    assert!(!c.cores[deep].node().all_complete(), "no wake, no phase");
+    // The released phase may be an insert phase: then a second tick.
+    let released = (0..2).any(|_| {
         c.tick(anchor);
-        assert!(c.flight.iter().any(|&(s, d, _)| (s, d) == (anchor, anchor)));
         c.settle();
-        assert_eq!(holds(&c), 2, "the tick released one empty phase");
+        c.cores[deep].node().all_complete()
+    });
+    assert!(released, "the anchor's ticks released it");
 
-        c.ctl(anchor, insert(1));
-        c.end_turn(anchor, false);
-        c.settle();
-        assert!(c.cores[anchor].node().all_complete(), "a local request");
-
-        c.ctl(deep, OpKind::DeleteMin);
+    for op in [insert(2), OpKind::DeleteMin] {
+        c.ctl(deep, op);
         c.end_turn(deep, false);
-        c.drop_wakes();
         c.settle();
-        assert!(!c.cores[deep].node().all_complete(), "no wake, no phase");
-        // The released phase may be an insert phase: then a second tick.
-        let released = (0..2).any(|_| {
-            c.tick(anchor);
-            c.settle();
-            c.cores[deep].node().all_complete()
-        });
-        assert!(released, "the anchor's ticks released it");
-
-        for op in [insert(2), OpKind::DeleteMin] {
-            c.ctl(deep, op);
-            c.end_turn(deep, false);
-            c.settle();
-            assert!(c.cores[deep].node().all_complete(), "a wake released it");
-        }
-        for (i, core) in c.cores.iter().enumerate() {
-            let wakes = if i == anchor { 2 } else { 0 };
-            assert_eq!(counter(core, "net.wakes"), wakes, "node {i}");
-            assert_eq!(counter(core, "net.rx_decode_errors"), 0, "node {i}");
-            assert_eq!(counter(core, "net.late_holds"), 0, "node {i}");
-        }
-        let logged =
-            |e: &WalEntry| matches!(e, WalEntry::Deliver { frame, .. } if frame.0.is_empty());
-        assert!(!c.logs.iter().flatten().any(logged), "a wake was logged");
-        let mut rebuilt = core((anchor, seap_nodes(seed).swap_remove(anchor)));
-        rebuilt.replay(c.logs[anchor].iter().cloned());
-        assert_eq!(
-            state_digest(rebuilt.node()),
-            state_digest(c.cores[anchor].node())
-        );
-        assert_eq!(
-            rebuilt.op_latency().count(),
-            c.cores[anchor].op_latency().count()
-        );
+        assert!(c.cores[deep].node().all_complete(), "a wake released it");
     }
+    for (i, core) in c.cores.iter().enumerate() {
+        let wakes = if i == anchor { 2 } else { 0 };
+        assert_eq!(counter(core, "net.wakes"), wakes, "node {i}");
+        assert_eq!(counter(core, "net.rx_decode_errors"), 0, "node {i}");
+        assert_eq!(counter(core, "net.late_holds"), 0, "node {i}");
+    }
+    let logged = |e: &WalEntry| matches!(e, WalEntry::Deliver { frame, .. } if frame.0.is_empty());
+    assert!(!c.logs.iter().flatten().any(logged), "a wake was logged");
+    let mut rebuilt = core((anchor, seap_nodes(seed).swap_remove(anchor)));
+    rebuilt.replay(c.logs[anchor].iter().cloned());
+    assert_eq!(
+        state_digest(rebuilt.node()),
+        state_digest(c.cores[anchor].node())
+    );
+    assert_eq!(
+        rebuilt.op_latency().count(),
+        c.cores[anchor].op_latency().count()
+    );
+}
+
+/// Decision 14's ack hold, without a clock: a lone data frame's ack leaves
+/// with the receiver's next tick, in time for the lock-step timeout.
+#[test]
+fn a_lone_data_frame_is_acked_at_the_next_tick() {
+    let seed = 1;
+    let retransmits = |c: &Cluster<skeap::SkeapNode>| -> u64 {
+        c.cores.iter().map(|c| c.node().stats.retransmits).sum()
+    };
+    for (rto, clean) in [(LOCKSTEP_RTO - 1, false), (LOCKSTEP_RTO, true)] {
+        let mut c = Cluster::with_rto(skeap_nodes(seed), rto);
+        c.issue(&scripts(seed, N_PRIOS as u64));
+        c.run_lockstep(complete);
+        assert_eq!(retransmits(&c) == 0, clean, "lock-step at rto {rto}");
+    }
+
+    let nodes = skeap_nodes(seed);
+    let anchor = nodes.iter().position(|q| q.view.is_anchor()).unwrap();
+    let mut c = Cluster::with_rto(nodes, LOCKSTEP_RTO);
+    (0..N).for_each(|i| c.tick(i));
+    // A leaf's first batch, to a parent below the anchor: the parent answers
+    // it only up the tree.
+    let k = (c.flight.iter())
+        .position(|&(s, d, _)| s != d && d != anchor)
+        .expect("a leaf two levels below the anchor");
+    let (leaf, parent) = (c.flight[k].0, c.flight[k].1);
+    let decode = |f: &Vec<u8>| from_bytes::<ReliableMsg<skeap::SkeapMsg>>(f).unwrap();
+    let to_leaf = |c: &Cluster<_>| -> Vec<_> {
+        (c.flight.iter())
+            .filter(|&&(s, d, _)| (s, d) == (parent, leaf))
+            .flat_map(|(_, _, bytes)| split(bytes).iter().map(decode).collect::<Vec<_>>())
+            .collect()
+    };
+    let lone = split(&c.flight[k].2);
+    assert!(matches!(lone[..], [ref f] if matches!(decode(f), ReliableMsg::Data { .. })));
+    c.deliver(k);
+    c.end_turn(parent, false);
+    assert!(to_leaf(&c).is_empty(), "the ack left without a tick");
+    c.tick(parent);
+    assert!(
+        matches!(to_leaf(&c)[..], [ReliableMsg::Ack { .. }]),
+        "the tick flushed {:?}",
+        to_leaf(&c)
+    );
+    // The leaf ticks once before the ack lands, as in lock-step.
+    c.tick(leaf);
+    let k = (c.flight.iter())
+        .position(|&(s, d, _)| (s, d) == (parent, leaf))
+        .unwrap();
+    c.deliver(k);
+    c.end_turn(leaf, false);
+    (0..LOCKSTEP_RTO).for_each(|_| c.tick(leaf));
+    assert_eq!(c.cores[leaf].node().stats.retransmits, 0);
+    assert_eq!(c.cores[leaf].node().unacked(), 0);
 }
