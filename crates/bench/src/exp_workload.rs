@@ -251,9 +251,6 @@ pub fn e19_workload(opts: &ExpOpts) -> Table {
                 MixKind::Uniform => "uniform",
                 MixKind::Zipf { .. } => "zipf",
                 MixKind::FifoAdversarial => "fifo-adv",
-                MixKind::LifoAdversarial => "lifo-adv",
-                MixKind::Sawtooth { .. } => "sawtooth",
-                MixKind::HotKey { .. } => "hotkey",
             };
             vec![(arr.into(), mix.into(), spec.clone())]
         }

@@ -71,8 +71,8 @@ pub enum Health {
 pub enum Verdict {
     /// Alive → Suspect.
     Suspected(NodeId),
-    /// Suspect → Confirmed; carries `since` for latency accounting.
-    Confirmed(NodeId, u64),
+    /// Suspect → Confirmed.
+    Confirmed(NodeId),
     /// Suspect/Confirmed → Alive on heartbeat progress (a false positive).
     Revived(NodeId),
 }
@@ -256,7 +256,7 @@ impl FailureDetector {
                         rec.health = Health::Confirmed { since, at: now };
                         rec.stamp += 1;
                         self.stats.confirms += 1;
-                        out.push(Verdict::Confirmed(peer, since));
+                        out.push(Verdict::Confirmed(peer));
                     } else {
                         // Mean drifted; drop back without counting an FP
                         // (no observation arrived — phi math simply moved).
@@ -337,10 +337,7 @@ mod tests {
             d.tick(t, &mut out);
         }
         assert!(matches!(out[0], Verdict::Suspected(NodeId(1))), "{out:?}");
-        assert!(
-            matches!(out[1], Verdict::Confirmed(NodeId(1), _)),
-            "{out:?}"
-        );
+        assert!(matches!(out[1], Verdict::Confirmed(NodeId(1))), "{out:?}");
         // phi=3 with mean 4 crosses at ~28 ticks of silence; confirm 5 later.
         let Health::Confirmed { since, at } = d.health(NodeId(1)).unwrap() else {
             panic!("not confirmed");

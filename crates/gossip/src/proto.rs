@@ -305,7 +305,7 @@ impl GossipNode {
         self.detector.tick(now, &mut verdicts);
         for v in &verdicts {
             match *v {
-                Verdict::Confirmed(peer, _) => {
+                Verdict::Confirmed(peer) => {
                     self.evict_queue.push((peer, now + self.cfg.evict_ticks));
                 }
                 Verdict::Revived(peer) => {

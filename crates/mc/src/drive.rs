@@ -86,8 +86,8 @@ where
 }
 
 /// Will the *next* `step_once` consult the policy with a non-empty
-/// eligible set? Requires MC scenario discipline: no `max_delay`, no
-/// delay-inflating or crash faults (drop/duplicate plans keep every
+/// eligible set? Requires MC scenario discipline: no delay-inflating or
+/// crash faults (drop/duplicate plans keep every
 /// in-flight message mature and every node up).
 fn next_is_choice_point<P>(sched: &AsyncScheduler<P, dpq_sim::NullTracer, ScriptPolicy>) -> bool
 where
@@ -123,10 +123,6 @@ where
     D: Fn(&[P]) -> bool,
     J: FnOnce(&[P]) -> Option<String>,
 {
-    assert!(
-        cfg.max_delay.is_none(),
-        "model checking requires an unbounded-delay config (no forced deliveries)"
-    );
     // The seed is dead: the scripted policy replaces the random adversary.
     let mut sched = AsyncScheduler::new(nodes, 0)
         .with_config(cfg)

@@ -19,13 +19,11 @@ use kselect::{KSelectConfig, KSelectNode};
 
 /// The adversary configuration every scenario runs under: frequent sweeps
 /// keep defer-heavy schedules progressing (sweeps are deterministic, not
-/// choice points), and no delay bound — forced deliveries would bypass the
-/// policy.
+/// choice points).
 pub fn mc_config() -> AsyncConfig {
     AsyncConfig {
         deliver_bias: 0.6, // unused by scripted policies
         sweep_every: 8,
-        max_delay: None,
     }
 }
 

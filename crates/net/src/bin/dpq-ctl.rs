@@ -15,7 +15,8 @@
 //!
 //! `--proto/--n/--seed` must match the daemon's flags: they form the cluster
 //! fingerprint checked in the handshake, so a client cannot accidentally
-//! drive a different deployment on the same host.
+//! drive a different deployment on the same host. An unknown flag or
+//! command, or a malformed argument, exits 2 before anything is dialed.
 
 use std::time::{Duration, Instant};
 
@@ -51,6 +52,7 @@ fn main() {
                 )
             }
             "--seed" => seed = val().parse().unwrap_or_else(|e| fail(&format!("{e}"))),
+            flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
             _ => rest.push(arg.clone()),
         }
     }
@@ -58,6 +60,31 @@ fn main() {
     let proto = proto.unwrap_or_else(|| fail("--proto is required"));
     let n = n.unwrap_or_else(|| fail("--n is required"));
     let fingerprint = cluster_fingerprint(proto, n, seed);
+
+    // The request to send and, for `wait`, how long to keep polling it.
+    let (req, wait_secs) = match rest.first().map(String::as_str).unwrap_or("status") {
+        "status" => (CtlReq::Status, None),
+        "enqueue" => {
+            if rest.len() != 3 {
+                fail("usage: enqueue <prio> <payload>");
+            }
+            let prio = rest[1].parse().unwrap_or_else(|e| fail(&format!("{e}")));
+            let payload = rest[2].parse().unwrap_or_else(|e| fail(&format!("{e}")));
+            (CtlReq::Enqueue { prio, payload }, None)
+        }
+        "dequeue" => (CtlReq::Dequeue, None),
+        "wait" => {
+            let secs: u64 = rest
+                .get(1)
+                .map(|s| s.parse().unwrap_or_else(|e| fail(&format!("{e}"))))
+                .unwrap_or(30);
+            (CtlReq::Status, Some(secs))
+        }
+        "dump" => (CtlReq::Dump, None),
+        "metrics" => (CtlReq::Metrics, None),
+        "shutdown" => (CtlReq::Shutdown, None),
+        other => fail(&format!("unknown command {other:?}")),
+    };
 
     let mut client = CtlClient::connect_retry(&ctl, fingerprint, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(&format!("connecting to {ctl}: {e}")));
@@ -67,26 +94,12 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("request failed: {e}")))
     };
 
-    let cmd = rest.first().map(String::as_str).unwrap_or("status");
-    let resp = match cmd {
-        "status" => send(&CtlReq::Status),
-        "enqueue" => {
-            if rest.len() != 3 {
-                fail("usage: enqueue <prio> <payload>");
-            }
-            let prio = rest[1].parse().unwrap_or_else(|e| fail(&format!("{e}")));
-            let payload = rest[2].parse().unwrap_or_else(|e| fail(&format!("{e}")));
-            send(&CtlReq::Enqueue { prio, payload })
-        }
-        "dequeue" => send(&CtlReq::Dequeue),
-        "wait" => {
-            let secs: u64 = rest
-                .get(1)
-                .map(|s| s.parse().unwrap_or_else(|e| fail(&format!("{e}"))))
-                .unwrap_or(30);
+    let resp = match wait_secs {
+        None => send(&req),
+        Some(secs) => {
             let deadline = Instant::now() + Duration::from_secs(secs);
             loop {
-                let resp = send(&CtlReq::Status);
+                let resp = send(&req);
                 match &resp {
                     CtlResp::Status(s) if s.all_complete => break resp,
                     CtlResp::Status(_) if Instant::now() < deadline => {
@@ -97,10 +110,6 @@ fn main() {
                 }
             }
         }
-        "dump" => send(&CtlReq::Dump),
-        "metrics" => send(&CtlReq::Metrics),
-        "shutdown" => send(&CtlReq::Shutdown),
-        other => fail(&format!("unknown command {other:?}")),
     };
 
     match resp {

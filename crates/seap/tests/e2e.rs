@@ -45,7 +45,6 @@ fn async_starving_adversary_preserves_semantics() {
     let mut sched = AsyncScheduler::new(nodes, 4321).with_config(AsyncConfig {
         deliver_bias: 0.2,
         sweep_every: 48,
-        max_delay: None,
     });
     assert!(sched.run_until_pred(120_000_000, |ns| ns.iter().all(SeapNode::all_complete)));
     check_seap_history(&cluster::history(sched.nodes())).unwrap();

@@ -18,16 +18,13 @@
 //!   `eligible[k]` made — is a single O(log |slots|) select. When nothing
 //!   is immature (every plan without delay inflation) the pick degenerates
 //!   to direct indexing: O(1).
-//! * Bounded-delay mode (`AsyncConfig::max_delay`) gets the same treatment
-//!   through a second wheel keyed on `ready + bound`: the old "first
-//!   overdue in slot order" linear `position` scan becomes `select(0)`.
 //!
 //! Flight slots are addressed through a generation-indexed free-list of
 //! stable ids, so wheel entries survive `swap_remove` reshuffles and stale
-//! events (a delivered message's overdue event firing later) are rejected
-//! by generation mismatch. Steady-state stepping allocates nothing: slots,
-//! id tables, wheel buckets, and the drain scratch all recycle their
-//! capacity.
+//! events (a message delivered before its maturity event fires) are
+//! rejected by generation mismatch. Steady-state stepping allocates
+//! nothing: slots, id tables, wheel buckets, and the drain scratch all
+//! recycle their capacity.
 //!
 //! Determinism: none of this touches the adversary's RNG. The scheduler
 //! draws exactly the coins it used to (`chance` once when the eligible set
@@ -48,7 +45,7 @@ const NO_POS: u32 = u32::MAX;
 const WHEEL_BUCKETS: usize = 64;
 
 /// One in-flight message: its stable id and the payload. The ready time is
-/// not stored — the wheels and rank indexes fully capture maturity.
+/// not stored — the wheel and the rank index fully capture maturity.
 struct Slot<M> {
     id: u32,
     env: Envelope<M>,
@@ -196,8 +193,8 @@ impl RankIndex {
     }
 }
 
-/// The in-flight message set. `track_mature` / `bound` choose which indexes
-/// are maintained; with both off this is exactly the old plain vector.
+/// The in-flight message set. `indexed` chooses whether maturity is
+/// maintained; without it this is exactly the old plain vector.
 pub(crate) struct FlightSet<M> {
     slots: Vec<Slot<M>>,
     /// id → slot position (`NO_POS` when free).
@@ -205,24 +202,18 @@ pub(crate) struct FlightSet<M> {
     /// id → generation, bumped on free; stale wheel events compare this.
     generation: Vec<u32>,
     free_ids: Vec<u32>,
-    /// Mature = ready ≤ now. Maintained only when `track_mature`.
+    /// Mature = ready ≤ now. Maintained only when `indexed`.
     mature: RankIndex,
     mature_wheel: Wheel,
-    /// Overdue = ready + bound ≤ now. Maintained only in bounded-delay mode.
-    overdue: RankIndex,
-    overdue_wheel: Wheel,
-    track_mature: bool,
-    bound: Option<u64>,
-    /// Whether ids/wheels are maintained at all.
+    /// Whether ids, the wheel and the rank index are maintained at all.
     indexed: bool,
     now: u64,
     drain_scratch: Vec<(u32, u32)>,
 }
 
 impl<M> FlightSet<M> {
-    /// `track_mature` when a fault plan can inflate ready times; `bound`
-    /// when the scheduler runs in bounded-delay mode.
-    pub(crate) fn new(track_mature: bool, bound: Option<u64>) -> FlightSet<M> {
+    /// `indexed` when a fault plan can inflate ready times.
+    pub(crate) fn new(indexed: bool) -> FlightSet<M> {
         FlightSet {
             slots: Vec::new(),
             pos: Vec::new(),
@@ -230,11 +221,7 @@ impl<M> FlightSet<M> {
             free_ids: Vec::new(),
             mature: RankIndex::new(),
             mature_wheel: Wheel::new(),
-            overdue: RankIndex::new(),
-            overdue_wheel: Wheel::new(),
-            track_mature,
-            bound,
-            indexed: track_mature || bound.is_some(),
+            indexed,
             now: 0,
             drain_scratch: Vec::new(),
         }
@@ -248,12 +235,12 @@ impl<M> FlightSet<M> {
         self.slots.is_empty()
     }
 
-    /// Events currently parked in the calendar wheels' overflow heaps —
+    /// Events currently parked in the calendar wheel's overflow heap —
     /// deferrals beyond the wheel horizon. A telemetry gauge: persistent
     /// nonzero spill means the wheel span is undersized for the workload's
     /// delay distribution.
     pub(crate) fn overflow_len(&self) -> usize {
-        self.mature_wheel.overflow.len() + self.overdue_wheel.overflow.len()
+        self.mature_wheel.overflow.len()
     }
 
     /// All in-flight envelopes in slot order.
@@ -277,22 +264,11 @@ impl<M> FlightSet<M> {
         let id = if self.indexed {
             let id = self.alloc_id();
             self.pos[id as usize] = at as u32;
-            if self.track_mature {
-                if ready <= self.now {
-                    self.mature.set(at);
-                } else {
-                    self.mature_wheel
-                        .push(ready, self.now, id, self.generation[id as usize]);
-                }
-            }
-            if let Some(bound) = self.bound {
-                let due = ready + bound;
-                if due <= self.now {
-                    self.overdue.set(at);
-                } else {
-                    self.overdue_wheel
-                        .push(due, self.now, id, self.generation[id as usize]);
-                }
+            if ready <= self.now {
+                self.mature.set(at);
+            } else {
+                self.mature_wheel
+                    .push(ready, self.now, id, self.generation[id as usize]);
             }
             id
         } else {
@@ -308,35 +284,21 @@ impl<M> FlightSet<M> {
         if !self.indexed {
             return;
         }
-        if self.track_mature {
-            let mut due = std::mem::take(&mut self.drain_scratch);
-            self.mature_wheel.drain_due(now, &mut due);
-            for (id, generation) in due.drain(..) {
-                if self.generation[id as usize] == generation {
-                    let p = self.pos[id as usize];
-                    debug_assert_ne!(p, NO_POS);
-                    self.mature.set(p as usize);
-                }
+        let mut due = std::mem::take(&mut self.drain_scratch);
+        self.mature_wheel.drain_due(now, &mut due);
+        for (id, generation) in due.drain(..) {
+            if self.generation[id as usize] == generation {
+                let p = self.pos[id as usize];
+                debug_assert_ne!(p, NO_POS);
+                self.mature.set(p as usize);
             }
-            self.drain_scratch = due;
         }
-        if self.bound.is_some() {
-            let mut due = std::mem::take(&mut self.drain_scratch);
-            self.overdue_wheel.drain_due(now, &mut due);
-            for (id, generation) in due.drain(..) {
-                if self.generation[id as usize] == generation {
-                    let p = self.pos[id as usize];
-                    debug_assert_ne!(p, NO_POS);
-                    self.overdue.set(p as usize);
-                }
-            }
-            self.drain_scratch = due;
-        }
+        self.drain_scratch = due;
     }
 
-    /// Number of messages with `ready <= now` (requires `track_mature`).
+    /// Number of messages with `ready <= now` (requires `indexed`).
     pub(crate) fn eligible_count(&self) -> usize {
-        debug_assert!(self.track_mature);
+        debug_assert!(self.indexed);
         self.mature.count
     }
 
@@ -349,13 +311,6 @@ impl<M> FlightSet<M> {
         self.mature.select(k)
     }
 
-    /// Lowest slot position whose `ready + bound <= now`, if any — the old
-    /// `iter().position(...)` of bounded-delay mode.
-    pub(crate) fn first_overdue(&self) -> Option<usize> {
-        debug_assert!(self.bound.is_some());
-        (self.overdue.count > 0).then(|| self.overdue.select(0))
-    }
-
     /// Remove and return the message at slot `idx`, exactly like the old
     /// `Vec::swap_remove`: the last slot (if any) moves into `idx`.
     pub(crate) fn swap_remove(&mut self, idx: usize) -> Envelope<M> {
@@ -365,22 +320,13 @@ impl<M> FlightSet<M> {
             self.pos[id] = NO_POS;
             self.generation[id] = self.generation[id].wrapping_add(1);
             self.free_ids.push(id as u32);
-            if self.track_mature {
-                self.mature.clear(idx);
-            }
-            if self.bound.is_some() {
-                self.overdue.clear(idx);
-            }
+            self.mature.clear(idx);
             if idx != last {
                 let moved_id = self.slots[last].id as usize;
                 self.pos[moved_id] = idx as u32;
-                if self.track_mature && self.mature.is_set(last) {
+                if self.mature.is_set(last) {
                     self.mature.clear(last);
                     self.mature.set(idx);
-                }
-                if self.bound.is_some() && self.overdue.is_set(last) {
-                    self.overdue.clear(last);
-                    self.overdue.set(idx);
                 }
             }
         }
@@ -411,19 +357,14 @@ mod tests {
                 .map(|(i, _)| i)
                 .collect()
         }
-
-        fn first_overdue(&self, now: u64, bound: u64) -> Option<usize> {
-            self.flights.iter().position(|f| f.0 + bound <= now)
-        }
     }
 
     #[test]
     fn matches_linear_scan_model_under_churn() {
         // Deterministic pseudo-random workload: pushes with varying delays,
         // removals by pseudo-random eligible rank; every step cross-checks
-        // eligible count, pick, and overdue against the O(n)-scan model.
-        let bound = 9u64;
-        let mut fs: FlightSet<u64> = FlightSet::new(true, Some(bound));
+        // eligible count and pick against the O(n)-scan model.
+        let mut fs: FlightSet<u64> = FlightSet::new(true);
         let mut model = Model {
             flights: Vec::new(),
         };
@@ -446,11 +387,6 @@ mod tests {
             }
             let elig = model.eligible(now);
             assert_eq!(fs.eligible_count(), elig.len(), "count at now={now}");
-            assert_eq!(
-                fs.first_overdue(),
-                model.first_overdue(now, bound),
-                "overdue at now={now}"
-            );
             if !elig.is_empty() && rng() % 3 != 0 {
                 let k = (rng() % elig.len() as u64) as usize;
                 let idx = fs.pick_eligible(k);
@@ -466,7 +402,7 @@ mod tests {
 
     #[test]
     fn unindexed_mode_is_a_plain_vector() {
-        let mut fs: FlightSet<u64> = FlightSet::new(false, None);
+        let mut fs: FlightSet<u64> = FlightSet::new(false);
         for i in 0..100 {
             fs.push(0, env(i));
         }
@@ -481,21 +417,22 @@ mod tests {
 
     #[test]
     fn stale_wheel_events_are_ignored_by_generation() {
-        let mut fs: FlightSet<u64> = FlightSet::new(true, Some(5));
+        let mut fs: FlightSet<u64> = FlightSet::new(true);
         fs.advance(1);
-        fs.push(1, env(0)); // mature now; overdue event scheduled at 6
-        assert_eq!(fs.eligible_count(), 1);
-        fs.swap_remove(0); // delivered before the overdue event fires
-        fs.push(3, env(1)); // reuses the freed id with a bumped generation
+        fs.push(5, env(0)); // immature; maturity event scheduled at 5
+        assert_eq!(fs.eligible_count(), 0);
+        fs.swap_remove(0); // removed before its event fires
+        fs.push(8, env(1)); // reuses the freed id with a bumped generation
+
+        // The stale event at 5 must not mark the reused slot mature; the
+        // new message's own event (8) is not yet due.
         for now in 2..=7 {
             fs.advance(now);
+            assert_eq!(fs.eligible_count(), 0, "stale event fired at now={now}");
         }
-        // The stale overdue event (for the delivered message) must not have
-        // marked the reused slot; the new message's own event (3+5=8) not
-        // yet due.
-        assert_eq!(fs.first_overdue(), None);
         fs.advance(8);
-        assert_eq!(fs.first_overdue(), Some(0));
+        assert_eq!(fs.eligible_count(), 1);
+        assert_eq!(fs.pick_eligible(0), 0);
     }
 
     #[test]

@@ -34,12 +34,6 @@ pub struct AsyncConfig {
     /// Every this many steps, activate all nodes once in order (guarantees
     /// progress for protocols that only act on activation).
     pub sweep_every: u64,
-    /// Optional bound on delivery delay, in steps. When set, a message
-    /// sent at step s is *forced* to deliver by step s + bound — the
-    /// bounded-delay asynchronous model, a middle ground between the
-    /// synchronous rounds and the unbounded adversary. `None` (default)
-    /// keeps delays arbitrary-but-finite (fair uniform choice).
-    pub max_delay: Option<u64>,
 }
 
 impl Default for AsyncConfig {
@@ -47,7 +41,6 @@ impl Default for AsyncConfig {
         AsyncConfig {
             deliver_bias: 0.6,
             sweep_every: 64,
-            max_delay: None,
         }
     }
 }
@@ -87,8 +80,8 @@ pub struct AsyncScheduler<
     M: Telemetry = NullTelemetry,
 > {
     pub(crate) k: Kernel<P, T, M>,
-    /// In-flight messages, maturity-indexed when the fault layer (or a
-    /// delay bound) makes readiness non-trivial.
+    /// In-flight messages, maturity-indexed when the fault layer makes
+    /// readiness non-trivial.
     in_flight: FlightSet<P::Msg>,
     policy: D,
     cfg: AsyncConfig,
@@ -122,12 +115,11 @@ where
     /// default configuration, null fault plan, no sinks. The optional parts
     /// are the `with_*` setters below, applied before the first step.
     pub fn new(nodes: Vec<P>, seed: u64) -> Self {
-        let cfg = AsyncConfig::default();
         AsyncScheduler {
             k: Kernel::new(nodes),
-            in_flight: FlightSet::new(false, cfg.max_delay),
+            in_flight: FlightSet::new(false),
             policy: RandomAdversary::new(seed),
-            cfg,
+            cfg: AsyncConfig::default(),
             step: 0,
             win_base_messages: 0,
             win_handles: None,
@@ -142,25 +134,20 @@ where
     /// Run under a custom adversary configuration.
     pub fn with_config(mut self, cfg: AsyncConfig) -> Self {
         self.cfg = cfg;
-        self.reindex_flight()
+        self
     }
 
-    /// Execute `plan` (replaces the null plan).
+    /// Execute `plan` (replaces the null plan). Maturity only needs
+    /// indexing when ready times can differ from send steps (an active
+    /// plan); otherwise the flight set is a plain vector. The plan is fixed
+    /// before anything is in flight.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.k = self.k.with_faults(plan);
-        self.reindex_flight()
-    }
-
-    /// Maturity only needs indexing when ready times can differ from send
-    /// steps (an active fault plan) or a delay bound must find overdue
-    /// messages; otherwise the set is a plain vector. Both are fixed by
-    /// the setters, which run before anything is in flight.
-    fn reindex_flight(mut self) -> Self {
         assert!(
             self.in_flight.is_empty(),
             "configure the scheduler before its first step"
         );
-        self.in_flight = FlightSet::new(self.k.faults.active(), self.cfg.max_delay);
+        self.k = self.k.with_faults(plan);
+        self.in_flight = FlightSet::new(self.k.faults.active());
         self
     }
 
@@ -236,8 +223,8 @@ where
 
     /// Number of in-flight messages a [`DeliveryPolicy`] may pick from at
     /// this instant: all of them without a fault plan, only the mature
-    /// ones with one. This is the `eligible` that the next non-sweep,
-    /// non-forced [`step_once`](Self::step_once) will pass to the policy.
+    /// ones with one. This is the `eligible` that the next non-sweep
+    /// [`step_once`](Self::step_once) will pass to the policy.
     pub fn eligible_now(&self) -> usize {
         if self.k.faults.active() {
             self.in_flight.eligible_count()
@@ -305,14 +292,6 @@ where
                 }
             }
             return;
-        }
-        // Bounded-delay mode: overdue messages deliver before anything else.
-        // Fault-layer delay inflation extends the bound (`ready >= sent`).
-        if self.cfg.max_delay.is_some() {
-            if let Some(idx) = self.in_flight.first_overdue() {
-                self.deliver_at(idx);
-                return;
-            }
         }
         // Without a fault plan every in-flight message is eligible and no
         // node is down. With one, only mature messages are eligible for the
@@ -487,24 +466,8 @@ mod tests {
         let mut s = echo(4, 2, 9).with_config(AsyncConfig {
             deliver_bias: 0.05,
             sweep_every: 16,
-            max_delay: None,
         });
         assert!(s.run_until_quiescent(2_000_000));
-    }
-
-    #[test]
-    fn bounded_delay_mode_forces_timely_delivery() {
-        // With a delay bound, every message arrives within `bound` steps of
-        // being sent even under an extreme starvation bias.
-        let mut s = echo(4, 3, 11).with_config(AsyncConfig {
-            deliver_bias: 0.01, // would starve without the bound
-            sweep_every: 0,     // no sweeps either
-            max_delay: Some(8),
-        });
-        // Kick node 0 manually since sweeps are off.
-        s.step_once();
-        assert!(s.run_until_quiescent(500_000));
-        assert_eq!(s.metrics.messages, 2 * 3 * 3);
     }
 
     #[test]

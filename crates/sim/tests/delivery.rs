@@ -182,7 +182,6 @@ fn starving_config_still_guarantees_fair_receipt() {
         let mut sched = AsyncScheduler::new(build(4, 8), seed).with_config(AsyncConfig {
             deliver_bias: 0.05,
             sweep_every: 16,
-            max_delay: None,
         });
         assert!(
             sched.run_until_quiescent(20_000_000),

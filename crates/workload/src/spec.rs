@@ -132,8 +132,6 @@ impl OpenLoopSpec {
         let mut dwell_burst = 8.0;
         let mut mix = "uniform".to_string();
         let mut zipf_s = 1.0;
-        let mut sawtooth_period = 32;
-        let mut hot_frac = 0.9;
         for (line_no, line) in toml_lines(text) {
             let (key, value) = toml_kv(line, line_no)?;
             match key {
@@ -151,8 +149,6 @@ impl OpenLoopSpec {
                 "dwell_burst" => dwell_burst = parse_f64(value, line_no)?,
                 "mix" => mix = parse_str(value, line_no)?,
                 "zipf_s" => zipf_s = parse_f64(value, line_no)?,
-                "sawtooth_period" => sawtooth_period = parse_u64(value, line_no)?,
-                "hot_frac" => hot_frac = parse_f64(value, line_no)?,
                 _ => return Err(format!("line {line_no}: unknown key `{key}`")),
             }
         }
@@ -169,16 +165,7 @@ impl OpenLoopSpec {
             "uniform" => MixKind::Uniform,
             "zipf" => MixKind::Zipf { s: zipf_s },
             "fifo" => MixKind::FifoAdversarial,
-            "lifo" => MixKind::LifoAdversarial,
-            "sawtooth" => MixKind::Sawtooth {
-                period: sawtooth_period,
-            },
-            "hotkey" => MixKind::HotKey { hot_frac },
-            other => {
-                return Err(format!(
-                    "unknown mix `{other}` (uniform|zipf|fifo|lifo|sawtooth|hotkey)"
-                ))
-            }
+            other => return Err(format!("unknown mix `{other}` (uniform|zipf|fifo)")),
         };
         spec.validate();
         Ok(spec)
@@ -241,19 +228,13 @@ mod tests {
         assert!(OpenLoopSpec::from_toml("arrivals = poisson").is_err()); // unquoted
         assert!(OpenLoopSpec::from_toml("arrivals = \"bursty\"").is_err());
         assert!(OpenLoopSpec::from_toml("mix = \"zpif\"").is_err());
+        assert!(OpenLoopSpec::from_toml("mix = \"hotkey\"").is_err());
         assert!(OpenLoopSpec::from_toml("n 16").is_err());
     }
 
     #[test]
     fn every_mix_name_parses() {
-        for (name, extra) in [
-            ("uniform", ""),
-            ("zipf", "zipf_s = 0.8"),
-            ("fifo", ""),
-            ("lifo", ""),
-            ("sawtooth", "sawtooth_period = 8"),
-            ("hotkey", "hot_frac = 0.5"),
-        ] {
+        for (name, extra) in [("uniform", ""), ("zipf", "zipf_s = 0.8"), ("fifo", "")] {
             let text = format!("mix = \"{name}\"\n{extra}");
             OpenLoopSpec::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
